@@ -10,7 +10,7 @@ For C < -2 the members are not even smooth ovals: they carry cusps.
 
 import numpy as np
 
-from orthotraj import TrajectoryCurve, classify_conic, curve_point, cusp_parameters, fit_conic
+from orthotraj import TrajectoryCurve, curve_point, cusp_parameters, fit_conic
 
 print(f"{'C':>6s}  {'classification':16s} {'conic residual':>14s}  cusps")
 for C in (-4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0):
@@ -18,7 +18,7 @@ for C in (-4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0):
     fit = fit_conic([curve_point(curve, t) for t in np.linspace(-3, 3, 200)])
     cusps = cusp_parameters(curve)
     cusp_str = ", ".join(f"{t:+.4f}" for t in cusps) if cusps else "-"
-    print(f"{C:6.1f}  {classify_conic(curve):16s} {fit.residual_rms:14.3e}  {cusp_str}")
+    print(f"{C:6.1f}  {fit.classify():16s} {fit.residual_rms:14.3e}  {cusp_str}")
 
 print("\nthe C = 0 fit, denormalized (proportional to y^2 - 4x):")
 fit = fit_conic([curve_point(TrajectoryCurve(0.0), t) for t in np.linspace(-3, 3, 200)])
@@ -31,7 +31,8 @@ print(f"  ratio (x coeff)/(y^2 coeff) = {ratio:+.9f}   (expected -4)")
 print("\na circle fits exactly too (sanity: conics are conics):")
 circle = [(2 * np.cos(a), 2 * np.sin(a)) for a in np.linspace(0, 2 * np.pi, 60, endpoint=False)]
 cfit = fit_conic(circle)
-print(f"  residual = {cfit.residual_rms:.3e}, discriminant b^2 - 4ac = {cfit.discriminant():+.6f}")
+print(f"  residual = {cfit.residual_rms:.3e}, discriminant b^2 - 4ac = {cfit.discriminant():+.6f}"
+      f" -> {cfit.classify()}")
 
 print("\ncusp pair as C drops below -2 (t^2 = (C^2/4)^(1/3) - 1):")
 for C in (-2.0, -2.5, -4.0, -8.0):

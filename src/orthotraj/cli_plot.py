@@ -30,7 +30,7 @@ import numpy as np
 
 from .core_model import Point, TrajectoryCurve, curve_point, cusp_parameters
 from .errors import ConfigError, NoBranchError, OrthoTrajError
-from .geometry_analysis import classify_conic, fit_conic, intersections
+from .geometry_analysis import fit_conic, intersections
 from .tracer import TraceConfig, trace_orthogonal
 from . import verification
 
@@ -463,8 +463,8 @@ def _cmd_classify(args) -> int:
     params = _merge_params(args, "classify")
     C = _require(params, "C", "classify")
     curve = TrajectoryCurve(C)
-    verdict = classify_conic(curve)
     fit = fit_conic([curve_point(curve, t) for t in np.linspace(-3.0, 3.0, 200)])
+    verdict = fit.classify()
     cusps = cusp_parameters(curve)
     print(f"curve C={C:g}: {verdict}")
     print(f"  conic residual (scaled coords): {fit.residual_rms:.3e}")

@@ -56,7 +56,7 @@ class DifferentialForm:
 
 def _check_p(p: float) -> float:
     if p == 0.0:
-        raise DomainError("form is singular at p = 0")
+        raise DomainError(f"p must be nonzero, got {p!r}")
     if not math.isfinite(p):
         raise DomainError(f"p must be finite, got {p!r}")
     return p
@@ -78,8 +78,6 @@ def raw_form() -> DifferentialForm:
 
 def integrating_factor(p: float) -> float:
     """mu(p) = 1 / (p sqrt(1 + p^2)); singular at p = 0."""
-    if p == 0.0:
-        raise DomainError("integrating factor is singular at p = 0")
     _check_p(p)
     return 1.0 / (p * math.sqrt(1.0 + p * p))
 
@@ -124,8 +122,6 @@ def potential(y: float, p: float) -> float:
     Constant along solutions of the exact form; its level value is the
     family constant C (for the p > 0 branch).
     """
-    if p == 0.0:
-        raise DomainError("potential is singular at p = 0")
     _check_p(p)
     return (y - 2.0 / p) * math.sqrt(1.0 + p * p)
 
@@ -136,8 +132,6 @@ def solve_for_xy(p: float, C: float) -> Point:
     x = 1/p^2 - C p / sqrt(1 + p^2),  y = 2/p + C / sqrt(1 + p^2).
     Equals ``curve_point(TrajectoryCurve(C), 1/p)`` for p > 0.
     """
-    if p == 0.0:
-        raise DomainError("parametric solution is singular at p = 0")
     _check_p(p)
     if not math.isfinite(C):
         raise DomainError(f"C must be finite, got {C!r}")

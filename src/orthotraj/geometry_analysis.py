@@ -138,6 +138,23 @@ class ConicFit:
         a, b, c, _, _, _ = self.coeffs
         return b * b - 4.0 * a * c
 
+    def classify(self) -> str:
+        """'parabola', 'other-conic', 'non-conic' or 'inconclusive'.
+
+        The residual thresholds are two-sided (accept <= 1e-8, reject >=
+        1e-3); residuals in between are reported as inconclusive rather
+        than coerced to either side.
+        """
+        if self.residual_rms <= _CONIC_ACCEPT:
+            a, b, c = self.coeffs[:3]
+            scale = max(a * a + b * b + c * c, 1e-300)
+            if abs(self.discriminant()) <= _PARABOLA_DISC_TOL * scale:
+                return "parabola"
+            return "other-conic"
+        if self.residual_rms >= _CONIC_REJECT:
+            return "non-conic"
+        return "inconclusive"
+
 
 def fit_conic(points) -> ConicFit:
     """Best-fit conic through >= 12 points in general position.
@@ -190,28 +207,10 @@ def fit_conic(points) -> ConicFit:
     return ConicFit(coeffs=tuple(float(v) for v in coeffs), residual_rms=residual_rms)
 
 
-def _default_samples(curve: TrajectoryCurve, n: int = 200, t_range=(-3.0, 3.0)):
-    return [curve_point(curve, t) for t in np.linspace(t_range[0], t_range[1], n)]
-
-
-def classify_conic(curve: TrajectoryCurve, n: int = 200, t_range=(-3.0, 3.0)) -> str:
-    """Classify curve samples as 'parabola', 'other-conic', 'non-conic',
-    or 'inconclusive'.
-
-    The residual thresholds are two-sided (accept <= 1e-8, reject >=
-    1e-3); residuals in between are reported as inconclusive rather than
-    coerced to either side.
-    """
-    fit = fit_conic(_default_samples(curve, n, t_range))
-    if fit.residual_rms <= _CONIC_ACCEPT:
-        a, b, c = fit.coeffs[:3]
-        scale = max(a * a + b * b + c * c, 1e-300)
-        if abs(fit.discriminant()) <= _PARABOLA_DISC_TOL * scale:
-            return "parabola"
-        return "other-conic"
-    if fit.residual_rms >= _CONIC_REJECT:
-        return "non-conic"
-    return "inconclusive"
+def classify_conic(curve: TrajectoryCurve) -> str:
+    """Classify 200 samples of the curve over t in [-3, 3] with
+    ``ConicFit.classify``."""
+    return fit_conic([curve_point(curve, t) for t in np.linspace(-3.0, 3.0, 200)]).classify()
 
 
 def is_parabola(curve: TrajectoryCurve) -> bool:

@@ -8,9 +8,25 @@ by nearest-root continuity.  Integration runs in arc length,
     (dx/ds, dy/ds) = sigma * (1, p) / sqrt(1 + p^2),
 
 so vertical tangents (p -> inf where a curve crosses the x-axis) slow
-the branch tracking down but never divide by zero.  Steps are taken with
-the Cash-Karp embedded 4(5) Runge-Kutta pair under adaptive control; a
-trace extends in both directions from its start point.
+the branch tracking down but never divide by zero.
+
+One stepper, ``_march``, integrates every trace: Cash-Karp embedded
+4(5) Runge-Kutta steps under adaptive control, the arc budget, the
+domain box, the step limit and the sample recording.  It runs once per
+direction from the start point.  Each tracer supplies only
+
+    a field    ``field_fn(x, y, p_ref) -> (dx, dy, p)``, the unit
+               direction and slope at (x, y), or ``_BranchJump`` when
+               nothing continues the tracked slope p_ref;
+    a stall    ``stall_fn(x, y, p_ref)``, the reason an end stops when
+               step halving bottoms out.
+
+``trace_orthogonal`` follows the cubic root nearest p_ref and tells a
+root collision from a plain loss.  ``trace_classic`` follows the
+normalised field of one of three textbook orthogonal-trajectory pairs
+(hyperbolas/hyperbolas, radial lines/circles, shifted radial
+lines/circles), calls every stall a singularity, and reports the drift
+of the exact conserved quantity.
 
 Termination reasons:
 
@@ -18,13 +34,9 @@ Termination reasons:
     branch-loss  the tracked cubic root could not be followed (e.g. the
                  vertical-tangent crossing, where the root runs away)
     singularity  the tracked root collided with a neighbouring root -
-                 a cusp of the traced curve
+                 a cusp of the traced curve (for a classic trace: the
+                 smallest step could not follow the field)
     domain-exit  the trace left the configured bounding box
-
-``trace_classic`` integrates three textbook orthogonal-trajectory fields
-(hyperbolas/hyperbolas, radial lines/circles, shifted radial
-lines/circles) with the same stepper and reports the drift of the exact
-conserved quantity.
 """
 
 import math
@@ -106,18 +118,7 @@ class TraceResult:
 
 
 class _BranchJump(Exception):
-    """Raised inside a step when no root continues the tracked branch."""
-
-
-def _pick_root(x: float, y: float, p_ref: float):
-    """Nearest real slope root to p_ref, with the full root set."""
-    rs = slopes_at(x, y)
-    if len(rs) == 0:
-        raise _BranchJump
-    best = min(rs.roots, key=lambda r: abs(r - p_ref))
-    if abs(best - p_ref) > _MAX_JUMP * max(1.0, abs(p_ref)):
-        raise _BranchJump
-    return best, rs
+    """Raised by a field when nothing continues the tracked branch."""
 
 
 def _rk_step(rhs, x: float, y: float, h: float):
@@ -146,6 +147,18 @@ def _rk_step(rhs, x: float, y: float, h: float):
     return x5, y5, max(abs(ex), abs(ey))
 
 
+def _root_field(x: float, y: float, p_ref: float):
+    """Unit direction along the slope root nearest p_ref, with the root."""
+    rs = slopes_at(x, y)
+    if len(rs) == 0:
+        raise _BranchJump
+    p = min(rs.roots, key=lambda r: abs(r - p_ref))
+    if abs(p - p_ref) > _MAX_JUMP * max(1.0, abs(p_ref)):
+        raise _BranchJump
+    inv = 1.0 / math.sqrt(1.0 + p * p)
+    return inv, p * inv, p
+
+
 def _stall_reason(x: float, y: float, p_ref: float) -> str:
     """Classify a refinement stall: root collision (cusp) vs plain loss."""
     try:
@@ -164,9 +177,11 @@ def _stall_reason(x: float, y: float, p_ref: float) -> str:
     return "branch-loss"
 
 
-def _march_branch(x0, y0, p0, sigma, cfg: TraceConfig, stall_fn):
+def _march(x0, y0, p0, sigma, cfg: TraceConfig, field_fn, stall_fn):
     """Integrate one direction; returns (samples, reason).
 
+    ``field_fn(x, y, p_ref)`` gives the unit direction and slope
+    ``(dx, dy, p)`` near the tracked slope, or raises ``_BranchJump``;
     ``stall_fn(x, y, p)`` names the reason when step halving bottoms out.
     """
     xmin, xmax, ymin, ymax = cfg.bounds()
@@ -179,9 +194,8 @@ def _march_branch(x0, y0, p0, sigma, cfg: TraceConfig, stall_fn):
     def rhs(xs, ys):
         # p_ref rebinds at each accepted step: stages anchor to the
         # step-start branch.
-        p, _ = _pick_root(xs, ys, p_ref)
-        inv = sigma / math.sqrt(1.0 + p * p)
-        return inv, p * inv
+        dx, dy, _ = field_fn(xs, ys, p_ref)
+        return sigma * dx, sigma * dy
 
     for _ in range(_MAX_STEPS):
         remaining = cfg.max_arc - arc
@@ -192,7 +206,7 @@ def _march_branch(x0, y0, p0, sigma, cfg: TraceConfig, stall_fn):
             xn, yn, err = _rk_step(rhs, x, y, h_step)
             if err > cfg.tol:
                 raise _BranchJump
-            p_new, _ = _pick_root(xn, yn, p_ref)
+            _, _, p_new = field_fn(xn, yn, p_ref)
         except _BranchJump:
             h *= 0.5
             if h < _H_MIN:
@@ -210,16 +224,20 @@ def _march_branch(x0, y0, p0, sigma, cfg: TraceConfig, stall_fn):
     return samples, "branch-loss"
 
 
-def _merge(back, start_sample, fwd, reasons, drift_fn) -> TraceResult:
-    samples = list(reversed(back)) + [start_sample] + list(fwd)
+def _trace(x0, y0, p0, cfg: TraceConfig, field_fn, stall_fn, drift_fn) -> TraceResult:
+    """March both directions from (x0, y0) on slope p0 and merge them."""
+    back, r_back = _march(x0, y0, p0, -1.0, cfg, field_fn, stall_fn)
+    fwd, r_fwd = _march(x0, y0, p0, +1.0, cfg, field_fn, stall_fn)
+    start_sample = (Point(x0, y0), p0)
+    samples = list(reversed(back)) + [start_sample] + fwd
     f0 = drift_fn(*start_sample)
     drift = 0.0
     for pt, p in samples:
         drift = max(drift, abs(drift_fn(pt, p) - f0))
-    terminated = max(reasons, key=lambda r: _SEVERITY[r])
+    reasons = (r_back, r_fwd)
     return TraceResult(
         samples=samples,
-        terminated_by=terminated,
+        terminated_by=max(reasons, key=lambda r: _SEVERITY[r]),
         potential_drift=drift,
         end_reasons=reasons,
     )
@@ -255,28 +273,17 @@ def trace_orthogonal(cfg: TraceConfig) -> TraceResult:
     def drift_fn(pt, p):
         return potential(pt.y, p)
 
-    back, r_back = _march_branch(x0, y0, p0, -1.0, cfg, _stall_reason)
-    fwd, r_fwd = _march_branch(x0, y0, p0, +1.0, cfg, _stall_reason)
-    return _merge(back, (Point(x0, y0), p0), fwd, (r_back, r_fwd), drift_fn)
+    return _trace(x0, y0, p0, cfg, _root_field, _stall_reason, drift_fn)
 
 
 # Classic textbook pairs: direction field (unnormalized) and conserved
 # first integral of the orthogonal trajectories.
 _CLASSIC = {
-    "hyperbola-pair": (
-        lambda x, y: (x, -y),
-        lambda x, y: x * y,
-        (0.0, 0.0),
-    ),
-    "monopole": (
-        lambda x, y: (y, -x),
-        lambda x, y: x * x + y * y,
-        (0.0, 0.0),
-    ),
+    "hyperbola-pair": (lambda x, y: (x, -y), lambda x, y: x * y),
+    "monopole": (lambda x, y: (y, -x), lambda x, y: x * x + y * y),
     "shifted-monopole": (
         lambda x, y: (y, -(x + 1.0)),
         lambda x, y: (x + 1.0) * (x + 1.0) + y * y,
-        (-1.0, 0.0),
     ),
 }
 
@@ -292,61 +299,28 @@ def trace_classic(kind: str, start: Point, cfg: TraceConfig) -> TraceResult:
     """
     if kind not in _CLASSIC:
         raise DomainError(f"unknown classic kind {kind!r}")
-    raw_field, conserved, singular = _CLASSIC[kind]
+    raw_field, conserved = _CLASSIC[kind]
     x0, y0 = float(start[0]), float(start[1])
-    if (x0, y0) == singular:
-        raise DomainError(f"start {start!r} is the singular point of {kind!r}")
 
-    def march(sigma):
-        xmin, xmax, ymin, ymax = cfg.bounds()
-        h_cap = 2.0 * cfg.step
-        h = cfg.step
-        arc = 0.0
-        x, y = x0, y0
-        samples = []
+    def field_fn(x, y, _p_ref):
+        # The direction is the normalised field itself: a slope alone
+        # would lose its orientation wherever vx < 0.
+        vx, vy = raw_field(x, y)
+        n = math.hypot(vx, vy)
+        if n < 1e-12:
+            raise _BranchJump
+        p = vy / vx if vx != 0.0 else math.copysign(math.inf, vy)
+        return vx / n, vy / n, p
 
-        def rhs(xs, ys):
-            vx, vy = raw_field(xs, ys)
-            n = math.hypot(vx, vy)
-            if n < 1e-12:
-                raise _BranchJump
-            return sigma * vx / n, sigma * vy / n
-
-        for _ in range(_MAX_STEPS):
-            remaining = cfg.max_arc - arc
-            if remaining <= 1e-12:
-                return samples, "arc-limit"
-            h_step = min(h, h_cap, remaining)
-            try:
-                xn, yn, err = _rk_step(rhs, x, y, h_step)
-                if err > cfg.tol:
-                    raise _BranchJump
-            except _BranchJump:
-                h *= 0.5
-                if h < _H_MIN:
-                    return samples, "singularity"
-                continue
-            if not (xmin <= xn <= xmax and ymin <= yn <= ymax):
-                return samples, "domain-exit"
-            x, y = xn, yn
-            arc += h_step
-            vx, vy = raw_field(x, y)
-            p = vy / vx if vx != 0.0 else math.copysign(math.inf, vy)
-            samples.append((Point(x, y), p))
-            if err > 0.0:
-                h = h_step * min(5.0, max(0.2, 0.9 * (cfg.tol / err) ** 0.2))
-            else:
-                h = h_step * 5.0
-        return samples, "branch-loss"
-
-    vx0, vy0 = raw_field(x0, y0)
-    if math.hypot(vx0, vy0) < 1e-12:
-        raise DomainError(f"start {start!r} is singular for {kind!r}")
-    p_start = vy0 / vx0 if vx0 != 0.0 else math.copysign(math.inf, vy0)
+    try:
+        _, _, p_start = field_fn(x0, y0, None)
+    except _BranchJump:
+        raise DomainError(f"start {start!r} is singular for {kind!r}") from None
 
     def drift_fn(pt, _p):
         return conserved(pt.x, pt.y)
 
-    back, r_back = march(-1.0)
-    fwd, r_fwd = march(+1.0)
-    return _merge(back, (Point(x0, y0), p_start), fwd, (r_back, r_fwd), drift_fn)
+    def stall_fn(*_):
+        return "singularity"
+
+    return _trace(x0, y0, p_start, cfg, field_fn, stall_fn, drift_fn)

@@ -25,7 +25,7 @@ from .core_model import (
     orthogonal_foot,
 )
 from .exact_ode import exactness_defect, potential, raw_form, scaled_form, solve_for_xy
-from .geometry_analysis import classify_conic, fit_conic, intersections
+from .geometry_analysis import fit_conic, intersections
 from .tracer import TraceConfig, trace_classic, trace_orthogonal
 
 __all__ = ["CheckResult", "SUITES", "run_suites", "suite_names"]
@@ -239,7 +239,7 @@ def suite_conic():
     checks.append(
         _result(
             "C=0 classifies as parabola with conic proportional to y^2 - 4x",
-            classify_conic(TrajectoryCurve(0.0)) == "parabola" and cosine >= 1.0 - 1e-8,
+            parab.classify() == "parabola" and cosine >= 1.0 - 1e-8,
             f"residual = {parab.residual_rms:.3e}, cosine similarity = {cosine:.12f}",
         )
     )
@@ -254,7 +254,7 @@ def suite_conic():
         if fit.residual_rms < min_residual:
             min_residual = fit.residual_rms
             worst_name = f"C={C:g}"
-        if classify_conic(TrajectoryCurve(C)) != "non-conic" or fit.residual_rms < 1e-3:
+        if fit.classify() != "non-conic":
             all_rejected = False
     checks.append(
         _result(

@@ -11,12 +11,14 @@ Covers:
 """
 
 import json
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
 
 import pytest
 
+import orthotraj
 from orthotraj.cli_plot import (
     CurveSpec,
     PlotSpec,
@@ -277,11 +279,16 @@ class TestConfigMerging:
 
 
 def test_module_entry_point():
+    # The child imports the same package as this test, however pytest found it.
+    src = os.path.dirname(os.path.dirname(orthotraj.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "orthotraj.cli_plot", "verify", "--suite", "extra-crossing"],
         capture_output=True,
         text=True,
         timeout=120,
+        env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert "[PASS]" in proc.stdout

@@ -141,6 +141,7 @@ class TestFitConic:
         fit = fit_conic(pts)
         assert fit.residual_rms <= 1e-10
         assert fit.discriminant() < 0.0  # ellipse-type
+        assert fit.classify() == "other-conic"
 
     def test_c4_samples_not_conic(self):
         pts = [curve_point(TrajectoryCurve(4.0), t) for t in np.linspace(-3, 3, 50)]

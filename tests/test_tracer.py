@@ -5,11 +5,13 @@ Covers:
   - closed-form agreement for C in {-1, 0, 1, 3} from t0 = 1
   - potential conservation (drift <= 10 * tol)
   - slope-equation residual at every accepted sample
-  - sample spacing bounded by twice the configured step
+  - both tracers: sample spacing bounded by twice the configured step,
+    and a domain box ends the trace with domain-exit
   - order-of-accuracy: tightening tol by 10 improves deviation >= 5x
   - cusp termination (singularity) on a C < -2 curve
   - the vertical-tangent crossing ends in branch-loss, not a crash
-  - classic fixtures conserve xy, x^2 + y^2, (x+1)^2 + y^2
+  - classic fixtures conserve xy, x^2 + y^2, (x+1)^2 + y^2, and stall
+    as a singularity next to the monopole's centre
   - error cases: no slope branch, singular classic start, bad config
 """
 
@@ -42,6 +44,40 @@ def closed_form_gap(curve, result):
         ref = curve_point(curve, 1.0 / p)
         worst = max(worst, math.hypot(ref.x - pt.x, ref.y - pt.y))
     return worst
+
+
+# Both tracers run on one stepper; each case is (trace(cfg), start, hint).
+TRACERS = [
+    pytest.param(trace_orthogonal, Point(1.0, 2.0), 1.0, id="orthogonal"),
+    pytest.param(
+        lambda cfg: trace_classic("hyperbola-pair", cfg.start, cfg),
+        Point(1.0, 1.0),
+        None,
+        id="classic",
+    ),
+]
+
+
+@pytest.mark.parametrize("trace,start,hint", TRACERS)
+class TestSharedStepper:
+    def test_sample_spacing(self, trace, start, hint):
+        cfg = TraceConfig(start=start, initial_slope_hint=hint, max_arc=20.0)
+        res = trace(cfg)
+        assert len(res.samples) > 100
+        for (a, _), (b, _) in zip(res.samples, res.samples[1:]):
+            chord = math.hypot(b.x - a.x, b.y - a.y)
+            assert chord <= 2.0 * cfg.step * (1.0 + 1e-9)
+
+    def test_domain_exit(self, trace, start, hint):
+        cfg = TraceConfig(
+            start=start,
+            initial_slope_hint=hint,
+            domain=(-5.0, 5.0, -5.0, 5.0),
+        )
+        res = trace(cfg)
+        assert "domain-exit" in res.end_reasons
+        for pt, _ in res.samples:
+            assert -5.0 <= pt.x <= 5.0 and -5.0 <= pt.y <= 5.0
 
 
 class TestTraceOrthogonal:
@@ -78,16 +114,13 @@ class TestTraceOrthogonal:
             assert closed_form_gap(curve, res) <= 1e-5
             assert res.potential_drift <= 10.0 * 1e-8
 
-    def test_sample_residuals_and_spacing(self):
+    def test_sample_residuals(self):
         cfg = TraceConfig(start=Point(1.0, 2.0), initial_slope_hint=1.0, max_arc=20.0)
         res = trace_orthogonal(cfg)
         for pt, p in res.samples:
             resid = ode_o_residual(pt.x, pt.y, p)
             scale = max(1.0, abs(pt.y * p**3), abs(p * p * (2.0 - pt.x)))
             assert abs(resid) <= 1e-6 * scale
-        for (a, _), (b, _) in zip(res.samples, res.samples[1:]):
-            chord = math.hypot(b.x - a.x, b.y - a.y)
-            assert chord <= 2.0 * cfg.step * (1.0 + 1e-9)
 
     def test_order_of_accuracy(self):
         # With a large step cap the deviation is governed by tol alone;
@@ -119,17 +152,6 @@ class TestTraceOrthogonal:
         assert res.end_reasons[0] == "branch-loss"
         assert res.end_reasons[1] == "arc-limit"
         assert res.terminated_by == "branch-loss"
-
-    def test_domain_exit(self):
-        cfg = TraceConfig(
-            start=Point(1.0, 2.0),
-            initial_slope_hint=1.0,
-            domain=(-5.0, 5.0, -5.0, 5.0),
-        )
-        res = trace_orthogonal(cfg)
-        assert "domain-exit" in res.end_reasons
-        for pt, _ in res.samples:
-            assert -5.0 <= pt.x <= 5.0 and -5.0 <= pt.y <= 5.0
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
@@ -167,6 +189,14 @@ class TestTraceClassic:
         res = trace_classic("monopole", Point(3.0, 4.0), TraceConfig(start=Point(3.0, 4.0), max_arc=20.0))
         quadrants = {(pt.x > 0, pt.y > 0) for pt, _ in res.samples}
         assert len(quadrants) == 4
+
+    def test_stall_is_singularity(self):
+        # Starting 1e-7 from the monopole's centre, the field turns faster
+        # than the smallest step can follow: both ends stall.
+        start = Point(1e-7, 0.0)
+        res = trace_classic("monopole", start, TraceConfig(start=start, max_arc=1.0))
+        assert res.end_reasons == ("singularity", "singularity")
+        assert res.terminated_by == "singularity"
 
     def test_singular_start(self):
         with pytest.raises(DomainError):
