@@ -10,18 +10,18 @@ For C < -2 the members are not even smooth ovals: they carry cusps.
 
 import numpy as np
 
-from orthotraj import TrajectoryCurve, curve_point, cusp_parameters, fit_conic
+from orthotraj import TrajectoryCurve, conic_fit, cusp_parameters, fit_conic
 
 print(f"{'C':>6s}  {'classification':16s} {'conic residual':>14s}  cusps")
 for C in (-4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0):
     curve = TrajectoryCurve(C)
-    fit = fit_conic([curve_point(curve, t) for t in np.linspace(-3, 3, 200)])
+    fit = conic_fit(curve)
     cusps = cusp_parameters(curve)
     cusp_str = ", ".join(f"{t:+.4f}" for t in cusps) if cusps else "-"
     print(f"{C:6.1f}  {fit.classify():16s} {fit.residual_rms:14.3e}  {cusp_str}")
 
 print("\nthe C = 0 fit, denormalized (proportional to y^2 - 4x):")
-fit = fit_conic([curve_point(TrajectoryCurve(0.0), t) for t in np.linspace(-3, 3, 200)])
+fit = conic_fit(TrajectoryCurve(0.0))
 names = ("x^2", "xy", "y^2", "x", "y", "1")
 for name, v in zip(names, fit.coeffs):
     print(f"  {name:>4s}: {v:+.9f}")

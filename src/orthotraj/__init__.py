@@ -48,6 +48,7 @@ from .geometry_analysis import (
     ConicFit,
     IntersectionRecord,
     classify_conic,
+    conic_fit,
     fit_conic,
     intersections,
     is_parabola,
@@ -91,6 +92,7 @@ __all__ = [
     "ConicFit",
     "IntersectionRecord",
     "classify_conic",
+    "conic_fit",
     "fit_conic",
     "intersections",
     "is_parabola",

@@ -11,7 +11,10 @@ Subcommands expose each capability of the library::
 All subcommands accept ``--config file.json`` (defaults for the same
 parameter names; unknown keys are rejected) and ``--json-out file.json``
 (machine-readable report {command, inputs, results, pass}).  Exit codes:
-0 success, 1 verification failure, 2 usage or configuration error.
+0 success, 1 verification or trace failure, 2 usage or configuration
+error, which includes unreadable or unwritable files and malformed
+config or spec values.  Each subcommand and its flags are declared once,
+in ``_COMMANDS``.
 
 The plot presets reconstruct the qualitative two-panel figure of the
 curve family: four members per panel (C = 0 dashed) plus the three
@@ -30,7 +33,7 @@ import numpy as np
 
 from .core_model import Point, TrajectoryCurve, curve_point, cusp_parameters
 from .errors import ConfigError, NoBranchError, OrthoTrajError
-from .geometry_analysis import fit_conic, intersections
+from .geometry_analysis import conic_fit, intersections
 from .tracer import TraceConfig, trace_orthogonal
 from . import verification
 
@@ -98,9 +101,29 @@ def preset_spec(name: str) -> PlotSpec:
     return PlotSpec(curves=curves, lines=(1.0, 2.0, -3.0))
 
 
+def _number(value, what: str) -> float:
+    """A finite JSON number (not a bool) as a float; else ConfigError.
+    The bound also rejects nan and integers too large for a float."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and abs(value) <= sys.float_info.max):
+        raise ConfigError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _pair(value, what: str) -> tuple:
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ConfigError(f"{what} must be a [lo, hi] pair, got {value!r}")
+    return (_number(value[0], what), _number(value[1], what))
+
+
+def _list(doc: dict, key: str) -> list:
+    value = doc.get(key, [])
+    if not isinstance(value, list):
+        raise ConfigError(f"{key} must be a list, got {value!r}")
+    return value
+
+
 def _spec_from_document(doc: dict) -> PlotSpec:
-    if not isinstance(doc, dict):
-        raise ConfigError("plot spec document must be a JSON object")
     allowed = {
         "curves", "lines", "x_window", "y_window",
         "samples_per_curve", "width_px", "height_px",
@@ -109,7 +132,7 @@ def _spec_from_document(doc: dict) -> PlotSpec:
     if unknown:
         raise ConfigError(f"unknown plot spec keys: {sorted(unknown)}")
     curves = []
-    for entry in doc.get("curves", ()):
+    for entry in _list(doc, "curves"):
         if not isinstance(entry, dict):
             raise ConfigError(f"curves entries must be objects, got {entry!r}")
         extra = set(entry) - {"C", "t_range", "dashed"}
@@ -117,26 +140,23 @@ def _spec_from_document(doc: dict) -> PlotSpec:
             raise ConfigError(f"unknown curve keys: {sorted(extra)}")
         if "C" not in entry:
             raise ConfigError("curve entry missing required key 'C'")
-        curves.append(
-            CurveSpec(
-                C=float(entry["C"]),
-                t_range=tuple(float(v) for v in entry.get("t_range", (-3.5, 3.5))),
-                dashed=bool(entry.get("dashed", False)),
-            )
-        )
-    kwargs = {}
-    for key in ("x_window", "y_window"):
-        if key in doc:
-            win = doc[key]
-            if not (isinstance(win, (list, tuple)) and len(win) == 2):
-                raise ConfigError(f"{key} must be a [lo, hi] pair, got {win!r}")
-            kwargs[key] = (float(win[0]), float(win[1]))
+        fields = {"C": _number(entry["C"], "curves: C")}
+        if "t_range" in entry:
+            fields["t_range"] = _pair(entry["t_range"], "curves: t_range")
+        if "dashed" in entry:
+            if not isinstance(entry["dashed"], bool):
+                raise ConfigError(f"curves: dashed must be true or false, got {entry['dashed']!r}")
+            fields["dashed"] = entry["dashed"]
+        curves.append(CurveSpec(**fields))
+    kwargs = {key: _pair(doc[key], key) for key in ("x_window", "y_window") if key in doc}
     for key in ("samples_per_curve", "width_px", "height_px"):
         if key in doc:
+            if not _number(doc[key], key).is_integer():
+                raise ConfigError(f"{key} must be an integer, got {doc[key]!r}")
             kwargs[key] = int(doc[key])
     spec = PlotSpec(
         curves=tuple(curves),
-        lines=tuple(float(m) for m in doc.get("lines", ())),
+        lines=tuple(_number(m, "lines") for m in _list(doc, "lines")),
         **kwargs,
     )
     _validate_spec(spec)
@@ -276,58 +296,53 @@ def render_figure(spec: PlotSpec) -> str:
 # ----------------------------------------------------------------------
 # Command dispatch
 
-_COMMAND_KEYS = {
-    "verify": {"suite"},
-    "trace": {"x0", "y0", "p0", "tol"},
-    "intersect": {"m", "C", "t_min", "t_max"},
-    "classify": {"C"},
-    "plot": {"preset", "spec", "out"},
-}
-
-_NUMERIC_KEYS = {"x0", "y0", "p0", "tol", "m", "C", "t_min", "t_max"}
-
-
 def _reject_inf(_):
     raise ConfigError("non-finite numbers are not allowed in config files")
 
 
-def _load_config(path: str, command: str) -> dict:
+def _read_json(path: str, what: str) -> dict:
+    """The JSON object in ``path``; ConfigError names ``what`` on failure."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh, parse_constant=_reject_inf)
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+        raise ConfigError(f"cannot read {what} {path!r}: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"invalid JSON in {path!r}: {exc}") from exc
     if not isinstance(doc, dict):
-        raise ConfigError("config document must be a JSON object")
-    allowed = _COMMAND_KEYS[command]
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ConfigError(f"unknown config keys for {command!r}: {sorted(unknown)}")
-    for key, value in doc.items():
-        if key in _NUMERIC_KEYS:
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ConfigError(f"config key {key!r} must be a number, got {value!r}")
-            if not math.isfinite(value):
-                raise ConfigError(f"config key {key!r} must be finite")
+        raise ConfigError(f"{what} document must be a JSON object")
     return doc
 
 
-def _merge_params(args, command: str) -> dict:
-    """Defaults < config file < explicit flags, with unknown keys rejected."""
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc}") from exc
+
+
+def _typed(kind, value, what: str):
+    if kind is float:
+        return _number(value, what)
+    if not isinstance(value, str):
+        raise ConfigError(f"{what} must be a string, got {value!r}")
+    return value
+
+
+def _params(args, flags) -> dict:
+    """Defaults < config file < explicit flags, in flag-declaration order;
+    unknown config keys and values of the wrong type are rejected."""
+    config = _read_json(args.config, "config") if args.config else {}
+    unknown = set(config) - {dest for _names, dest, _kind, _help in flags}
+    if unknown:
+        raise ConfigError(f"unknown config keys for {args.command!r}: {sorted(unknown)}")
     params = {}
-    if getattr(args, "config", None):
-        params.update(_load_config(args.config, command))
-    for key in _COMMAND_KEYS[command]:
-        value = getattr(args, key, None)
-        if value is not None:
-            params[key] = value
-    for key, value in params.items():
-        if key in _NUMERIC_KEYS:
-            params[key] = float(value)
-            if not math.isfinite(params[key]):
-                raise ConfigError(f"parameter {key!r} must be finite")
+    for _names, dest, kind, _help in flags:
+        if dest in config:
+            params[dest] = _typed(kind, config[dest], f"config key {dest!r}")
+        if getattr(args, dest) is not None:
+            params[dest] = _typed(kind, getattr(args, dest), f"parameter {dest!r}")
     return params
 
 
@@ -343,20 +358,11 @@ def _json_safe(value):
     return value
 
 
-def _write_report(path, command, inputs, results, passed):
-    report = {
-        "command": command,
-        "inputs": {k: _json_safe(v) for k, v in inputs.items()},
-        "results": results,
-        "pass": bool(passed),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, allow_nan=False)
-        fh.write("\n")
+# Each handler takes the merged parameters, prints its summary and
+# returns (exit code, report inputs, report results).
 
 
-def _cmd_verify(args) -> int:
-    params = _merge_params(args, "verify")
+def _cmd_verify(params):
     suite = params.get("suite", "all")
     names = verification.suite_names() if suite == "all" else [suite]
     if any(n not in verification.SUITES for n in names):
@@ -380,13 +386,10 @@ def _cmd_verify(args) -> int:
     n_checks = len(rows)
     n_passed = sum(r["passed"] for r in rows)
     print(f"{n_passed}/{n_checks} checks passed")
-    if args.json_out:
-        _write_report(args.json_out, "verify", {"suite": suite}, rows, all_passed)
-    return 0 if all_passed else 1
+    return (0 if all_passed else 1), {"suite": suite}, rows
 
 
-def _cmd_trace(args) -> int:
-    params = _merge_params(args, "trace")
+def _cmd_trace(params):
     x0 = _require(params, "x0", "trace")
     y0 = _require(params, "y0", "trace")
     cfg = TraceConfig(
@@ -398,9 +401,7 @@ def _cmd_trace(args) -> int:
         result = trace_orthogonal(cfg)
     except NoBranchError as exc:
         print(f"trace failed: {exc}", file=sys.stderr)
-        if args.json_out:
-            _write_report(args.json_out, "trace", params, {"error": str(exc)}, False)
-        return 1
+        return 1, params, {"error": str(exc)}
     first = result.samples[0][0]
     last = result.samples[-1][0]
     print(f"traced {len(result.samples)} samples from ({x0:g}, {y0:g})")
@@ -408,22 +409,19 @@ def _cmd_trace(args) -> int:
     print(f"  end reasons: backward={result.end_reasons[0]}, forward={result.end_reasons[1]}")
     print(f"  terminated_by: {result.terminated_by}")
     print(f"  potential drift: {result.potential_drift:.3e}")
-    if args.json_out:
-        results = {
-            "n_samples": len(result.samples),
-            "terminated_by": result.terminated_by,
-            "end_reasons": list(result.end_reasons),
-            "potential_drift": result.potential_drift,
-            "samples": [
-                {"x": pt.x, "y": pt.y, "p": _json_safe(p)} for pt, p in result.samples
-            ],
-        }
-        _write_report(args.json_out, "trace", params, results, True)
-    return 0
+    results = {
+        "n_samples": len(result.samples),
+        "terminated_by": result.terminated_by,
+        "end_reasons": list(result.end_reasons),
+        "potential_drift": result.potential_drift,
+        "samples": [
+            {"x": pt.x, "y": pt.y, "p": _json_safe(p)} for pt, p in result.samples
+        ],
+    }
+    return 0, params, results
 
 
-def _cmd_intersect(args) -> int:
-    params = _merge_params(args, "intersect")
+def _cmd_intersect(params):
     m = _require(params, "m", "intersect")
     C = _require(params, "C", "intersect")
     t_min = params.get("t_min", -10.0)
@@ -438,32 +436,23 @@ def _cmd_intersect(args) -> int:
             f"  t = {rec.t: .9f}  point = ({rec.point.x: .9f}, {rec.point.y: .9f})  "
             f"slope product = {sp}  [{tag}]"
         )
-    if args.json_out:
-        results = [
-            {
-                "t": rec.t,
-                "x": rec.point.x,
-                "y": rec.point.y,
-                "slope_product": _json_safe(rec.slope_product),
-                "orthogonal": rec.orthogonal,
-            }
-            for rec in records
-        ]
-        _write_report(
-            args.json_out,
-            "intersect",
-            {"m": m, "C": C, "t_min": t_min, "t_max": t_max},
-            results,
-            True,
-        )
-    return 0
+    results = [
+        {
+            "t": rec.t,
+            "x": rec.point.x,
+            "y": rec.point.y,
+            "slope_product": _json_safe(rec.slope_product),
+            "orthogonal": rec.orthogonal,
+        }
+        for rec in records
+    ]
+    return 0, {"m": m, "C": C, "t_min": t_min, "t_max": t_max}, results
 
 
-def _cmd_classify(args) -> int:
-    params = _merge_params(args, "classify")
+def _cmd_classify(params):
     C = _require(params, "C", "classify")
     curve = TrajectoryCurve(C)
-    fit = fit_conic([curve_point(curve, t) for t in np.linspace(-3.0, 3.0, 200)])
+    fit = conic_fit(curve)
     verdict = fit.classify()
     cusps = cusp_parameters(curve)
     print(f"curve C={C:g}: {verdict}")
@@ -472,19 +461,16 @@ def _cmd_classify(args) -> int:
           + ", ".join(f"{v:.6g}" for v in fit.coeffs))
     print(f"  cusp count: {len(cusps)}"
           + (f" at t = {', '.join(f'{t:.6f}' for t in cusps)}" if cusps else ""))
-    if args.json_out:
-        results = {
-            "classification": verdict,
-            "conic_residual_rms": fit.residual_rms,
-            "conic_coeffs": list(fit.coeffs),
-            "cusp_parameters": cusps,
-        }
-        _write_report(args.json_out, "classify", {"C": C}, results, True)
-    return 0
+    results = {
+        "classification": verdict,
+        "conic_residual_rms": fit.residual_rms,
+        "conic_coeffs": list(fit.coeffs),
+        "cusp_parameters": cusps,
+    }
+    return 0, {"C": C}, results
 
 
-def _cmd_plot(args) -> int:
-    params = _merge_params(args, "plot")
+def _cmd_plot(params):
     preset = params.get("preset")
     spec_path = params.get("spec")
     if (preset is None) == (spec_path is None):
@@ -492,29 +478,48 @@ def _cmd_plot(args) -> int:
     if preset is not None:
         spec = preset_spec(preset)
     else:
-        try:
-            with open(spec_path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh, parse_constant=_reject_inf)
-        except OSError as exc:
-            raise ConfigError(f"cannot read spec {spec_path!r}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON in {spec_path!r}: {exc}") from exc
-        spec = _spec_from_document(doc)
+        spec = _spec_from_document(_read_json(spec_path, "spec"))
     out = _require(params, "out", "plot")
     svg = render_figure(spec)
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(svg)
+    _write_text(out, svg)
     print(f"wrote {out} ({len(spec.curves)} curves, {len(spec.lines)} lines)")
-    if args.json_out:
-        results = {
-            "out": out,
-            "n_curves": len(spec.curves),
-            "n_lines": len(spec.lines),
-            "bytes": len(svg.encode("utf-8")),
-        }
-        inputs = {"preset": preset, "spec": spec_path, "out": out}
-        _write_report(args.json_out, "plot", inputs, results, True)
-    return 0
+    results = {
+        "out": out,
+        "n_curves": len(spec.curves),
+        "n_lines": len(spec.lines),
+        "bytes": len(svg.encode("utf-8")),
+    }
+    return 0, {"preset": preset, "spec": spec_path, "out": out}, results
+
+
+# Every subcommand, declared once: handler, help, and its flags as
+# (names, dest, type, help).  The parser, the config keys each command
+# accepts and their types, and the dispatch all come from this table.
+_COMMANDS = {
+    "verify": (_cmd_verify, "run verification suites", (
+        (("--suite",), "suite", str, "suite name or 'all' (default all)"),
+    )),
+    "trace": (_cmd_trace, "trace the trajectory through a point", (
+        (("--x0",), "x0", float, "start x"),
+        (("--y0",), "y0", float, "start y"),
+        (("--p0",), "p0", float, "initial slope hint"),
+        (("--tol",), "tol", float, "local error tolerance (default 1e-8)"),
+    )),
+    "intersect": (_cmd_intersect, "line-curve intersection report", (
+        (("-m",), "m", float, "line slope"),
+        (("-C",), "C", float, "curve constant"),
+        (("--t-min",), "t_min", float, "window start (default -10)"),
+        (("--t-max",), "t_max", float, "window end (default 10)"),
+    )),
+    "classify": (_cmd_classify, "conic classification of one curve", (
+        (("-C",), "C", float, "curve constant"),
+    )),
+    "plot": (_cmd_plot, "render a figure to SVG", (
+        (("--preset",), "preset", str, "fig1a or fig1b"),
+        (("--spec",), "spec", str, "JSON plot spec file"),
+        (("-o", "--out"), "out", str, "output SVG path"),
+    )),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -525,66 +530,36 @@ def _build_parser() -> argparse.ArgumentParser:
         "conic classification, and figure rendering.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_shared(sp):
+    for command, (_handler, help_text, flags) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=help_text)
+        for names, dest, kind, flag_help in flags:
+            sp.add_argument(*names, dest=dest, type=kind, help=flag_help)
         sp.add_argument("--config", help="JSON file with parameter defaults")
         sp.add_argument("--json-out", help="write a JSON report to this path")
-
-    sp = sub.add_parser("verify", help="run verification suites")
-    sp.add_argument("--suite", help="suite name or 'all' (default all)")
-    add_shared(sp)
-
-    sp = sub.add_parser("trace", help="trace the trajectory through a point")
-    sp.add_argument("--x0", type=float, help="start x")
-    sp.add_argument("--y0", type=float, help="start y")
-    sp.add_argument("--p0", type=float, help="initial slope hint")
-    sp.add_argument("--tol", type=float, help="local error tolerance (default 1e-8)")
-    add_shared(sp)
-
-    sp = sub.add_parser("intersect", help="line-curve intersection report")
-    sp.add_argument("-m", type=float, dest="m", help="line slope")
-    sp.add_argument("-C", type=float, dest="C", help="curve constant")
-    sp.add_argument("--t-min", type=float, dest="t_min", help="window start (default -10)")
-    sp.add_argument("--t-max", type=float, dest="t_max", help="window end (default 10)")
-    add_shared(sp)
-
-    sp = sub.add_parser("classify", help="conic classification of one curve")
-    sp.add_argument("-C", type=float, dest="C", help="curve constant")
-    add_shared(sp)
-
-    sp = sub.add_parser("plot", help="render a figure to SVG")
-    sp.add_argument("--preset", help="fig1a or fig1b")
-    sp.add_argument("--spec", help="JSON plot spec file")
-    sp.add_argument("-o", "--out", dest="out", help="output SVG path")
-    add_shared(sp)
-
     return parser
-
-
-_DISPATCH = {
-    "verify": _cmd_verify,
-    "trace": _cmd_trace,
-    "intersect": _cmd_intersect,
-    "classify": _cmd_classify,
-    "plot": _cmd_plot,
-}
 
 
 def run(argv) -> int:
     """Parse argv and execute; returns the process exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
+    handler, _help, flags = _COMMANDS[args.command]
     try:
-        return _DISPATCH[args.command](args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code, inputs, results = handler(_params(args, flags))
+        if args.json_out:
+            report = {
+                "command": args.command,
+                "inputs": {k: _json_safe(v) for k, v in inputs.items()},
+                "results": results,
+                "pass": code == 0,
+            }
+            _write_text(args.json_out, json.dumps(report, indent=2, allow_nan=False) + "\n")
     except OrthoTrajError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ConfigError) else 1
+    return code
 
 
 def main() -> None:

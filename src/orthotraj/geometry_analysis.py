@@ -30,6 +30,7 @@ __all__ = [
     "ConicFit",
     "intersections",
     "fit_conic",
+    "conic_fit",
     "classify_conic",
     "is_parabola",
 ]
@@ -207,10 +208,15 @@ def fit_conic(points) -> ConicFit:
     return ConicFit(coeffs=tuple(float(v) for v in coeffs), residual_rms=residual_rms)
 
 
+def conic_fit(curve: TrajectoryCurve) -> ConicFit:
+    """``fit_conic`` of 200 samples of the curve over t in [-3, 3], the
+    one sampling behind every conic verdict on a family member."""
+    return fit_conic([curve_point(curve, t) for t in np.linspace(-3.0, 3.0, 200)])
+
+
 def classify_conic(curve: TrajectoryCurve) -> str:
-    """Classify 200 samples of the curve over t in [-3, 3] with
-    ``ConicFit.classify``."""
-    return fit_conic([curve_point(curve, t) for t in np.linspace(-3.0, 3.0, 200)]).classify()
+    """``ConicFit.classify`` of ``conic_fit(curve)``."""
+    return conic_fit(curve).classify()
 
 
 def is_parabola(curve: TrajectoryCurve) -> bool:

@@ -25,7 +25,7 @@ from .core_model import (
     orthogonal_foot,
 )
 from .exact_ode import exactness_defect, potential, raw_form, scaled_form, solve_for_xy
-from .geometry_analysis import fit_conic, intersections
+from .geometry_analysis import conic_fit, intersections
 from .tracer import TraceConfig, trace_classic, trace_orthogonal
 
 __all__ = ["CheckResult", "SUITES", "run_suites", "suite_names"]
@@ -230,9 +230,7 @@ def suite_extra_crossing():
 def suite_conic():
     """C = 0 is the parabola y^2 = 4x; every other member is non-conic."""
     checks = []
-    parab = fit_conic(
-        [curve_point(TrajectoryCurve(0.0), t) for t in np.linspace(-3.0, 3.0, 200)]
-    )
+    parab = conic_fit(TrajectoryCurve(0.0))
     target = np.array([0.0, 0.0, 1.0, -4.0, 0.0, 0.0])
     target /= np.linalg.norm(target)
     cosine = abs(float(np.dot(parab.coeffs, target)))
@@ -248,9 +246,7 @@ def suite_conic():
     min_residual = math.inf
     all_rejected = True
     for C in (-4.0, -2.0, -1.0, 1.0, 2.0, 4.0):
-        fit = fit_conic(
-            [curve_point(TrajectoryCurve(C), t) for t in np.linspace(-3.0, 3.0, 200)]
-        )
+        fit = conic_fit(TrajectoryCurve(C))
         if fit.residual_rms < min_residual:
             min_residual = fit.residual_rms
             worst_name = f"C={C:g}"

@@ -4,7 +4,8 @@ Covers:
   - SVG well-formedness, element counts, dashed-curve bookkeeping
   - byte determinism of render_figure
   - plot spec validation with field-named errors
-  - exit codes: 0 success, 1 verification/trace failure, 2 usage/config
+  - exit codes: 0 success, 1 verification/trace failure, 2 usage/config,
+    malformed config or spec values, unwritable outputs
   - config-file merging, unknown-key rejection, flag precedence
   - exact numeric round-trip of flags through the JSON report
   - the module entry point via a subprocess
@@ -129,6 +130,13 @@ class TestRunExitCodes:
     def test_plot_missing_out(self, capsys):
         assert run(["plot", "--preset", "fig1a"]) == 2
 
+    def test_unwritable_outputs(self, tmp_path, capsys):
+        missing = tmp_path / "missing"
+        assert run(["plot", "--preset", "fig1a", "-o", str(missing / "x.svg")]) == 2
+        assert "cannot write" in capsys.readouterr().err
+        assert run(["verify", "--suite", "cusps", "--json-out", str(missing / "r.json")]) == 2
+        assert "cannot write" in capsys.readouterr().err
+
 
 class TestPlotCommand:
     def test_writes_preset(self, tmp_path, capsys):
@@ -157,10 +165,28 @@ class TestPlotCommand:
         assert len(svg_elements(svg, "curve")) == 2
         assert len(svg_elements(svg, "family-line")) == 2
 
-    def test_spec_document_unknown_key(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ('{"curves": [], "zoom": 2}', "zoom"),
+            ('{"width_px": "abc"}', "width_px"),
+            ('{"width_px": 2.5}', "width_px"),
+            ('{"curves": [{"C": "x"}]}', "curves: C"),
+            ('{"curves": [{"C": 0, "t_range": 3}]}', "t_range"),
+            ('{"curves": [{"C": 0, "t_range": [-1, 0, 1]}]}', "t_range"),
+            ('{"x_window": ["a", 1]}', "x_window"),
+            ('{"lines": 1}', "lines"),
+            ('{"lines": [1' + "0" * 400 + "]}", "lines"),
+            ('{"curves": [{"C": 0, "dashed": "no"}]}', "dashed"),
+        ],
+        ids=["unknown-key", "width-str", "width-frac", "C-str", "t_range-int", "t_range-3",
+             "x_window-str", "lines-int", "lines-huge-int", "dashed-str"],
+    )
+    def test_spec_document_unknown_key(self, tmp_path, capsys, doc, field):
         spec_path = tmp_path / "spec.json"
-        spec_path.write_text('{"curves": [], "zoom": 2}')
+        spec_path.write_text(doc)
         assert run(["plot", "--spec", str(spec_path), "-o", str(tmp_path / "f.svg")]) == 2
+        assert field in capsys.readouterr().err
 
     def test_plot_report(self, tmp_path, capsys):
         out = tmp_path / "fig.svg"
@@ -209,6 +235,23 @@ class TestConfigMerging:
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"m": Infinity, "C": 0.0}')
         assert run(["intersect", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize(
+        "doc, key", [('{"out": 5}', "out"), ('{"spec": 0}', "spec")], ids=["out", "spec"]
+    )
+    def test_non_string_config_value_rejected(self, tmp_path, capsys, doc, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(doc)
+        assert run(["plot", "--preset", "fig1a", "--config", str(cfg)]) == 2
+        assert repr(key) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [None, b"\xff\xfe{}"], ids=["missing", "not-utf8"])
+    def test_unreadable_config_rejected(self, tmp_path, capsys, content):
+        cfg = tmp_path / "cfg.json"
+        if content is not None:
+            cfg.write_bytes(content)
+        assert run(["intersect", "-m", "1", "-C", "0", "--config", str(cfg)]) == 2
+        assert "cfg.json" in capsys.readouterr().err
 
     def test_missing_required_parameter(self, capsys):
         assert run(["intersect", "-m", "1"]) == 2
@@ -265,6 +308,7 @@ class TestConfigMerging:
         )
         report = json.loads(report_path.read_text())
         assert report["inputs"] == {"x0": 1.0, "y0": 2.0, "p0": 1.0, "tol": 1e-8}
+        assert list(report["inputs"]) == ["x0", "y0", "p0", "tol"]
         assert report["pass"] is True
         assert report["results"]["n_samples"] == len(report["results"]["samples"])
         drift = report["results"]["potential_drift"]
