@@ -45,5 +45,5 @@ for kind, start, label in (
     ("monopole", Point(3.0, 4.0), "x^2 + y^2"),
     ("shifted-monopole", Point(0.0, 1.0), "(x+1)^2 + y^2"),
 ):
-    r = trace_classic(kind, start, TraceConfig(start=start, max_arc=30.0))
+    r = trace_classic(kind, TraceConfig(start=start, max_arc=30.0))
     print(f"  {kind:17s}: conserves {label:13s} drift = {r.potential_drift:.2e}")

@@ -12,8 +12,9 @@ All subcommands accept ``--config file.json`` (defaults for the same
 parameter names; unknown keys are rejected) and ``--json-out file.json``
 (machine-readable report {command, inputs, results, pass}).  Exit codes:
 0 success, 1 verification or trace failure, 2 usage or configuration
-error, which includes unreadable or unwritable files and malformed
-config or spec values.  Each subcommand and its flags are declared once,
+error, which includes unreadable or unwritable files, malformed config
+or spec values and argument values outside an operation's domain
+(``DomainError``).  Each subcommand and its flags are declared once,
 in ``_COMMANDS``.
 
 The plot presets reconstruct the qualitative two-panel figure of the
@@ -31,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_model import Point, TrajectoryCurve, curve_point, cusp_parameters
-from .errors import ConfigError, NoBranchError, OrthoTrajError
+from .core_model import PARABOLA_NORMALS, Point, TrajectoryCurve, curve_point, cusp_parameters
+from .errors import ConfigError, DomainError, NoBranchError, OrthoTrajError
 from .geometry_analysis import conic_fit, intersections
 from .tracer import TraceConfig, trace_orthogonal
 from . import verification
@@ -248,7 +249,7 @@ def render_figure(spec: PlotSpec) -> str:
 
     out.append('<g clip-path="url(#plot)">')
     for m in spec.lines:
-        seg = _clip_line_to_window(m, -2.0 * m - m**3, spec.x_window, spec.y_window)
+        seg = _clip_line_to_window(m, PARABOLA_NORMALS.f(m), spec.x_window, spec.y_window)
         if seg is None:
             d = ""
         else:
@@ -558,7 +559,7 @@ def run(argv) -> int:
             _write_text(args.json_out, json.dumps(report, indent=2, allow_nan=False) + "\n")
     except OrthoTrajError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, ConfigError) else 1
+        return 2 if isinstance(exc, (ConfigError, DomainError)) else 1
     return code
 
 

@@ -1,10 +1,10 @@
-"""Line family y = m x + f(m) and the curve family orthogonal to it.
+"""The line family y = m x - 2m - m^3 and the curve family orthogonal to it.
 
-The reference family of lines is
+The lines
 
-    y = m x - 2m - m^3,
+    y = m x - 2m - m^3
 
-the normals of the parabola y^2 = 4x.  The curves crossing every such
+are the normals of the parabola y^2 = 4x.  The curves crossing every such
 line at a right angle form a one-parameter family with the closed-form
 parametrization (parameter t, family constant C)
 
@@ -26,12 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import (
-    DegenerateFootError,
-    DegeneratePointError,
-    DomainError,
-    UnsupportedFamilyError,
-)
+from .errors import DegenerateFootError, DegeneratePointError, DomainError
 
 __all__ = [
     "Point",
@@ -69,39 +64,15 @@ class Line:
 
 @dataclass(frozen=True)
 class LineFamily:
-    """One-parameter family of lines y = m x + f(m).
-
-    ``f_coeffs`` lists the coefficients of f in ascending powers of m.
-    Trailing zero coefficients are trimmed on construction; at least one
-    coefficient is always retained.
-    """
-
-    f_coeffs: tuple
-
-    def __init__(self, f_coeffs):
-        coeffs = tuple(float(c) for c in f_coeffs)
-        if not coeffs:
-            raise DomainError("f_coeffs must be non-empty")
-        if not all(math.isfinite(c) for c in coeffs):
-            raise DomainError("f_coeffs must be finite")
-        while len(coeffs) > 1 and coeffs[-1] == 0.0:
-            coeffs = coeffs[:-1]
-        object.__setattr__(self, "f_coeffs", coeffs)
+    """The line family y = m x + f(m) with f(m) = -2m - m^3."""
 
     def f(self, m: float) -> float:
-        """Evaluate the intercept polynomial f(m) by Horner's rule."""
-        acc = 0.0
-        for c in reversed(self.f_coeffs):
-            acc = acc * m + c
-        return acc
+        """The intercept f(m), in Horner order."""
+        return (-(m * m) - 2.0) * m + 0.0
 
 
-#: The reference family y = m x - 2m - m^3 (f coefficients in ascending powers).
-PARABOLA_NORMALS = LineFamily((0.0, -2.0, 0.0, -1.0))
-
-
-def _is_reference_family(family: LineFamily) -> bool:
-    return family.f_coeffs == PARABOLA_NORMALS.f_coeffs
+#: The family y = m x - 2m - m^3, the normals of the parabola y^2 = 4x.
+PARABOLA_NORMALS = LineFamily()
 
 
 @dataclass(frozen=True)
@@ -113,12 +84,6 @@ class TrajectoryCurve:
     def __post_init__(self):
         if not math.isfinite(self.C):
             raise DomainError("curve constant C must be finite")
-
-    def point(self, t: float) -> "Point":
-        return curve_point(self, t)
-
-    def velocity(self, t: float):
-        return curve_velocity(self, t)
 
 
 @dataclass(frozen=True)
@@ -231,11 +196,6 @@ def orthogonal_foot(
     x-axis.  If t = -m happens to be a cusp (possible only for C <= -2
     with m^2 = (C^2/4)^(1/3) - 1) the foot is flagged degenerate.
     """
-    if not _is_reference_family(family):
-        raise UnsupportedFamilyError(
-            "orthogonal_foot requires the family y = m x - 2m - m^3; "
-            f"got f_coeffs={family.f_coeffs!r}"
-        )
     m = _require_finite(m, "m")
     foot = sample(curve, -m)
     if not foot.regular:

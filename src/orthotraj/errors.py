@@ -1,5 +1,17 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "OrthoTrajError",
+    "DomainError",
+    "DegeneratePointError",
+    "DegenerateFootError",
+    "IndeterminatePolynomialError",
+    "NoBracketError",
+    "NoBranchError",
+    "DegenerateInputError",
+    "ConfigError",
+]
+
 
 class OrthoTrajError(Exception):
     """Base class for all library errors."""
@@ -16,11 +28,6 @@ class DegeneratePointError(OrthoTrajError, ValueError):
 
 class DegenerateFootError(OrthoTrajError, ValueError):
     """The orthogonal foot of a line coincides with a cusp of the curve."""
-
-
-class UnsupportedFamilyError(OrthoTrajError, ValueError):
-    """Operation is only implemented for the reference line family
-    f(m) = -2m - m^3."""
 
 
 class IndeterminatePolynomialError(OrthoTrajError, ValueError):

@@ -147,9 +147,12 @@ class ConicFit:
         than coerced to either side.
         """
         if self.residual_rms <= _CONIC_ACCEPT:
-            a, b, c = self.coeffs[:3]
-            scale = max(a * a + b * b + c * c, 1e-300)
-            if abs(self.discriminant()) <= _PARABOLA_DISC_TOL * scale:
+            # Scaled to a largest magnitude of 1, so that tiny quadratic
+            # coefficients (huge curves) neither underflow nor vanish; a
+            # form with no quadratic part keeps b^2 - 4ac = 0.
+            k = max(abs(v) for v in self.coeffs[:3]) or 1.0
+            a, b, c = (v / k for v in self.coeffs[:3])
+            if abs(b * b - 4.0 * a * c) <= _PARABOLA_DISC_TOL * (a * a + b * b + c * c):
                 return "parabola"
             return "other-conic"
         if self.residual_rms >= _CONIC_REJECT:
@@ -179,13 +182,16 @@ def fit_conic(points) -> ConicFit:
     if spread[1] <= 1e-10 * max(spread[0], 1e-300):
         raise DegenerateInputError("points are collinear")
 
-    r = math.sqrt(float((centered**2).sum(axis=1).mean()))
+    with np.errstate(over="ignore"):
+        r = math.sqrt(float((centered**2).sum(axis=1).mean()))
+    if not math.isfinite(r):
+        raise DomainError("points too far apart for a conic fit: RMS radius overflows")
     q = centered / r
     x = q[:, 0]
     y = q[:, 1]
     design = np.column_stack([x * x, x * y, y * y, x, y, np.ones(n)])
     _, sv, vt = np.linalg.svd(design, full_matrices=False)
-    a, b, c, d, e, f = vt[-1]
+    a, b, c, d, e, f = (float(v) for v in vt[-1])
     residual_rms = float(sv[-1]) / math.sqrt(n)
 
     # Map coefficients back to the original coordinates
@@ -202,7 +208,10 @@ def fit_conic(points) -> ConicFit:
             f - (d * mx + e * my) / r + (a * mx * mx + b * mx * my + c * my * my) / r2,
         ]
     )
-    coeffs /= np.linalg.norm(coeffs)
+    norm = float(np.linalg.norm(coeffs))
+    if not math.isfinite(norm):
+        raise DomainError("conic coefficients overflow in the original coordinates")
+    coeffs /= norm
     if coeffs[int(np.argmax(np.abs(coeffs)))] < 0.0:
         coeffs = -coeffs
     return ConicFit(coeffs=tuple(float(v) for v in coeffs), residual_rms=residual_rms)

@@ -243,6 +243,16 @@ def _trace(x0, y0, p0, cfg: TraceConfig, field_fn, stall_fn, drift_fn) -> TraceR
     )
 
 
+def _start(cfg: TraceConfig) -> tuple:
+    """The finite start (x0, y0) of ``cfg``; DomainError when missing."""
+    if cfg.start is None:
+        raise DomainError("TraceConfig.start is required")
+    x0, y0 = float(cfg.start[0]), float(cfg.start[1])
+    if not (math.isfinite(x0) and math.isfinite(y0)):
+        raise DomainError(f"start must be finite, got ({x0!r}, {y0!r})")
+    return x0, y0
+
+
 def trace_orthogonal(cfg: TraceConfig) -> TraceResult:
     """Trace the orthogonal trajectory through ``cfg.start``.
 
@@ -251,12 +261,7 @@ def trace_orthogonal(cfg: TraceConfig) -> TraceResult:
     magnitude when no hint is given.  The trace then extends in both
     directions until each hits a termination condition.
     """
-    if cfg.start is None:
-        raise DomainError("TraceConfig.start is required")
-    x0, y0 = float(cfg.start[0]), float(cfg.start[1])
-    if not (math.isfinite(x0) and math.isfinite(y0)):
-        raise DomainError(f"start must be finite, got ({x0!r}, {y0!r})")
-
+    x0, y0 = _start(cfg)
     rs = slopes_at(x0, y0)
     if len(rs) == 0:
         raise NoBranchError(f"no real slope at start ({x0!r}, {y0!r})")
@@ -288,8 +293,8 @@ _CLASSIC = {
 }
 
 
-def trace_classic(kind: str, start: Point, cfg: TraceConfig) -> TraceResult:
-    """Trace a classic orthogonal-trajectory fixture through ``start``.
+def trace_classic(kind: str, cfg: TraceConfig) -> TraceResult:
+    """Trace a classic orthogonal-trajectory fixture through ``cfg.start``.
 
     kind 'hyperbola-pair' integrates y' = -y/x (orthogonal to the
     hyperbolas x^2 - y^2 = const, conserving x*y); 'monopole' integrates
@@ -300,7 +305,7 @@ def trace_classic(kind: str, start: Point, cfg: TraceConfig) -> TraceResult:
     if kind not in _CLASSIC:
         raise DomainError(f"unknown classic kind {kind!r}")
     raw_field, conserved = _CLASSIC[kind]
-    x0, y0 = float(start[0]), float(start[1])
+    x0, y0 = _start(cfg)
 
     def field_fn(x, y, _p_ref):
         # The direction is the normalised field itself: a slope alone
@@ -315,7 +320,7 @@ def trace_classic(kind: str, start: Point, cfg: TraceConfig) -> TraceResult:
     try:
         _, _, p_start = field_fn(x0, y0, None)
     except _BranchJump:
-        raise DomainError(f"start {start!r} is singular for {kind!r}") from None
+        raise DomainError(f"start {cfg.start!r} is singular for {kind!r}") from None
 
     def drift_fn(pt, _p):
         return conserved(pt.x, pt.y)

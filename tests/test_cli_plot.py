@@ -5,7 +5,8 @@ Covers:
   - byte determinism of render_figure
   - plot spec validation with field-named errors
   - exit codes: 0 success, 1 verification/trace failure, 2 usage/config,
-    malformed config or spec values, unwritable outputs
+    malformed config or spec values, unwritable outputs, argument values
+    outside the library's domain (DomainError)
   - config-file merging, unknown-key rejection, flag precedence
   - exact numeric round-trip of flags through the JSON report
   - the module entry point via a subprocess
@@ -119,6 +120,19 @@ class TestRunExitCodes:
     def test_classify_ok(self, capsys):
         assert run(["classify", "-C", "0"]) == 0
         assert "parabola" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["intersect", "-m", "1", "-C", "0", "--t-min", "5", "--t-max", "-5"],
+            ["trace", "--x0", "1", "--y0", "2", "--tol", "0"],
+            ["classify", "-C", "1e300"],
+        ],
+        ids=["intersect-window", "trace-tol", "classify-overflow"],
+    )
+    def test_domain_error_is_usage_error(self, argv, capsys):
+        assert run(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_plot_exclusive_source(self, tmp_path, capsys):
         out = str(tmp_path / "fig.svg")

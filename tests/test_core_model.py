@@ -1,13 +1,14 @@
 """Closed-form geometry tests.
 
 Covers:
-  - line family evaluation (Horner) against hand values
+  - the one line family: intercepts against hand values and, bit for
+    bit, against Horner's rule on the coefficients (0, -2, 0, -1)
   - curve parametrization and the parabola identity at C = 0
   - velocity formulas validated against central finite differences
   - slope = 1/t universality (also via a finite-difference quotient)
   - both ODE residual forms, on lines and on curves
   - orthogonal feet: incidence, slope product, vertical-tangent case,
-    degenerate (cusp) feet, unsupported families
+    degenerate (cusp) feet
   - cusp census and sign-change consistency of the velocity
   - exact mirror symmetry about the x-axis
 """
@@ -24,7 +25,6 @@ from orthotraj import (
     DomainError,
     LineFamily,
     TrajectoryCurve,
-    UnsupportedFamilyError,
     curve_point,
     curve_slope,
     curve_velocity,
@@ -58,15 +58,16 @@ class TestLineFamily:
                 -2.0 * m - m**3, rel=1e-14, abs=1e-14
             )
 
-    def test_trailing_zeros_trimmed(self):
-        fam = LineFamily((1.0, 2.0, 0.0, 0.0))
-        assert fam.f_coeffs == (1.0, 2.0)
+    def test_the_one_family(self):
+        assert LineFamily() == PARABOLA_NORMALS
+        ms = [0.0, -0.0, 1e-300, -1e-300, 1e-5, 0.7, -3.0, 1e100, -1e300]
+        for m in ms:
+            horner = 0.0
+            for c in (-1.0, 0.0, -2.0, 0.0):
+                horner = horner * m + c
+            assert PARABOLA_NORMALS.f(m).hex() == horner.hex()
 
     def test_invalid_inputs(self):
-        with pytest.raises(DomainError):
-            LineFamily(())
-        with pytest.raises(DomainError):
-            LineFamily((1.0, math.nan))
         with pytest.raises(DomainError):
             line_at(PARABOLA_NORMALS, math.inf)
 
@@ -248,10 +249,6 @@ class TestOrthogonalFoot:
         m = math.sqrt((16.0 / 4.0) ** (1.0 / 3.0) - 1.0)
         with pytest.raises(DegenerateFootError):
             orthogonal_foot(PARABOLA_NORMALS, m, TrajectoryCurve(-4.0))
-
-    def test_unsupported_family(self):
-        with pytest.raises(UnsupportedFamilyError):
-            orthogonal_foot(LineFamily((0.0, 1.0)), 1.0, TrajectoryCurve(0.0))
 
 
 class TestCusps:

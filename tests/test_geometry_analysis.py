@@ -8,7 +8,9 @@ Covers:
   - an independent dense-scan oracle for crossing counts and locations
   - orthogonal uniqueness across an (m, C) grid
   - conic fits: parabola and circle to machine residual, C != 0 members
-    rejected, permutation invariance, degenerate inputs
+    rejected, permutation invariance, degenerate inputs, coordinates so
+    large that the fit overflows, and huge circles with tiny quadratic
+    coefficients
   - the parabola-iff-C=0 dichotomy
 """
 
@@ -18,6 +20,7 @@ import numpy as np
 import pytest
 
 from orthotraj import (
+    ConicFit,
     DegenerateInputError,
     DomainError,
     TrajectoryCurve,
@@ -173,6 +176,28 @@ class TestFitConic:
     def test_non_finite_points(self):
         with pytest.raises(DomainError):
             fit_conic([(0.0, math.nan)] + [(float(i), float(i * i)) for i in range(15)])
+
+    def test_overflowing_fit(self):
+        # Spread so wide that the RMS radius overflows...
+        with pytest.raises(DomainError):
+            fit_conic([curve_point(TrajectoryCurve(1e300), t) for t in np.linspace(-3, 3, 50)])
+        # ...or a circle so far out that its mapped coefficients do.
+        circle = [
+            (1e160 + 1e150 * math.cos(a), 1e150 * math.sin(a))
+            for a in np.linspace(0.0, 2.0 * math.pi, 50, endpoint=False)
+        ]
+        with pytest.raises(DomainError):
+            fit_conic(circle)
+
+    def test_discriminant_test_is_scale_free(self):
+        # Far from its small features the curve is a circle of radius
+        # ~|C|: the quadratic coefficients are ~1/C^2, far below any
+        # absolute floor, and must still read as an ellipse.
+        for C in (1e78, 1e100, 1e150):
+            assert classify_conic(TrajectoryCurve(C)) == "other-conic"
+        assert ConicFit((-1e-156, 0.0, -1e-156, 0.0, 0.0, 1.0), 0.0).classify() == "other-conic"
+        # With no quadratic part at all, b^2 - 4ac is still 0.
+        assert ConicFit((0.0, 0.0, 0.0, 0.6, 0.8, 0.0), 0.0).classify() == "parabola"
 
 
 class TestClassification:

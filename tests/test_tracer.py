@@ -2,7 +2,8 @@
 
 Covers:
   - the parabola trace: stays on y^2 = 4x, covers x in [0.1, 9]
-  - closed-form agreement for C in {-1, 0, 1, 3} from t0 = 1
+  - closed-form agreement for C in {-1, 0, 1, 3} from t0 = 1, measured
+    as the gap |P(1/p) - sample| that the verify tracer suite also uses
   - potential conservation (drift <= 10 * tol)
   - slope-equation residual at every accepted sample
   - both tracers: sample spacing bounded by twice the configured step,
@@ -12,7 +13,8 @@ Covers:
   - the vertical-tangent crossing ends in branch-loss, not a crash
   - classic fixtures conserve xy, x^2 + y^2, (x+1)^2 + y^2, and stall
     as a singularity next to the monopole's centre
-  - error cases: no slope branch, singular classic start, bad config
+  - error cases: no slope branch, singular classic start, a missing or
+    non-finite start for either tracer, bad config
 """
 
 import math
@@ -50,7 +52,7 @@ def closed_form_gap(curve, result):
 TRACERS = [
     pytest.param(trace_orthogonal, Point(1.0, 2.0), 1.0, id="orthogonal"),
     pytest.param(
-        lambda cfg: trace_classic("hyperbola-pair", cfg.start, cfg),
+        lambda cfg: trace_classic("hyperbola-pair", cfg),
         Point(1.0, 1.0),
         None,
         id="classic",
@@ -173,7 +175,7 @@ class TestTraceClassic:
     )
     def test_conserved_quantity(self, kind, start, level):
         cfg = TraceConfig(start=start, max_arc=30.0)
-        res = trace_classic(kind, start, cfg)
+        res = trace_classic(kind, cfg)
         assert res.potential_drift <= 1e-6
         conserved = {
             "hyperbola-pair": lambda x, y: x * y,
@@ -186,7 +188,7 @@ class TestTraceClassic:
     def test_monopole_closes_circle(self):
         # Arc budget exceeds the circumference, so samples cover all
         # quadrants of x^2 + y^2 = 25.
-        res = trace_classic("monopole", Point(3.0, 4.0), TraceConfig(start=Point(3.0, 4.0), max_arc=20.0))
+        res = trace_classic("monopole", TraceConfig(start=Point(3.0, 4.0), max_arc=20.0))
         quadrants = {(pt.x > 0, pt.y > 0) for pt, _ in res.samples}
         assert len(quadrants) == 4
 
@@ -194,18 +196,22 @@ class TestTraceClassic:
         # Starting 1e-7 from the monopole's centre, the field turns faster
         # than the smallest step can follow: both ends stall.
         start = Point(1e-7, 0.0)
-        res = trace_classic("monopole", start, TraceConfig(start=start, max_arc=1.0))
+        res = trace_classic("monopole", TraceConfig(start=start, max_arc=1.0))
         assert res.end_reasons == ("singularity", "singularity")
         assert res.terminated_by == "singularity"
 
     def test_singular_start(self):
         with pytest.raises(DomainError):
-            trace_classic("monopole", Point(0.0, 0.0), TraceConfig(start=Point(0.0, 0.0)))
+            trace_classic("monopole", TraceConfig(start=Point(0.0, 0.0)))
         with pytest.raises(DomainError):
-            trace_classic(
-                "shifted-monopole", Point(-1.0, 0.0), TraceConfig(start=Point(-1.0, 0.0))
-            )
+            trace_classic("shifted-monopole", TraceConfig(start=Point(-1.0, 0.0)))
+
+    def test_start_checked_like_trace_orthogonal(self):
+        with pytest.raises(DomainError, match="TraceConfig.start is required"):
+            trace_classic("monopole", TraceConfig())
+        with pytest.raises(DomainError, match="start must be finite"):
+            trace_classic("monopole", TraceConfig(start=Point(math.nan, 1.0)))
 
     def test_unknown_kind(self):
         with pytest.raises(DomainError):
-            trace_classic("dipole", Point(1.0, 1.0), TraceConfig(start=Point(1.0, 1.0)))
+            trace_classic("dipole", TraceConfig(start=Point(1.0, 1.0)))
