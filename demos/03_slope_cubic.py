@@ -6,14 +6,16 @@ through it are the real roots of the cubic
 
     y p^3 + (x - 2) p^2 - 1 = 0.
 
-Depending on the point there are one, two, or three of them (two only
-on the x-axis, where the cubic degenerates to a quadratic).  The solver
-is closed-form (trigonometric / Cardano) with a Newton polish.
+Depending on the point there are one, two, or three of them: two on
+the x-axis, where the cubic degenerates to a quadratic, and on the
+evolute 27 y^2 = 4 (x - 2)^3, where two of the three merge into a double
+root.  The solver is closed-form (trigonometric / Cardano) with a Newton
+polish.
 """
 
 import numpy as np
 
-from orthotraj import CubicCoeffs, bracketed_root, real_roots_cubic, slopes_at
+from orthotraj import bracketed_root, slopes_at
 
 print("slopes through hand-picked points:")
 for x, y in ((1.0, 2.0), (3.0, 0.0), (1.0, 0.0), (-2.0, 0.5), (5.0, -1.0)):
@@ -30,17 +32,17 @@ for _ in range(20_000):
 for k in sorted(counts):
     print(f"  {k} slope(s): {counts[k]:6d} points")
 
-print("\ngeneric cubic solving, with multiplicities:")
+print("\nthe slope cubic's cases, with multiplicities:")
 cases = [
-    ("(p-1)(2p^2+p+1)", CubicCoeffs(2.0, -1.0, 0.0, -1.0)),
-    ("(p-1)(p-2)(p+3)", CubicCoeffs(1.0, 0.0, -7.0, 6.0)),
-    ("(p-1)^2 (p+2)", CubicCoeffs(1.0, 0.0, -3.0, 2.0)),
-    ("(p-1)^3", CubicCoeffs(1.0, -3.0, 3.0, -1.0)),
+    ("one root", 1.0, 2.0),
+    ("three roots", 5.0, 1.0),
+    ("double root on the evolute", 5.0, 2.0),
+    ("x-axis quadratic", 3.0, 0.0),
 ]
-for label, coeffs in cases:
-    rs = real_roots_cubic(coeffs)
+for label, x, y in cases:
+    rs = slopes_at(x, y)
     pretty = ", ".join(f"{r:+.6f} (x{m})" for r, m in zip(rs.roots, rs.multiplicities))
-    print(f"  {label:18s} -> {pretty}")
+    print(f"  {label:26s} ({x:+g}, {y:+g}) -> {pretty}")
 
 print("\nbracketed root finding (bisection + secant):")
 root = bracketed_root(lambda t: t * t - 2.0 * t - 3.0, 2.0, 4.0, tol=1e-12)

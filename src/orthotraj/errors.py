@@ -5,7 +5,6 @@ __all__ = [
     "DomainError",
     "DegeneratePointError",
     "DegenerateFootError",
-    "IndeterminatePolynomialError",
     "NoBracketError",
     "NoBranchError",
     "DegenerateInputError",
@@ -28,10 +27,6 @@ class DegeneratePointError(OrthoTrajError, ValueError):
 
 class DegenerateFootError(OrthoTrajError, ValueError):
     """The orthogonal foot of a line coincides with a cusp of the curve."""
-
-
-class IndeterminatePolynomialError(OrthoTrajError, ValueError):
-    """All polynomial coefficients are zero; every value is a root."""
 
 
 class NoBracketError(OrthoTrajError, ValueError):

@@ -148,9 +148,10 @@ class ConicFit:
         """
         if self.residual_rms <= _CONIC_ACCEPT:
             # Scaled to a largest magnitude of 1, so that tiny quadratic
-            # coefficients (huge curves) neither underflow nor vanish; a
-            # form with no quadratic part keeps b^2 - 4ac = 0.
-            k = max(abs(v) for v in self.coeffs[:3]) or 1.0
+            # coefficients (huge curves) neither underflow nor vanish.
+            k = max(abs(v) for v in self.coeffs[:3])
+            if k == 0.0:
+                return "other-conic"  # no quadratic part: a line
             a, b, c = (v / k for v in self.coeffs[:3])
             if abs(b * b - 4.0 * a * c) <= _PARABOLA_DISC_TOL * (a * a + b * b + c * c):
                 return "parabola"

@@ -1,54 +1,29 @@
-"""Real-root extraction for cubics plus a generic bracketed root finder.
+"""The slope cubic and a bracketed root finder.
 
-The slope cubic solved pointwise throughout the package is
+At a point (x, y) the slopes of the orthogonal trajectories through it
+are the real roots of
 
-    y p^3 + (x - 2) p^2 - 1 = 0,
+    y p^3 + (x - 2) p^2 - 1 = 0.
 
-whose real roots are the admissible orthogonal-trajectory slopes through
-(x, y).  Near the x-axis the leading coefficient collapses and the cubic
-degenerates to a quadratic; the solver degree-reduces explicitly instead
-of dividing by a tiny coefficient.
+p = 0 is never a root (the constant term is -1), so every root is a
+genuine direction.  Near the x-axis the leading coefficient y collapses
+and the cubic degenerates to the quadratic (x - 2) p^2 = 1; the solver
+reduces the degree explicitly instead of dividing by a tiny y.
 """
 
 import math
 from dataclasses import dataclass
 
-from .errors import (
-    DomainError,
-    IndeterminatePolynomialError,
-    NoBracketError,
-)
+from .errors import DomainError, NoBracketError
 
-__all__ = ["CubicCoeffs", "RootSet", "real_roots_cubic", "slopes_at", "bracketed_root"]
+__all__ = ["RootSet", "slopes_at", "bracketed_root"]
 
-# Relative threshold deciding cubic -> quadratic -> linear collapse.
+# Relative threshold below which y counts as zero (cubic -> quadratic).
 _DEGREE_EPS = 1e-12
 # Relative discriminant proximity treated as a multiple root.
 _MULTIPLE_EPS = 1e-10
 # Roots closer than this (scaled by max(1, |r|)) are merged into one.
 _CLUSTER_EPS = 1e-8
-
-
-@dataclass(frozen=True)
-class CubicCoeffs:
-    """Coefficients of a3*p^3 + a2*p^2 + a1*p + a0."""
-
-    a3: float
-    a2: float
-    a1: float
-    a0: float
-
-    def __post_init__(self):
-        for name in ("a3", "a2", "a1", "a0"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise DomainError(f"coefficient {name} must be finite, got {v!r}")
-
-    def __call__(self, p: float) -> float:
-        return ((self.a3 * p + self.a2) * p + self.a1) * p + self.a0
-
-    def derivative(self, p: float) -> float:
-        return (3.0 * self.a3 * p + 2.0 * self.a2) * p + self.a1
 
 
 @dataclass(frozen=True)
@@ -69,12 +44,12 @@ def _cbrt(v: float) -> float:
     return math.copysign(abs(v) ** (1.0 / 3.0), v)
 
 
-def _polish(c: CubicCoeffs, r: float) -> float:
-    # One or two guarded Newton steps on the full cubic; bail out near a
-    # stationary point where Newton would shoot off.
+def _polish(y: float, a: float, r: float) -> float:
+    # One or two guarded Newton steps on y p^3 + a p^2 - 1; bail out
+    # near a stationary point where Newton would shoot off.
     for _ in range(2):
-        f = c(r)
-        df = c.derivative(r)
+        f = (y * r + a) * r * r - 1.0
+        df = (3.0 * y * r + 2.0 * a) * r
         if df == 0.0:
             break
         step = f / df
@@ -84,31 +59,18 @@ def _polish(c: CubicCoeffs, r: float) -> float:
     return r
 
 
-def _quadratic_roots(a: float, b: float, c: float):
-    """Real roots of a*p^2 + b*p + c with multiplicities (a != 0)."""
-    disc = b * b - 4.0 * a * c
-    scale = max(b * b, abs(4.0 * a * c))
-    if abs(disc) <= _MULTIPLE_EPS * scale:
-        return [(-b / (2.0 * a), 2)]
-    if disc < 0.0:
-        return []
-    sq = math.sqrt(disc)
-    q = -0.5 * (b + math.copysign(sq, b if b != 0.0 else 1.0))
-    return [(q / a, 1), (c / q, 1)]
-
-
-def _cubic_roots_closed_form(a3: float, a2: float, a1: float, a0: float):
-    """Real roots of a monic-normalizable cubic via trig/Cardano branches."""
-    b = a2 / a3
-    c = a1 / a3
-    d = a0 / a3
+def _cubic_roots(y: float, a: float):
+    """(root, multiplicity) pairs of y p^3 + a p^2 - 1 (y != 0), by the
+    trigonometric / Cardano branches of the depressed cubic."""
+    b = a / y
+    d = -1.0 / y
     shift = b / 3.0
     # Depressed cubic u^3 + P u + Q with p = u - shift.
-    P = c - b * b / 3.0
-    Q = (2.0 * b * b * b - 9.0 * b * c) / 27.0 + d
+    P = -b * b / 3.0
+    Q = 2.0 * b * b * b / 27.0 + d
 
-    tol_p = _MULTIPLE_EPS * max(1.0, b * b, abs(c))
-    tol_q = _MULTIPLE_EPS * max(1.0, abs(b) ** 3, abs(b * c), abs(d))
+    tol_p = _MULTIPLE_EPS * max(1.0, b * b)
+    tol_q = _MULTIPLE_EPS * max(1.0, abs(b) ** 3, abs(d))
     if abs(P) <= tol_p and abs(Q) <= tol_q:
         return [(-shift, 3)]
 
@@ -138,29 +100,27 @@ def _cubic_roots_closed_form(a3: float, a2: float, a1: float, a0: float):
     return [(u - shift, 1)]
 
 
-def real_roots_cubic(c: CubicCoeffs) -> RootSet:
-    """All real roots of the cubic, closed form plus Newton polish.
+def slopes_at(x: float, y: float) -> RootSet:
+    """Admissible orthogonal-trajectory slopes through (x, y).
 
-    Degenerate leading coefficients (relative to the largest coefficient)
-    trigger explicit degree reduction.  Roots closer than the cluster
-    tolerance are merged and their multiplicities summed.
+    These are the real roots of y p^3 + (x - 2) p^2 - 1 = 0, closed form
+    plus Newton polish.  Roots closer than the cluster tolerance are
+    merged and their multiplicities summed.
     """
-    scale = max(abs(c.a3), abs(c.a2), abs(c.a1), abs(c.a0))
-    if scale == 0.0:
-        raise IndeterminatePolynomialError("all four coefficients are zero")
-    eps = _DEGREE_EPS * scale
-
-    if abs(c.a3) <= eps:
-        if abs(c.a2) <= eps:
-            if abs(c.a1) <= eps:
-                return RootSet(roots=(), multiplicities=())  # nonzero constant
-            pairs = [(-c.a0 / c.a1, 1)]
-        else:
-            pairs = _quadratic_roots(c.a2, c.a1, c.a0)
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise DomainError(f"point must be finite, got ({x!r}, {y!r})")
+    a = x - 2.0
+    eps = _DEGREE_EPS * max(abs(y), abs(a), 1.0)
+    if abs(y) > eps:
+        pairs = _cubic_roots(y, a)
+    elif a > eps:
+        # On the x-axis: a p^2 = 1.
+        s = math.sqrt(a)
+        pairs = [(-s / a, 1), (1.0 / s, 1)]
     else:
-        pairs = _cubic_roots_closed_form(c.a3, c.a2, c.a1, c.a0)
+        return RootSet(roots=(), multiplicities=())
 
-    polished = [(_polish(c, r) if mult == 1 else r, mult) for r, mult in pairs]
+    polished = [(_polish(y, a, r) if mult == 1 else r, mult) for r, mult in pairs]
     polished.sort(key=lambda rm: rm[0])
 
     merged = []
@@ -175,18 +135,6 @@ def real_roots_cubic(c: CubicCoeffs) -> RootSet:
         roots=tuple(r + 0.0 for r, _ in merged),  # normalizes -0.0
         multiplicities=tuple(m for _, m in merged),
     )
-
-
-def slopes_at(x: float, y: float) -> RootSet:
-    """Admissible orthogonal-trajectory slopes through (x, y).
-
-    These are the real roots of y p^3 + (x - 2) p^2 - 1 = 0.  p = 0 is
-    never a root (the constant term is -1), so any returned slope defines
-    a genuine direction.
-    """
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise DomainError(f"point must be finite, got ({x!r}, {y!r})")
-    return real_roots_cubic(CubicCoeffs(a3=y, a2=x - 2.0, a1=0.0, a0=-1.0))
 
 
 def bracketed_root(f, lo: float, hi: float, tol: float = 1e-12) -> float:

@@ -196,8 +196,9 @@ class TestFitConic:
         for C in (1e78, 1e100, 1e150):
             assert classify_conic(TrajectoryCurve(C)) == "other-conic"
         assert ConicFit((-1e-156, 0.0, -1e-156, 0.0, 0.0, 1.0), 0.0).classify() == "other-conic"
-        # With no quadratic part at all, b^2 - 4ac is still 0.
-        assert ConicFit((0.0, 0.0, 0.0, 0.6, 0.8, 0.0), 0.0).classify() == "parabola"
+        # With no quadratic part the form is a line, not a parabola,
+        # although b^2 - 4ac = 0.
+        assert ConicFit((0.0, 0.0, 0.0, 0.6, 0.8, 0.0), 0.0).classify() == "other-conic"
 
 
 class TestClassification:

@@ -13,14 +13,14 @@ EXPORTS = {
     "TrajectoryCurve", "curve_point", "curve_slope", "curve_velocity",
     "cusp_parameters", "line_at", "ode_c_residual", "ode_o_residual",
     "orthogonal_foot",
-    "CubicCoeffs", "RootSet", "bracketed_root", "real_roots_cubic", "slopes_at",
+    "RootSet", "bracketed_root", "slopes_at",
     "DifferentialForm", "exactness_defect", "integrating_factor", "potential",
     "raw_form", "scaled_form", "solve_for_xy",
     "TraceConfig", "TraceResult", "trace_classic", "trace_orthogonal",
     "ConicFit", "IntersectionRecord", "classify_conic", "conic_fit",
     "fit_conic", "intersections", "is_parabola",
     "OrthoTrajError", "DomainError", "DegeneratePointError",
-    "DegenerateFootError", "IndeterminatePolynomialError", "NoBracketError",
+    "DegenerateFootError", "NoBracketError",
     "NoBranchError", "DegenerateInputError", "ConfigError",
     "__version__",
 }

@@ -1,14 +1,14 @@
-"""Cubic solver and bracketed root finder tests.
+"""Slope-cubic and bracketed root finder tests.
 
 Covers:
-  - closed-form roots against factored polynomials
-  - degree reduction (quadratic, linear, constant) and multiplicities
-  - the slope cubic at hand-checked points
+  - the slope cubic y p^3 + (x - 2) p^2 - 1 = 0 at hand-checked points:
+    one root, the double roots on the evolute, the x-axis quadratic
   - completeness against the numpy companion-matrix solver (10^4 points)
   - completeness against a literal brute-force sign scan of the slope
     equation over p in [-1000, 1000] at resolution 1e-3 (subset)
-  - residual bound |poly(r)| <= 1e-9 * max|a_i| * max(1, |r|)^3
-  - odd root count off the x-axis
+  - residual bound |y r^3 + (x - 2) r^2 - 1| <= 1e-9 * max(|y|, |x - 2|, 1)
+    * max(1, |r|)^3
+  - odd root count off the x-axis, p = 0 never a root, non-finite input
   - bisection/secant bracketing: convergence, errors, cross-check with
     the closed-form cusp parameters
 """
@@ -19,96 +19,13 @@ import numpy as np
 import pytest
 
 from orthotraj import (
-    CubicCoeffs,
     DomainError,
-    IndeterminatePolynomialError,
     NoBracketError,
     bracketed_root,
     cusp_parameters,
-    real_roots_cubic,
     slopes_at,
     TrajectoryCurve,
 )
-
-
-def poly_scale(c: CubicCoeffs, r: float) -> float:
-    return max(abs(c.a3), abs(c.a2), abs(c.a1), abs(c.a0)) * max(1.0, abs(r)) ** 3
-
-
-class TestRealRootsCubic:
-    def test_single_real_root(self):
-        # 2p^3 - p^2 - 1 = (p - 1)(2p^2 + p + 1); the quadratic has no
-        # real roots.
-        rs = real_roots_cubic(CubicCoeffs(2.0, -1.0, 0.0, -1.0))
-        assert rs.roots == (1.0,)
-        assert rs.multiplicities == (1,)
-
-    def test_quadratic_reduction(self):
-        rs = real_roots_cubic(CubicCoeffs(0.0, 1.0, 0.0, -1.0))
-        assert rs.roots == (-1.0, 1.0)
-        assert rs.multiplicities == (1, 1)
-
-    def test_triple_root(self):
-        rs = real_roots_cubic(CubicCoeffs(1.0, 0.0, 0.0, 0.0))
-        assert rs.roots == (0.0,)
-        assert rs.multiplicities == (3,)
-        rs = real_roots_cubic(CubicCoeffs(1.0, -3.0, 3.0, -1.0))  # (p-1)^3
-        assert rs.multiplicities == (3,)
-        assert rs.roots[0] == pytest.approx(1.0, abs=1e-8)
-
-    def test_three_distinct_roots(self):
-        # (p - 1)(p - 2)(p + 3) = p^3 - 7p + 6
-        rs = real_roots_cubic(CubicCoeffs(1.0, 0.0, -7.0, 6.0))
-        assert rs.multiplicities == (1, 1, 1)
-        assert np.allclose(rs.roots, (-3.0, 1.0, 2.0), atol=1e-12)
-
-    def test_double_root(self):
-        # (p - 1)^2 (p + 2) = p^3 - 3p + 2
-        rs = real_roots_cubic(CubicCoeffs(1.0, 0.0, -3.0, 2.0))
-        assert list(rs.multiplicities) == [1, 2]
-        assert rs.roots[0] == pytest.approx(-2.0, abs=1e-8)
-        assert rs.roots[1] == pytest.approx(1.0, abs=1e-8)
-
-    def test_quadratic_double_root(self):
-        rs = real_roots_cubic(CubicCoeffs(0.0, 1.0, -2.0, 1.0))  # (p-1)^2
-        assert rs.multiplicities == (2,)
-        assert rs.roots[0] == pytest.approx(1.0, abs=1e-10)
-
-    def test_linear_and_constant(self):
-        rs = real_roots_cubic(CubicCoeffs(0.0, 0.0, 2.0, -4.0))
-        assert rs.roots == (2.0,)
-        assert real_roots_cubic(CubicCoeffs(0.0, 0.0, 0.0, 5.0)).roots == ()
-
-    def test_all_zero_is_indeterminate(self):
-        with pytest.raises(IndeterminatePolynomialError):
-            real_roots_cubic(CubicCoeffs(0.0, 0.0, 0.0, 0.0))
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(DomainError):
-            CubicCoeffs(1.0, math.inf, 0.0, 0.0)
-
-    def test_residual_bound_random(self):
-        rng = np.random.default_rng(3)
-        for _ in range(2000):
-            coeffs = CubicCoeffs(*(float(v) for v in rng.uniform(-10, 10, 4)))
-            for r in real_roots_cubic(coeffs):
-                assert abs(coeffs(r)) <= 1e-9 * poly_scale(coeffs, r)
-
-    def test_matches_companion_matrix_oracle(self):
-        # Independent oracle: numpy's eigenvalue-based solver.
-        rng = np.random.default_rng(5)
-        for _ in range(10_000):
-            x = float(rng.uniform(-10, 10))
-            y = float(rng.uniform(-10, 10))
-            mine = []
-            rs = slopes_at(x, y)
-            for r, mult in zip(rs.roots, rs.multiplicities):
-                mine.extend([r] * mult)
-            ref = np.roots([y, x - 2.0, 0.0, -1.0])
-            ref = sorted(float(z.real) for z in ref if abs(z.imag) <= 1e-8 * max(1.0, abs(z)))
-            assert len(mine) == len(ref), (x, y, mine, ref)
-            for a, b in zip(mine, ref):
-                assert a == pytest.approx(b, rel=1e-6, abs=1e-6)
 
 
 class TestSlopesAt:
@@ -116,9 +33,27 @@ class TestSlopesAt:
         rs = slopes_at(1.0, 2.0)
         assert rs.roots == (1.0,)
 
+    def test_double_root(self):
+        # On the evolute 27y^2 = 4(x - 2)^3: 2p^3 + 3p^2 - 1 = (p + 1)^2 (2p - 1)
+        # and -2p^3 + 3p^2 - 1 = -(p - 1)^2 (2p + 1).
+        rs = slopes_at(5.0, 2.0)
+        assert rs.multiplicities == (2, 1)
+        assert rs.roots == pytest.approx((-1.0, 0.5), abs=1e-8)
+        rs = slopes_at(5.0, -2.0)
+        assert rs.multiplicities == (1, 2)
+        assert rs.roots == pytest.approx((-0.5, 1.0), abs=1e-8)
+
     def test_x_axis_degeneration(self):
         assert slopes_at(3.0, 0.0).roots == (-1.0, 1.0)
         assert slopes_at(1.0, 0.0).roots == ()
+        assert slopes_at(2.0, 0.0).roots == ()  # the constant -1 alone
+        assert slopes_at(-1e308, 0.0).roots == ()  # even where 4(x - 2) overflows
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(DomainError):
+            slopes_at(math.inf, 0.0)
+        with pytest.raises(DomainError):
+            slopes_at(0.0, math.nan)
 
     def test_zero_never_a_root(self):
         rng = np.random.default_rng(9)
@@ -135,6 +70,32 @@ class TestSlopesAt:
                 continue
             n = sum(slopes_at(x, y).multiplicities)
             assert n in (1, 3)
+
+    def test_residual_bound_random(self):
+        rng = np.random.default_rng(3)
+        for _ in range(2000):
+            x = float(rng.uniform(-10, 10))
+            y = float(rng.uniform(-10, 10))
+            scale = max(abs(y), abs(x - 2.0), 1.0)
+            for r in slopes_at(x, y):
+                residual = (y * r + (x - 2.0)) * r * r - 1.0
+                assert abs(residual) <= 1e-9 * scale * max(1.0, abs(r)) ** 3
+
+    def test_matches_companion_matrix_oracle(self):
+        # Independent oracle: numpy's eigenvalue-based solver.
+        rng = np.random.default_rng(5)
+        for _ in range(10_000):
+            x = float(rng.uniform(-10, 10))
+            y = float(rng.uniform(-10, 10))
+            mine = []
+            rs = slopes_at(x, y)
+            for r, mult in zip(rs.roots, rs.multiplicities):
+                mine.extend([r] * mult)
+            ref = np.roots([y, x - 2.0, 0.0, -1.0])
+            ref = sorted(float(z.real) for z in ref if abs(z.imag) <= 1e-8 * max(1.0, abs(z)))
+            assert len(mine) == len(ref), (x, y, mine, ref)
+            for a, b in zip(mine, ref):
+                assert a == pytest.approx(b, rel=1e-6, abs=1e-6)
 
     def test_brute_force_sign_scan_subset(self):
         # Literal scan of the slope equation over p in [-1000, 1000] at
