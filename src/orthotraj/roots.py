@@ -6,9 +6,12 @@ are the real roots of
     y p^3 + (x - 2) p^2 - 1 = 0.
 
 p = 0 is never a root (the constant term is -1), so every root is a
-genuine direction.  Near the x-axis the leading coefficient y collapses
-and the cubic degenerates to the quadratic (x - 2) p^2 = 1; the solver
-reduces the degree explicitly instead of dividing by a tiny y.
+genuine direction.  On the x-axis the leading coefficient y vanishes and
+the cubic degenerates to the quadratic (x - 2) p^2 = 1, which the solver
+takes only while |y| <= 1e-12 max(|y|, |x - 2|, 1).  Above that it divides
+by y, however small, and the depressed cubic's coefficients then cancel:
+for |y| below about 1e-5 roots come out wrong or lost, e.g. a spurious
+double root near 0 at (3, 1e-6) (ROADMAP item 1).
 """
 
 import math
@@ -22,7 +25,7 @@ __all__ = ["RootSet", "slopes_at", "bracketed_root"]
 _DEGREE_EPS = 1e-12
 # Relative discriminant proximity treated as a multiple root.
 _MULTIPLE_EPS = 1e-10
-# Roots closer than this (scaled by max(1, |r|)) are merged into one.
+# Roots closer than this, relative to |r|, are merged into one.
 _CLUSTER_EPS = 1e-8
 
 
@@ -69,17 +72,13 @@ def _cubic_roots(y: float, a: float):
     P = -b * b / 3.0
     Q = 2.0 * b * b * b / 27.0 + d
 
-    tol_p = _MULTIPLE_EPS * max(1.0, b * b)
-    tol_q = _MULTIPLE_EPS * max(1.0, abs(b) ** 3, abs(d))
-    if abs(P) <= tol_p and abs(Q) <= tol_q:
-        return [(-shift, 3)]
-
     half_q = 0.5 * Q
     third_p = P / 3.0
     D = half_q * half_q + third_p * third_p * third_p
     d_scale = max(half_q * half_q, abs(third_p) ** 3)
 
-    if abs(D) <= _MULTIPLE_EPS * d_scale:
+    # P = 0 with D = 0 means Q^2 underflowed (|y| > ~1e150), not a double root.
+    if P != 0.0 and abs(D) <= _MULTIPLE_EPS * d_scale:
         # Boundary of the casus irreducibilis: one simple + one double root.
         simple = 3.0 * Q / P
         double = -1.5 * Q / P
@@ -125,7 +124,7 @@ def slopes_at(x: float, y: float) -> RootSet:
 
     merged = []
     for r, mult in polished:
-        if merged and abs(r - merged[-1][0]) <= _CLUSTER_EPS * max(1.0, abs(r)):
+        if merged and abs(r - merged[-1][0]) <= _CLUSTER_EPS * abs(r):
             prev_r, prev_m = merged[-1]
             merged[-1] = (prev_r, prev_m + mult)
         else:

@@ -1,9 +1,16 @@
 """Numerical tracing of orthogonal trajectories from the implicit ODE.
 
-The slope field is never solved symbolically here: at every evaluation
-point the admissible slopes are the real roots of the cubic
-y p^3 + (x - 2) p^2 - 1 = 0, and the integrator follows one root branch
-by nearest-root continuity.  Integration runs in arc length,
+The slope field is never solved symbolically here: the admissible
+slopes are the real roots of the cubic y p^3 + (x - 2) p^2 - 1 = 0, and
+the integrator follows the root nearest the slope p_ref tracked at the
+step start.  Every Runge-Kutta stage lies within one step of it, so the
+root is found by continuation, not by solving the cubic afresh: Newton
+on the monic cubic in q = 1/p, q^3 - (x - 2) q - y = 0, corrects
+q = 1/p_ref, and an exact deflation yields the other two roots, so the
+rule "root nearest p_ref" holds exactly.  Near the evolute, where two
+roots collide, or when Newton does not settle or lands on a root that
+is not the nearest, ``slopes_at`` solves the cubic in full.
+Integration runs in arc length,
 
     (dx/ds, dy/ds) = sigma * (1, p) / sqrt(1 + p^2),
 
@@ -66,6 +73,9 @@ _H_MIN = 1e-6           # arc-length floor for step halving
 _MAX_JUMP = 0.5         # root-continuity threshold in |delta p|
 _CUSP_GAP = 0.05        # relative root gap treated as a root collision
 _MAX_STEPS = 300_000
+_NEWTON_ITERS = 6       # Newton steps before the full solve takes over
+_NEWTON_TOL = 1e-15     # relative Newton step counted as rounding level
+_COLLISION_EPS = 1e-3   # relative 3r^2 - a or 4a - 3r^2 that counts as a root collision
 _SEVERITY = {"arc-limit": 0, "domain-exit": 1, "branch-loss": 2, "singularity": 3}
 
 
@@ -147,12 +157,56 @@ def _rk_step(rhs, x: float, y: float, h: float):
     return x5, y5, max(abs(ex), abs(ey))
 
 
+def _continued_root(x: float, y: float, p_ref: float):
+    """The slope root nearest p_ref by Newton continuation, or None.
+
+    Newton on the monic q-cubic q^3 - a q - y (q = 1/p, a = x - 2) runs
+    from q = 1/p_ref until its step reaches rounding level; the exact
+    deflation q^3 - a q - y = (q - r)(q^2 + r q + r^2 - a) then gives the
+    other two roots.  None leaves the choice to the full solve: Newton
+    did not settle, two roots nearly collide (near the evolute
+    27 y^2 = 4 a^3, where the cusps sit), or another root lies at least
+    as near p_ref.
+    """
+    if p_ref == 0.0:
+        return None
+    a = x - 2.0
+    q = 1.0 / p_ref
+    for _ in range(_NEWTON_ITERS):
+        q2 = q * q
+        dg = 3.0 * q2 - a
+        if abs(dg) <= _COLLISION_EPS * (3.0 * q2 + abs(a)):
+            return None
+        step = ((q2 - a) * q - y) / dg
+        q -= step
+        # Strict, so that q = 0 (the root at p = inf) never settles.
+        if abs(step) < _NEWTON_TOL * abs(q):
+            break
+    else:
+        return None
+    p = 1.0 / q
+    q2 = q * q
+    disc = 4.0 * a - 3.0 * q2
+    if abs(disc) <= _COLLISION_EPS * (4.0 * abs(a) + 3.0 * q2):
+        return None
+    if disc > 0.0:
+        # s is the larger deflated root, free of cancellation; the three
+        # roots multiply to y, so the third is y / (q s).
+        s = -0.5 * (q + math.copysign(math.sqrt(disc), q))
+        gap = abs(p - p_ref)
+        if abs(1.0 / s - p_ref) <= gap or (y != 0.0 and abs(q * s / y - p_ref) <= gap):
+            return None
+    return p
+
+
 def _root_field(x: float, y: float, p_ref: float):
     """Unit direction along the slope root nearest p_ref, with the root."""
-    rs = slopes_at(x, y)
-    if len(rs) == 0:
-        raise _BranchJump
-    p = min(rs.roots, key=lambda r: abs(r - p_ref))
+    p = _continued_root(x, y, p_ref)
+    if p is None:
+        rs = slopes_at(x, y)
+        if len(rs) == 0:
+            raise _BranchJump
+        p = min(rs.roots, key=lambda r: abs(r - p_ref))
     if abs(p - p_ref) > _MAX_JUMP * max(1.0, abs(p_ref)):
         raise _BranchJump
     inv = 1.0 / math.sqrt(1.0 + p * p)

@@ -107,6 +107,11 @@ class TestRunExitCodes:
     def test_trace_failure_exit_code(self, capsys):
         assert run(["trace", "--x0", "1", "--y0", "0"]) == 1
 
+    def test_trace_far_start_leaves_the_box(self, capsys):
+        # The one slope at (2, 1e10) is about 4.6e-4, never 0.
+        assert run(["trace", "--x0", "2", "--y0", "1e10"]) == 0
+        assert "terminated_by: domain-exit" in capsys.readouterr().out
+
     def test_usage_error(self, capsys):
         assert run(["frobnicate"]) == 2
         assert run([]) == 2

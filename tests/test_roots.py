@@ -3,6 +3,8 @@
 Covers:
   - the slope cubic y p^3 + (x - 2) p^2 - 1 = 0 at hand-checked points:
     one root, the double roots on the evolute, the x-axis quadratic
+  - no spurious triple root for large |y|, and the two axis roots
+    +-1/sqrt(x - 2) kept apart however small they are
   - completeness against the numpy companion-matrix solver (10^4 points)
   - completeness against a literal brute-force sign scan of the slope
     equation over p in [-1000, 1000] at resolution 1e-3 (subset)
@@ -48,6 +50,26 @@ class TestSlopesAt:
         assert slopes_at(1.0, 0.0).roots == ()
         assert slopes_at(2.0, 0.0).roots == ()  # the constant -1 alone
         assert slopes_at(-1e308, 0.0).roots == ()  # even where 4(x - 2) overflows
+
+    def test_no_spurious_triple_root(self):
+        # The slope cubic has no triple root; far out it has one real root.
+        rs = slopes_at(2.0, 1e10)
+        assert rs.multiplicities == (1,)
+        assert rs.roots == pytest.approx((4.641588833612778892e-4,), rel=1e-12)
+        rs = slopes_at(100002.0, 1e12)
+        assert rs.multiplicities == (1,)
+        assert rs.roots == pytest.approx((9.996667777530864225e-5,), rel=1e-12)
+        # Q^2 underflows here, so the root is still inexact (ROADMAP item 1),
+        # but it has the sign of y and nothing divides by P = 0.
+        for y in (1e200, -1e200):
+            (r,) = slopes_at(2.0, y).roots
+            assert math.copysign(1.0, r) == math.copysign(1.0, y) and r != 0.0
+
+    def test_far_axis_roots_stay_apart(self):
+        # +-1/sqrt(x - 2) are two simple roots however small they get.
+        rs = slopes_at(1e300, 0.0)
+        assert rs.multiplicities == (1, 1)
+        assert rs.roots == pytest.approx((-1e-150, 1e-150), rel=1e-15)
 
     def test_non_finite_rejected(self):
         with pytest.raises(DomainError):
