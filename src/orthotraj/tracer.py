@@ -1,16 +1,15 @@
 """Numerical tracing of orthogonal trajectories from the implicit ODE.
 
-The slope field is never solved symbolically here: the admissible
-slopes are the real roots of the cubic y p^3 + (x - 2) p^2 - 1 = 0, and
-the integrator follows the root nearest the slope p_ref tracked at the
-step start.  Every Runge-Kutta stage lies within one step of it, so the
-root is found by continuation, not by solving the cubic afresh: Newton
-on the monic cubic in q = 1/p, q^3 - (x - 2) q - y = 0, corrects
-q = 1/p_ref, and an exact deflation yields the other two roots, so the
-rule "root nearest p_ref" holds exactly.  Near the evolute, where two
-roots collide, or when Newton does not settle or lands on a root that
-is not the nearest, ``slopes_at`` solves the cubic in full.
-Integration runs in arc length,
+The admissible slopes are the real roots of the cubic
+y p^3 + (x - 2) p^2 - 1 = 0, and the integrator follows the root nearest
+the slope p_ref tracked at the step start.  ``slopes_at`` solves the
+cubic once, for the start slope; after that every Runge-Kutta stage lies
+within one step of p_ref, and Newton on the monic cubic in q = 1/p,
+q^3 - (x - 2) q - y = 0, corrects q = 1/p_ref, while an exact deflation
+yields the other two roots, so "root nearest p_ref" holds exactly.  A
+stall is a cusp where 3 q^2 - (x - 2), the product of the tracked root's
+distances to the other two, nearly vanishes, and a branch loss
+elsewhere.  Integration runs in arc length,
 
     (dx/ds, dy/ds) = sigma * (1, p) / sqrt(1 + p^2),
 
@@ -71,11 +70,10 @@ _B4 = (2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4)
 
 _H_MIN = 1e-6           # arc-length floor for step halving
 _MAX_JUMP = 0.5         # root-continuity threshold in |delta p|
-_CUSP_GAP = 0.05        # relative root gap treated as a root collision
+_CUSP_GAP = 0.05        # relative 3q^2 - a at a stall that marks a root collision
 _MAX_STEPS = 300_000
-_NEWTON_ITERS = 6       # Newton steps before the full solve takes over
-_NEWTON_TOL = 1e-15     # relative Newton step counted as rounding level
-_COLLISION_EPS = 1e-3   # relative 3r^2 - a or 4a - 3r^2 that counts as a root collision
+_NEWTON_ITERS = 6       # Newton steps before the tracked root counts as lost
+_NEWTON_TOL = 1e-15     # relative q-cubic residual counted as rounding level
 _SEVERITY = {"arc-limit": 0, "domain-exit": 1, "branch-loss": 2, "singularity": 3}
 
 
@@ -97,12 +95,17 @@ class TraceConfig:
     domain: Optional[tuple] = None
 
     def __post_init__(self):
-        if not self.step > 0.0:
-            raise DomainError(f"step must be positive, got {self.step!r}")
-        if not self.max_arc > 0.0:
-            raise DomainError(f"max_arc must be positive, got {self.max_arc!r}")
-        if not self.tol > 0.0:
-            raise DomainError(f"tol must be positive, got {self.tol!r}")
+        for name in ("step", "max_arc", "tol"):
+            if not getattr(self, name) > 0.0:
+                raise DomainError(f"{name} must be positive, got {getattr(self, name)!r}")
+        hint = self.initial_slope_hint
+        if hint is not None and not math.isfinite(hint):
+            raise DomainError(f"initial_slope_hint must be finite, got {hint!r}")
+        box = self.domain
+        if box is not None and not (
+            len(box) == 4 and all(map(math.isfinite, box)) and box[0] < box[1] and box[2] < box[3]
+        ):
+            raise DomainError(f"domain must be a finite (xmin, xmax, ymin, ymax) box, got {box!r}")
 
     def bounds(self) -> tuple:
         return self.domain if self.domain is not None else (-1e6, 1e6, -1e6, 1e6)
@@ -157,56 +160,45 @@ def _rk_step(rhs, x: float, y: float, h: float):
     return x5, y5, max(abs(ex), abs(ey))
 
 
-def _continued_root(x: float, y: float, p_ref: float):
-    """The slope root nearest p_ref by Newton continuation, or None.
+def _tracked_root(x: float, y: float, p_ref: float) -> float:
+    """The slope root nearest p_ref, by Newton continuation.
 
-    Newton on the monic q-cubic q^3 - a q - y (q = 1/p, a = x - 2) runs
-    from q = 1/p_ref until its step reaches rounding level; the exact
-    deflation q^3 - a q - y = (q - r)(q^2 + r q + r^2 - a) then gives the
-    other two roots.  None leaves the choice to the full solve: Newton
-    did not settle, two roots nearly collide (near the evolute
-    27 y^2 = 4 a^3, where the cusps sit), or another root lies at least
-    as near p_ref.
+    Newton on q^3 - a q - y (q = 1/p, a = x - 2) runs from q = 1/p_ref
+    until the residual before a step is at the rounding level of its
+    terms; deflating q^3 - a q - y = (q - r)(q^2 + r q + r^2 - a) gives the
+    other two roots, and the nearest of the three wins.  Raises
+    ``_BranchJump`` when Newton does not settle or meets 3 q^2 = a.
     """
-    if p_ref == 0.0:
-        return None
     a = x - 2.0
     q = 1.0 / p_ref
     for _ in range(_NEWTON_ITERS):
         q2 = q * q
+        f = (q2 - a) * q - y
         dg = 3.0 * q2 - a
-        if abs(dg) <= _COLLISION_EPS * (3.0 * q2 + abs(a)):
-            return None
-        step = ((q2 - a) * q - y) / dg
-        q -= step
-        # Strict, so that q = 0 (the root at p = inf) never settles.
-        if abs(step) < _NEWTON_TOL * abs(q):
+        if dg == 0.0:
+            raise _BranchJump
+        # Strict, so q = 0 (p = inf at y = 0) never settles; a settled q still takes its step.
+        settled = abs(f) < _NEWTON_TOL * (abs(q2 * q) + abs(a * q) + abs(y))
+        q -= f / dg
+        if settled:
             break
     else:
-        return None
+        raise _BranchJump
     p = 1.0 / q
-    q2 = q * q
-    disc = 4.0 * a - 3.0 * q2
-    if abs(disc) <= _COLLISION_EPS * (4.0 * abs(a) + 3.0 * q2):
-        return None
-    if disc > 0.0:
+    disc = 4.0 * a - 3.0 * q * q
+    if disc >= 0.0:
         # s is the larger deflated root, free of cancellation; the three
         # roots multiply to y, so the third is y / (q s).
         s = -0.5 * (q + math.copysign(math.sqrt(disc), q))
-        gap = abs(p - p_ref)
-        if abs(1.0 / s - p_ref) <= gap or (y != 0.0 and abs(q * s / y - p_ref) <= gap):
-            return None
+        for r in (1.0 / s, q * s / y if y != 0.0 else p):
+            if abs(r - p_ref) < abs(p - p_ref):
+                p = r
     return p
 
 
 def _root_field(x: float, y: float, p_ref: float):
     """Unit direction along the slope root nearest p_ref, with the root."""
-    p = _continued_root(x, y, p_ref)
-    if p is None:
-        rs = slopes_at(x, y)
-        if len(rs) == 0:
-            raise _BranchJump
-        p = min(rs.roots, key=lambda r: abs(r - p_ref))
+    p = _tracked_root(x, y, p_ref)
     if abs(p - p_ref) > _MAX_JUMP * max(1.0, abs(p_ref)):
         raise _BranchJump
     inv = 1.0 / math.sqrt(1.0 + p * p)
@@ -214,21 +206,16 @@ def _root_field(x: float, y: float, p_ref: float):
 
 
 def _stall_reason(x: float, y: float, p_ref: float) -> str:
-    """Classify a refinement stall: root collision (cusp) vs plain loss."""
-    try:
-        rs = slopes_at(x, y)
-    except DomainError:
-        return "branch-loss"
-    if len(rs) == 0:
-        return "branch-loss"
-    gap_tol = _CUSP_GAP * max(1.0, abs(p_ref))
-    best = min(rs.roots, key=lambda r: abs(r - p_ref))
-    for r, mult in zip(rs.roots, rs.multiplicities):
-        if r == best and mult > 1:
-            return "singularity"
-        if r != best and abs(r - best) <= gap_tol:
-            return "singularity"
-    return "branch-loss"
+    """Classify a stall at the last accepted sample, with no solve.
+
+    For the root q = 1/p_ref and the other two r, s, 3 q^2 - a equals
+    (q - r)(q - s): it vanishes where the tracked root meets a neighbour,
+    at a cusp on the evolute 27 y^2 = 4 a^3.  Elsewhere, as at the vertex
+    where p runs to infinity, the stall is a branch loss.
+    """
+    q, a = 1.0 / p_ref, x - 2.0
+    g = 3.0 * q * q
+    return "singularity" if abs(g - a) <= _CUSP_GAP * (g + abs(a)) else "branch-loss"
 
 
 def _march(x0, y0, p0, sigma, cfg: TraceConfig, field_fn, stall_fn):
@@ -323,9 +310,7 @@ def trace_orthogonal(cfg: TraceConfig) -> TraceResult:
         hint = float(cfg.initial_slope_hint)
         p0 = min(rs.roots, key=lambda r: abs(r - hint))
         if abs(p0 - hint) > 0.1:
-            raise NoBranchError(
-                f"no slope root within 0.1 of hint {hint!r} at ({x0!r}, {y0!r})"
-            )
+            raise NoBranchError(f"no slope root within 0.1 of hint {hint!r} at ({x0!r}, {y0!r})")
     else:
         p0 = min(rs.roots, key=abs)
 

@@ -14,7 +14,9 @@ Covers:
   - classic fixtures conserve xy, x^2 + y^2, (x+1)^2 + y^2, and stall
     as a singularity next to the monopole's centre
   - error cases: no slope branch, singular classic start, a missing or
-    non-finite start for either tracer, bad config
+    non-finite start for either tracer, bad config (non-positive step or
+    tol, a nan slope hint, a domain box that is not four finite numbers
+    with xmin < xmax and ymin < ymax)
 """
 
 import math
@@ -162,6 +164,25 @@ class TestTraceOrthogonal:
             TraceConfig(start=Point(0.0, 3.0), tol=-1.0)
         with pytest.raises(DomainError):
             trace_orthogonal(TraceConfig())
+
+    def test_nan_hint_is_rejected(self):
+        # A nan hint would pass the 0.1 hint check and trace roots[0].
+        with pytest.raises(DomainError):
+            TraceConfig(start=Point(8.0, 1.0), initial_slope_hint=math.nan)
+
+    @pytest.mark.parametrize(
+        "domain",
+        [
+            (-5.0, 5.0, math.nan, 5.0),
+            (-5.0, math.inf, -5.0, 5.0),
+            (5.0, -5.0, -5.0, 5.0),
+            (-5.0, 5.0, 5.0, 5.0),
+            (-5.0, 5.0, -5.0),
+        ],
+    )
+    def test_bad_domain_is_rejected(self, domain):
+        with pytest.raises(DomainError):
+            TraceConfig(start=Point(1.0, 2.0), domain=domain)
 
 
 class TestTraceClassic:
