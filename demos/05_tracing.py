@@ -1,10 +1,11 @@
 """Tracing trajectories straight from the implicit ODE
 =======================================================
 
-The tracer never sees the closed form: it follows one real root of the
-slope cubic through an adaptive arc-length Runge-Kutta march, both ways
-from the start point.  The first integral F is recorded along the way;
-its drift measures how far the march strays from a true solution.
+The tracer never sees the closed form: it follows one real root
+q = dx/dy of the cubic q^3 - (x - 2) q - y through an adaptive arc-length
+Runge-Kutta march, both ways from the start point.  The first integral
+G(x, q) = (q^2 - x) sqrt(1 + q^2) is recorded along the way; its drift
+measures how far the march strays from a true solution.
 """
 
 import math
@@ -14,11 +15,13 @@ from orthotraj import Point, TraceConfig, TrajectoryCurve, curve_point, trace_cl
 # Start on the parabola at (1, 2) with slope hint 1.
 res = trace_orthogonal(TraceConfig(start=Point(1.0, 2.0), initial_slope_hint=1.0))
 xs = [pt.x for pt, _ in res.samples]
+ys = [pt.y for pt, _ in res.samples]
 worst = max(abs(pt.y**2 - 4 * pt.x) for pt, _ in res.samples)
 print("parabola trace from (1, 2):")
-print(f"  {len(res.samples)} samples, x in [{min(xs):.2e}, {max(xs):.2f}]")
+print(f"  {len(res.samples)} samples, x in [{min(xs):.2e}, {max(xs):.2f}],")
+print(f"  y in [{min(ys):.2f}, {max(ys):.2f}]")
 print(f"  max |y^2 - 4x| = {worst:.2e}, potential drift = {res.potential_drift:.2e}")
-print(f"  end reasons: backward = {res.end_reasons[0]} (the vertical-tangent vertex),")
+print(f"  end reasons: backward = {res.end_reasons[0]} (through the vertex, where q = 0),")
 print(f"               forward  = {res.end_reasons[1]}")
 
 # A C != 0 member: start at (0, 3), which lies on the C = sqrt(2) curve.

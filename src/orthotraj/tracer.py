@@ -1,47 +1,41 @@
 """Numerical tracing of orthogonal trajectories from the implicit ODE.
 
-The admissible slopes are the real roots of the cubic
-y p^3 + (x - 2) p^2 - 1 = 0, and the integrator follows the root nearest
-the slope p_ref tracked at the step start.  ``slopes_at`` solves the
-cubic once, for the start slope; after that every Runge-Kutta stage lies
-within one step of p_ref, and Newton on the monic cubic in q = 1/p,
-q^3 - (x - 2) q - y = 0, corrects q = 1/p_ref, while an exact deflation
-yields the other two roots, so "root nearest p_ref" holds exactly.  A
-stall is a cusp where 3 q^2 - (x - 2), the product of the tracked root's
-distances to the other two, nearly vanishes, and a branch loss
-elsewhere.  Integration runs in arc length,
+The admissible slopes are the real roots of y p^3 + (x - 2) p^2 - 1 = 0.
+In q = 1/p = dx/dy this is the monic cubic q^3 - (x - 2) q - y = 0 of
+the parabola's normals, and on member C the tracked root q is the curve
+parameter t of the closed form.  ``slopes_at`` solves the cubic once,
+for the start slope; after that Newton corrects q from the step-start
+root q_ref and an exact deflation yields the other two roots, so "root
+nearest q_ref" holds exactly.  Integration runs in arc length along
 
-    (dx/ds, dy/ds) = sigma * (1, p) / sqrt(1 + p^2),
+    (dx/ds, dy/ds) = sigma * (q, 1) / sqrt(1 + q^2),
 
-so vertical tangents (p -> inf where a curve crosses the x-axis) slow
-the branch tracking down but never divide by zero.
+which is smooth off the cusps: the vertex, where a curve crosses the
+x-axis with a vertical tangent, is the plain point q = 0.  The drift
+monitor G(x, q) = (q^2 - x) sqrt(1 + q^2) equals C all along member C.
 
 One stepper, ``_march``, integrates every trace: Cash-Karp embedded
-4(5) Runge-Kutta steps under adaptive control, the arc budget, the
-domain box, the step limit and the sample recording.  It runs once per
-direction from the start point.  Each tracer supplies only
+4(5) Runge-Kutta steps under error-per-unit-step control, the arc
+budget, the domain box, the step limit and the sample recording.  It
+runs once per direction from the start point.  Each tracer supplies only
 
-    a field    ``field_fn(x, y, p_ref) -> (dx, dy, p)``, the unit
-               direction and slope at (x, y), or ``_BranchJump`` when
-               nothing continues the tracked slope p_ref;
-    a stall    ``stall_fn(x, y, p_ref)``, the reason an end stops when
+    a field    ``field_fn(x, y, r_ref) -> (dx, dy, r)``, the unit
+               direction and tracked value (q, or a classic field's
+               slope p), or ``_BranchJump`` when nothing continues r_ref;
+    a stall    ``stall_fn(x, y, r_ref)``, the reason an end stops when
                step halving bottoms out.
 
-``trace_orthogonal`` follows the cubic root nearest p_ref and tells a
-root collision from a plain loss.  ``trace_classic`` follows the
-normalised field of one of three textbook orthogonal-trajectory pairs
-(hyperbolas/hyperbolas, radial lines/circles, shifted radial
-lines/circles), calls every stall a singularity, and reports the drift
-of the exact conserved quantity.
+``trace_orthogonal`` returns slopes p = 1/q (+-inf where q = 0).
+``trace_classic`` follows one of three textbook orthogonal-trajectory
+fields and reports the drift of its exact conserved quantity.
 
 Termination reasons:
 
     arc-limit    the arc-length budget was spent
-    branch-loss  the tracked cubic root could not be followed (e.g. the
-                 vertical-tangent crossing, where the root runs away)
-    singularity  the tracked root collided with a neighbouring root -
-                 a cusp of the traced curve (for a classic trace: the
-                 smallest step could not follow the field)
+    branch-loss  the tracked root could not be followed (numerical loss)
+    singularity  the tracked root met a neighbour (3 q^2 = x - 2): a cusp
+                 of the traced curve; for a classic trace, the smallest
+                 step could not follow the field
     domain-exit  the trace left the configured bounding box
 """
 
@@ -51,7 +45,6 @@ from typing import Optional
 
 from .core_model import Point
 from .errors import DomainError, NoBranchError
-from .exact_ode import potential
 from .roots import slopes_at
 
 __all__ = ["TraceConfig", "TraceResult", "trace_orthogonal", "trace_classic"]
@@ -69,7 +62,7 @@ _B5 = (37 / 378, 0.0, 250 / 621, 125 / 594, 0.0, 512 / 1771)
 _B4 = (2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4)
 
 _H_MIN = 1e-6           # arc-length floor for step halving
-_MAX_JUMP = 0.5         # root-continuity threshold in |delta p|
+_MAX_JUMP = 0.5         # root-continuity threshold in |delta q|
 _CUSP_GAP = 0.05        # relative 3q^2 - a at a stall that marks a root collision
 _MAX_STEPS = 300_000
 _NEWTON_ITERS = 6       # Newton steps before the tracked root counts as lost
@@ -83,8 +76,9 @@ class TraceConfig:
 
     ``step`` is the initial arc-length step and half the sample-spacing
     cap; ``max_arc`` is the arc budget per direction; ``tol`` bounds the
-    local error per step.  ``domain`` is an optional (xmin, xmax, ymin,
-    ymax) box; leaving it None uses a very large default box.
+    local error per 2 ``step`` of arc.  All three are finite and positive.
+    ``domain`` is an optional (xmin, xmax, ymin, ymax) box; None uses a
+    very large default box.
     """
 
     start: Optional[Point] = None
@@ -96,8 +90,9 @@ class TraceConfig:
 
     def __post_init__(self):
         for name in ("step", "max_arc", "tol"):
-            if not getattr(self, name) > 0.0:
-                raise DomainError(f"{name} must be positive, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise DomainError(f"{name} must be positive and finite, got {value!r}")
         hint = self.initial_slope_hint
         if hint is not None and not math.isfinite(hint):
             raise DomainError(f"initial_slope_hint must be finite, got {hint!r}")
@@ -116,12 +111,13 @@ class TraceResult:
     """Ordered samples of one traced trajectory.
 
     ``samples`` holds (Point, p) pairs in geometric order along the
-    curve; the start point sits between the two traced directions.
+    curve, p = +-inf at a vertical tangent; the start point sits between
+    the two traced directions.
     ``end_reasons`` gives the termination reason of the (backward,
     forward) ends and ``terminated_by`` the more severe of the two.
-    ``potential_drift`` is max |F - F0| of the conserved quantity over
-    all samples (the exact-form potential for the main family, the
-    respective first integral for classic traces).
+    ``potential_drift`` is max |F - F0| over all samples of the conserved
+    quantity: G(x, 1/p) = C for the main family, regular at the vertex,
+    and the respective first integral for classic traces.
     """
 
     samples: list = field(default_factory=list)
@@ -160,82 +156,80 @@ def _rk_step(rhs, x: float, y: float, h: float):
     return x5, y5, max(abs(ex), abs(ey))
 
 
-def _tracked_root(x: float, y: float, p_ref: float) -> float:
-    """The slope root nearest p_ref, by Newton continuation.
+def _tracked_root(x: float, y: float, q_ref: float) -> float:
+    """The q-cubic root nearest q_ref, by Newton continuation.
 
-    Newton on q^3 - a q - y (q = 1/p, a = x - 2) runs from q = 1/p_ref
-    until the residual before a step is at the rounding level of its
-    terms; deflating q^3 - a q - y = (q - r)(q^2 + r q + r^2 - a) gives the
-    other two roots, and the nearest of the three wins.  Raises
-    ``_BranchJump`` when Newton does not settle or meets 3 q^2 = a.
+    Newton on q^3 - a q - y (a = x - 2) runs from q_ref until the
+    residual before a step is at the rounding level of its terms;
+    deflating q^3 - a q - y = (q - r)(q^2 + r q + r^2 - a) gives the other
+    two roots, and the nearest of the three wins.  Raises ``_BranchJump``
+    when Newton does not settle or meets 3 q^2 = a.
     """
     a = x - 2.0
-    q = 1.0 / p_ref
+    q = q_ref
     for _ in range(_NEWTON_ITERS):
         q2 = q * q
         f = (q2 - a) * q - y
         dg = 3.0 * q2 - a
         if dg == 0.0:
             raise _BranchJump
-        # Strict, so q = 0 (p = inf at y = 0) never settles; a settled q still takes its step.
-        settled = abs(f) < _NEWTON_TOL * (abs(q2 * q) + abs(a * q) + abs(y))
+        settled = abs(f) <= _NEWTON_TOL * (abs(q2 * q) + abs(a * q) + abs(y))
         q -= f / dg
         if settled:
             break
     else:
         raise _BranchJump
-    p = 1.0 / q
     disc = 4.0 * a - 3.0 * q * q
     if disc >= 0.0:
-        # s is the larger deflated root, free of cancellation; the three
-        # roots multiply to y, so the third is y / (q s).
+        # s, the larger deflated root, and the pair's product q^2 - a,
+        # taken as y / q (-a at q = 0), are both free of cancellation.
         s = -0.5 * (q + math.copysign(math.sqrt(disc), q))
-        for r in (1.0 / s, q * s / y if y != 0.0 else p):
-            if abs(r - p_ref) < abs(p - p_ref):
-                p = r
-    return p
+        for r in (s, (y / q if q else -a) / s):
+            if abs(r - q_ref) < abs(q - q_ref):
+                q = r
+    return q
 
 
-def _root_field(x: float, y: float, p_ref: float):
-    """Unit direction along the slope root nearest p_ref, with the root."""
-    p = _tracked_root(x, y, p_ref)
-    if abs(p - p_ref) > _MAX_JUMP * max(1.0, abs(p_ref)):
+def _root_field(x: float, y: float, q_ref: float):
+    """Unit direction (q, 1) / sqrt(1 + q^2) and root q nearest q_ref."""
+    q = _tracked_root(x, y, q_ref)
+    if abs(q - q_ref) > _MAX_JUMP * max(1.0, abs(q_ref)):
         raise _BranchJump
-    inv = 1.0 / math.sqrt(1.0 + p * p)
-    return inv, p * inv, p
+    inv = 1.0 / math.sqrt(1.0 + q * q)
+    return q * inv, inv, q
 
 
-def _stall_reason(x: float, y: float, p_ref: float) -> str:
+def _stall_reason(x: float, y: float, q: float) -> str:
     """Classify a stall at the last accepted sample, with no solve.
 
-    For the root q = 1/p_ref and the other two r, s, 3 q^2 - a equals
+    For the tracked root q and the other two r, s, 3 q^2 - a equals
     (q - r)(q - s): it vanishes where the tracked root meets a neighbour,
-    at a cusp on the evolute 27 y^2 = 4 a^3.  Elsewhere, as at the vertex
-    where p runs to infinity, the stall is a branch loss.
+    at a cusp on the evolute 27 y^2 = 4 a^3.  Elsewhere the stall is a
+    branch loss.
     """
-    q, a = 1.0 / p_ref, x - 2.0
+    a = x - 2.0
     g = 3.0 * q * q
     return "singularity" if abs(g - a) <= _CUSP_GAP * (g + abs(a)) else "branch-loss"
 
 
-def _march(x0, y0, p0, sigma, cfg: TraceConfig, field_fn, stall_fn):
+def _march(x0, y0, r0, sigma, cfg: TraceConfig, field_fn, stall_fn):
     """Integrate one direction; returns (samples, reason).
 
-    ``field_fn(x, y, p_ref)`` gives the unit direction and slope
-    ``(dx, dy, p)`` near the tracked slope, or raises ``_BranchJump``;
-    ``stall_fn(x, y, p)`` names the reason when step halving bottoms out.
+    ``field_fn(x, y, r_ref)`` gives the unit direction and tracked value
+    ``(dx, dy, r)`` near r_ref, or raises ``_BranchJump``;
+    ``stall_fn(x, y, r)`` names the reason when step halving bottoms out.
     """
     xmin, xmax, ymin, ymax = cfg.bounds()
     h_cap = 2.0 * cfg.step
     h = cfg.step
     arc = 0.0
-    x, y, p_ref = x0, y0, p0
+    x, y, r_ref = x0, y0, r0
     samples = []
 
     def rhs(xs, ys):
-        # p_ref rebinds at each accepted step: stages anchor to the
+        # r_ref rebinds at each accepted step: stages anchor to the
         # step-start branch.
-        dx, dy, _ = field_fn(xs, ys, p_ref)
+        dx, dy, _ = field_fn(xs, ys, r_ref)
         return sigma * dx, sigma * dy
 
     for _ in range(_MAX_STEPS):
@@ -243,38 +237,39 @@ def _march(x0, y0, p0, sigma, cfg: TraceConfig, field_fn, stall_fn):
         if remaining <= 1e-12:
             return samples, "arc-limit"
         h_step = min(h, h_cap, remaining)
+        bound = cfg.tol * h_step / h_cap
         try:
             xn, yn, err = _rk_step(rhs, x, y, h_step)
-            if err > cfg.tol:
+            if err > bound:
                 raise _BranchJump
-            _, _, p_new = field_fn(xn, yn, p_ref)
+            _, _, r_new = field_fn(xn, yn, r_ref)
         except _BranchJump:
             h *= 0.5
             if h < _H_MIN:
-                return samples, stall_fn(x, y, p_ref)
+                return samples, stall_fn(x, y, r_ref)
             continue
         if not (xmin <= xn <= xmax and ymin <= yn <= ymax):
             return samples, "domain-exit"
-        x, y, p_ref = xn, yn, p_new
+        x, y, r_ref = xn, yn, r_new
         arc += h_step
-        samples.append((Point(x, y), p_ref))
+        samples.append((Point(x, y), r_ref))
         if err > 0.0:
-            h = h_step * min(5.0, max(0.2, 0.9 * (cfg.tol / err) ** 0.2))
+            h = h_step * min(5.0, max(0.2, 0.9 * (bound / err) ** 0.25))
         else:
             h = h_step * 5.0
     return samples, "branch-loss"
 
 
-def _trace(x0, y0, p0, cfg: TraceConfig, field_fn, stall_fn, drift_fn) -> TraceResult:
-    """March both directions from (x0, y0) on slope p0 and merge them."""
-    back, r_back = _march(x0, y0, p0, -1.0, cfg, field_fn, stall_fn)
-    fwd, r_fwd = _march(x0, y0, p0, +1.0, cfg, field_fn, stall_fn)
-    start_sample = (Point(x0, y0), p0)
+def _trace(x0, y0, r0, cfg: TraceConfig, field_fn, stall_fn, drift_fn, orient=1.0) -> TraceResult:
+    """March both directions from (x0, y0) on r0 and merge them."""
+    back, r_back = _march(x0, y0, r0, -orient, cfg, field_fn, stall_fn)
+    fwd, r_fwd = _march(x0, y0, r0, orient, cfg, field_fn, stall_fn)
+    start_sample = (Point(x0, y0), r0)
     samples = list(reversed(back)) + [start_sample] + fwd
     f0 = drift_fn(*start_sample)
     drift = 0.0
-    for pt, p in samples:
-        drift = max(drift, abs(drift_fn(pt, p) - f0))
+    for pt, v in samples:
+        drift = max(drift, abs(drift_fn(pt, v) - f0))
     reasons = (r_back, r_fwd)
     return TraceResult(
         samples=samples,
@@ -314,10 +309,14 @@ def trace_orthogonal(cfg: TraceConfig) -> TraceResult:
     else:
         p0 = min(rs.roots, key=abs)
 
-    def drift_fn(pt, p):
-        return potential(pt.y, p)
+    def drift_fn(pt, q):
+        return (q * q - pt.x) * math.sqrt(1.0 + q * q)
 
-    return _trace(x0, y0, p0, cfg, _root_field, _stall_reason, drift_fn)
+    # (q, 1) runs along sign(q) (1, p): orient by sign(q0) so forward is +x.
+    orient = math.copysign(1.0, p0)
+    res = _trace(x0, y0, 1.0 / p0, cfg, _root_field, _stall_reason, drift_fn, orient)
+    res.samples = [(pt, 1.0 / q if q else math.copysign(math.inf, q)) for pt, q in res.samples]
+    return res
 
 
 # Classic textbook pairs: direction field (unnormalized) and conserved

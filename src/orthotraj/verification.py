@@ -317,7 +317,7 @@ def suite_tracer():
     for C in (-1.0, 0.0, 1.0, 3.0):
         curve = TrajectoryCurve(C)
         start = curve_point(curve, 1.0)
-        cfg = TraceConfig(start=start, initial_slope_hint=1.0, tol=tol, max_arc=40.0)
+        cfg = TraceConfig(start=start, initial_slope_hint=1.0, tol=tol, max_arc=20.0)
         res = trace_orthogonal(cfg)
         worst_dev = max(worst_dev, trace_deviation(curve, res))
         worst_drift = max(worst_drift, res.potential_drift)

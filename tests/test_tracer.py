@@ -4,19 +4,21 @@ Covers:
   - the parabola trace: stays on y^2 = 4x, covers x in [0.1, 9]
   - closed-form agreement for C in {-1, 0, 1, 3} from t0 = 1, measured
     as the gap |P(1/p) - sample| that the verify tracer suite also uses
-  - potential conservation (drift <= 10 * tol)
+  - potential conservation (drift <= 10 * tol), also across the sharp
+    vertex of a member just above the cusp boundary C = -2
   - slope-equation residual at every accepted sample
   - both tracers: sample spacing bounded by twice the configured step,
     and a domain box ends the trace with domain-exit
   - order-of-accuracy: tightening tol by 10 improves deviation >= 5x
   - cusp termination (singularity) on a C < -2 curve
-  - the vertical-tangent crossing ends in branch-loss, not a crash
+  - the vertical-tangent vertex is crossed: the trace reaches y < 0 on
+    the closed form and runs its arc budget both ways
   - classic fixtures conserve xy, x^2 + y^2, (x+1)^2 + y^2, and stall
     as a singularity next to the monopole's centre
   - error cases: no slope branch, singular classic start, a missing or
-    non-finite start for either tracer, bad config (non-positive step or
-    tol, a nan slope hint, a domain box that is not four finite numbers
-    with xmin < xmax and ymin < ymax)
+    non-finite start for either tracer, bad config (non-positive or
+    non-finite step, max_arc or tol, a nan slope hint, a domain box that
+    is not four finite numbers with xmin < xmax and ymin < ymax)
 """
 
 import math
@@ -149,13 +151,29 @@ class TestTraceOrthogonal:
         t_end = 1.0 / res.samples[0][1]
         assert t_end == pytest.approx(0.7664209365408798, abs=2e-3)
 
-    def test_vertex_crossing_is_branch_loss(self):
-        # Tracing the parabola down through its vertex: the slope root
-        # runs to infinity and the branch is abandoned cleanly.
+    def test_vertex_crossing_matches_the_closed_form(self):
+        # Tracing the parabola down through its vertex: q = dx/dy passes
+        # through 0 there, so the trace goes on below the x-axis.
         res = trace_orthogonal(TraceConfig(start=Point(1.0, 2.0), initial_slope_hint=1.0))
-        assert res.end_reasons[0] == "branch-loss"
-        assert res.end_reasons[1] == "arc-limit"
-        assert res.terminated_by == "branch-loss"
+        assert res.end_reasons == ("arc-limit", "arc-limit")
+        assert min(pt.y for pt, _ in res.samples) < -1.0
+        assert closed_form_gap(TrajectoryCurve(0.0), res) <= 1e-5
+        assert res.potential_drift <= 10.0 * 1e-8
+
+    def test_sharp_vertex_keeps_the_drift_bound(self):
+        # Just above C = -2 the member turns sharply at its vertex near
+        # (2, 0); an error bound per step rather than per unit step let
+        # the drift grow to 1.4e-7 there.
+        C, t0 = -1.9766814500895014, 1.270852772534034
+        cfg = TraceConfig(
+            start=curve_point(TrajectoryCurve(C), t0),
+            initial_slope_hint=1.0 / t0,
+            tol=1e-8,
+            max_arc=20.0,
+        )
+        res = trace_orthogonal(cfg)
+        assert min(pt.y for pt, _ in res.samples) < 0.0 < max(pt.y for pt, _ in res.samples)
+        assert res.potential_drift <= 10.0 * cfg.tol
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
@@ -164,6 +182,14 @@ class TestTraceOrthogonal:
             TraceConfig(start=Point(0.0, 3.0), tol=-1.0)
         with pytest.raises(DomainError):
             trace_orthogonal(TraceConfig())
+
+    @pytest.mark.parametrize("name", ["step", "max_arc", "tol"])
+    def test_non_finite_config_is_rejected(self, name):
+        # step=inf spun for seconds, max_arc=inf ran to the step limit and
+        # tol=inf accepted every step.
+        for value in (math.inf, math.nan):
+            with pytest.raises(DomainError, match=name):
+                TraceConfig(start=Point(1.0, 2.0), **{name: value})
 
     def test_nan_hint_is_rejected(self):
         # A nan hint would pass the 0.1 hint check and trace roots[0].
