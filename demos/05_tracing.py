@@ -1,16 +1,26 @@
 """Tracing trajectories straight from the implicit ODE
 =======================================================
 
-The tracer never sees the closed form: it follows one real root
-q = dx/dy of the cubic q^3 - (x - 2) q - y through an adaptive arc-length
-Runge-Kutta march, both ways from the start point.  The first integral
+The tracer never sees the closed form: it takes one real root q = dx/dy
+of the cubic q^3 - (x - 2) q - y at the start and then marches the
+explicit ODE dx/dq = q D / (1 + q^2), dy/dq = D / (1 + q^2),
+D = 3 q^2 + 2 - x, in q itself by adaptive Runge-Kutta steps of at most
+2 step of arc, both ways from the start point.  The first integral
 G(x, q) = (q^2 - x) sqrt(1 + q^2) is recorded along the way; its drift
 measures how far the march strays from a true solution.
 """
 
 import math
 
-from orthotraj import Point, TraceConfig, TrajectoryCurve, curve_point, trace_classic, trace_orthogonal
+from orthotraj import (
+    Point,
+    TraceConfig,
+    TrajectoryCurve,
+    curve_point,
+    cusp_parameters,
+    trace_classic,
+    trace_orthogonal,
+)
 
 # Start on the parabola at (1, 2) with slope hint 1.
 res = trace_orthogonal(TraceConfig(start=Point(1.0, 2.0), initial_slope_hint=1.0))
@@ -34,12 +44,20 @@ gap = max(
 print("\ntrace from (0, 3) vs the closed-form C = sqrt(2) member:")
 print(f"  max gap = {gap:.2e}, drift = {res.potential_drift:.2e}")
 
-# A cusped member: the march stops AT the cusp and says so.
+# A cusped member: at the cusps D changes sign and only the speed ds/dq
+# vanishes, so the march runs through both.
 curve = TrajectoryCurve(-4.0)
 res = trace_orthogonal(TraceConfig(start=curve_point(curve, 1.0), initial_slope_hint=1.0))
+qs = [1.0 / p for _, p in res.samples]
+ds = [3.0 * q * q + 2.0 - pt.x for (pt, _), q in zip(res.samples, qs)]
+crossed = sorted(
+    sorted(qs[i : i + 2]) for i in range(len(ds) - 1) if (ds[i] > 0.0) != (ds[i + 1] > 0.0)
+)
 print("\ntrace on the cusped C = -4 member:")
-print(f"  terminated_by = {res.terminated_by}, end reasons = {res.end_reasons}")
-print(f"  stalled near t = {1.0 / res.samples[0][1]:.6f} (cusp at 0.766421)")
+print(f"  end reasons = {res.end_reasons}, q in [{min(qs):.2f}, {max(qs):.2f}]")
+for (lo, hi), t in zip(crossed, cusp_parameters(curve)):
+    print(f"  D changes sign between q = {lo:+.4f} and {hi:+.4f}: cusp at t = {t:+.6f}")
+print(f"  potential drift = {res.potential_drift:.2e}")
 
 # The textbook fixtures, same integrator.
 print("\nclassic orthogonal-trajectory pairs:")

@@ -2,41 +2,38 @@
 
 The admissible slopes are the real roots of y p^3 + (x - 2) p^2 - 1 = 0.
 In q = 1/p = dx/dy this is the monic cubic q^3 - (x - 2) q - y = 0 of
-the parabola's normals, and on member C the tracked root q is the curve
-parameter t of the closed form.  ``slopes_at`` solves the cubic once,
-for the start slope; after that Newton corrects q from the step-start
-root q_ref and an exact deflation yields the other two roots, so "root
-nearest q_ref" holds exactly.  Integration runs in arc length along
+the parabola's normals, and on member C the root q is the curve
+parameter t of the closed form.  Differentiating the cubic along a
+solution, where dy = dx / q, gives with D = 3 q^2 + 2 - x the explicit ODE
 
-    (dx/ds, dy/ds) = sigma * (q, 1) / sqrt(1 + q^2),
+    dx/dq = q D / (1 + q^2),   dy/dq = D / (1 + q^2),
+    ds/dq = |D| / sqrt(1 + q^2).
 
-which is smooth off the cusps: the vertex, where a curve crosses the
-x-axis with a vertical tangent, is the plain point q = 0.  The drift
-monitor G(x, q) = (q^2 - x) sqrt(1 + q^2) equals C all along member C.
+Its x and y parts are smooth everywhere: the vertex (q = 0) is a plain
+point, and at a cusp (D = 0, on the evolute 27 y^2 = 4 (x - 2)^3) only
+the speed ds/dq vanishes, so a trace runs through both.  ``slopes_at``
+solves the cubic once, for the start root; no root is solved after
+that.  The drift monitor G(x, q) = (q^2 - x) sqrt(1 + q^2) equals C all
+along member C.
 
 One stepper, ``_march``, integrates every trace: Cash-Karp embedded
-4(5) Runge-Kutta steps under error-per-unit-step control, the arc
-budget, the domain box, the step limit and the sample recording.  It
-runs once per direction from the start point.  Each tracer supplies only
-
-    a field    ``field_fn(x, y, r_ref) -> (dx, dy, r)``, the unit
-               direction and tracked value (q, or a classic field's
-               slope p), or ``_BranchJump`` when nothing continues r_ref;
-    a stall    ``stall_fn(x, y, r_ref)``, the reason an end stops when
-               step halving bottoms out.
-
-``trace_orthogonal`` returns slopes p = 1/q (+-inf where q = 0).
-``trace_classic`` follows one of three textbook orthogonal-trajectory
-fields and reports the drift of its exact conserved quantity.
+4(5) Runge-Kutta steps of d(x, y, s)/dtau = rhs(tau, x, y), at most
+2 ``step`` of arc s each, with the local error of x and y bounded per
+unit of arc (s has a kink at a cusp, so it stays out of the error
+test), the arc budget, the domain box, the step limit and the sample
+recording.  It runs once per direction from the start point.
+``trace_orthogonal`` marches in tau = sigma q, sigma = +-1 the direction,
+and returns slopes p = 1/q (+-inf where q = 0).  ``trace_classic``
+marches one of three textbook orthogonal-trajectory fields in tau = s
+and reports the drift of its exact conserved quantity.
 
 Termination reasons:
 
     arc-limit    the arc-length budget was spent
-    branch-loss  the tracked root could not be followed (numerical loss)
-    singularity  the tracked root met a neighbour (3 q^2 = x - 2): a cusp
-                 of the traced curve; for a classic trace, the smallest
-                 step could not follow the field
     domain-exit  the trace left the configured bounding box
+    step-limit   the march used up its _MAX_STEPS step attempts
+    singularity  the smallest step could not follow the field, as next
+                 to a classic fixture's singular point
 """
 
 import math
@@ -50,6 +47,7 @@ from .roots import slopes_at
 __all__ = ["TraceConfig", "TraceResult", "trace_orthogonal", "trace_classic"]
 
 # Cash-Karp 4(5) tableau.
+_C = (0.0, 1 / 5, 3 / 10, 3 / 5, 1.0, 7 / 8)
 _A = (
     (),
     (1 / 5,),
@@ -61,22 +59,19 @@ _A = (
 _B5 = (37 / 378, 0.0, 250 / 621, 125 / 594, 0.0, 512 / 1771)
 _B4 = (2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4)
 
-_H_MIN = 1e-6           # arc-length floor for step halving
-_MAX_JUMP = 0.5         # root-continuity threshold in |delta q|
-_CUSP_GAP = 0.05        # relative 3q^2 - a at a stall that marks a root collision
+_H_MIN = 1e-6           # arc of the smallest step that error control tries
 _MAX_STEPS = 300_000
-_NEWTON_ITERS = 6       # Newton steps before the tracked root counts as lost
-_NEWTON_TOL = 1e-15     # relative q-cubic residual counted as rounding level
-_SEVERITY = {"arc-limit": 0, "domain-exit": 1, "branch-loss": 2, "singularity": 3}
+_SEVERITY = {"arc-limit": 0, "domain-exit": 1, "step-limit": 2, "singularity": 3}
 
 
 @dataclass(frozen=True)
 class TraceConfig:
     """Integration parameters for one trace.
 
-    ``step`` is the initial arc-length step and half the sample-spacing
-    cap; ``max_arc`` is the arc budget per direction; ``tol`` bounds the
-    local error per 2 ``step`` of arc.  All three are finite and positive.
+    ``step`` is the initial arc of a step and half the cap on the arc of
+    each step, so samples lie at most 2 ``step`` apart; ``max_arc`` is
+    the arc budget per direction; ``tol`` bounds the local error of x and
+    y per 2 ``step`` of arc.  All three are finite and positive.
     ``domain`` is an optional (xmin, xmax, ymin, ymax) box; None uses a
     very large default box.
     """
@@ -126,145 +121,91 @@ class TraceResult:
     end_reasons: tuple = ("arc-limit", "arc-limit")
 
 
-class _BranchJump(Exception):
-    """Raised by a field when nothing continues the tracked branch."""
+def _rk_step(rhs, t: float, x: float, y: float, k0: tuple, h: float):
+    """One Cash-Karp step from (t, x, y), where k0 = rhs(t, x, y).
 
-
-def _rk_step(rhs, x: float, y: float, h: float):
-    """One Cash-Karp step; returns (x5, y5, err)."""
-    kx = [0.0] * 6
-    ky = [0.0] * 6
-    kx[0], ky[0] = rhs(x, y)
-    for i in range(1, 6):
-        ai = _A[i]
+    Returns (x5, y5, ds, err): the 5th-order x, y and arc increment, and
+    the larger embedded error estimate of x and y.
+    """
+    ks = [k0]
+    for c, a in zip(_C[1:], _A[1:]):
         xs = x
         ys = y
-        for j, a in enumerate(ai):
-            xs += h * a * kx[j]
-            ys += h * a * ky[j]
-        kx[i], ky[i] = rhs(xs, ys)
+        for aj, k in zip(a, ks):
+            xs += h * aj * k[0]
+            ys += h * aj * k[1]
+        ks.append(rhs(t + c * h, xs, ys))
     x5 = x
     y5 = y
-    ex = 0.0
-    ey = 0.0
-    for i in range(6):
-        x5 += h * _B5[i] * kx[i]
-        y5 += h * _B5[i] * ky[i]
-        d = _B5[i] - _B4[i]
-        ex += h * d * kx[i]
-        ey += h * d * ky[i]
-    return x5, y5, max(abs(ex), abs(ey))
+    ds = ex = ey = 0.0
+    for b5, b4, k in zip(_B5, _B4, ks):
+        x5 += h * b5 * k[0]
+        y5 += h * b5 * k[1]
+        ds += h * b5 * k[2]
+        ex += h * (b5 - b4) * k[0]
+        ey += h * (b5 - b4) * k[1]
+    return x5, y5, ds, max(abs(ex), abs(ey))
 
 
-def _tracked_root(x: float, y: float, q_ref: float) -> float:
-    """The q-cubic root nearest q_ref, by Newton continuation.
+def _march(rhs, t, x, y, cfg: TraceConfig):
+    """Integrate d(x, y, s)/dt = rhs(t, x, y) from arc 0; returns the
+    accepted (t, x, y) in order and the end reason.
 
-    Newton on q^3 - a q - y (a = x - 2) runs from q_ref until the
-    residual before a step is at the rounding level of its terms;
-    deflating q^3 - a q - y = (q - r)(q^2 + r q + r^2 - a) gives the other
-    two roots, and the nearest of the three wins.  Raises ``_BranchJump``
-    when Newton does not settle or meets 3 q^2 = a.
-    """
-    a = x - 2.0
-    q = q_ref
-    for _ in range(_NEWTON_ITERS):
-        q2 = q * q
-        f = (q2 - a) * q - y
-        dg = 3.0 * q2 - a
-        if dg == 0.0:
-            raise _BranchJump
-        settled = abs(f) <= _NEWTON_TOL * (abs(q2 * q) + abs(a * q) + abs(y))
-        q -= f / dg
-        if settled:
-            break
-    else:
-        raise _BranchJump
-    disc = 4.0 * a - 3.0 * q * q
-    if disc >= 0.0:
-        # s, the larger deflated root, and the pair's product q^2 - a,
-        # taken as y / q (-a at q = 0), are both free of cancellation.
-        s = -0.5 * (q + math.copysign(math.sqrt(disc), q))
-        for r in (s, (y / q if q else -a) / s):
-            if abs(r - q_ref) < abs(q - q_ref):
-                q = r
-    return q
-
-
-def _root_field(x: float, y: float, q_ref: float):
-    """Unit direction (q, 1) / sqrt(1 + q^2) and root q nearest q_ref."""
-    q = _tracked_root(x, y, q_ref)
-    if abs(q - q_ref) > _MAX_JUMP * max(1.0, abs(q_ref)):
-        raise _BranchJump
-    inv = 1.0 / math.sqrt(1.0 + q * q)
-    return q * inv, inv, q
-
-
-def _stall_reason(x: float, y: float, q: float) -> str:
-    """Classify a stall at the last accepted sample, with no solve.
-
-    For the tracked root q and the other two r, s, 3 q^2 - a equals
-    (q - r)(q - s): it vanishes where the tracked root meets a neighbour,
-    at a cusp on the evolute 27 y^2 = 4 a^3.  Elsewhere the stall is a
-    branch loss.
-    """
-    a = x - 2.0
-    g = 3.0 * q * q
-    return "singularity" if abs(g - a) <= _CUSP_GAP * (g + abs(a)) else "branch-loss"
-
-
-def _march(x0, y0, r0, sigma, cfg: TraceConfig, field_fn, stall_fn):
-    """Integrate one direction; returns (samples, reason).
-
-    ``field_fn(x, y, r_ref)`` gives the unit direction and tracked value
-    ``(dx, dy, r)`` near r_ref, or raises ``_BranchJump``;
-    ``stall_fn(x, y, r)`` names the reason when step halving bottoms out.
+    A step whose arc ds exceeds min(2 step, arc left) by more than the
+    1e-12 to which the budget is met is rescaled and retried; one whose
+    error exceeds tol ds / (2 step) is halved.  The next step aims at
+    0.98 * 2 step of arc at the current speed ds/dt.
     """
     xmin, xmax, ymin, ymax = cfg.bounds()
     h_cap = 2.0 * cfg.step
-    h = cfg.step
+    k0 = rhs(t, x, y)
+    # At a cusp start the speed k0[2] is 0: try one step of t.
+    h = cfg.step / k0[2] if k0[2] > 0.0 else cfg.step
     arc = 0.0
-    x, y, r_ref = x0, y0, r0
-    samples = []
-
-    def rhs(xs, ys):
-        # r_ref rebinds at each accepted step: stages anchor to the
-        # step-start branch.
-        dx, dy, _ = field_fn(xs, ys, r_ref)
-        return sigma * dx, sigma * dy
-
+    out = []
     for _ in range(_MAX_STEPS):
         remaining = cfg.max_arc - arc
         if remaining <= 1e-12:
-            return samples, "arc-limit"
-        h_step = min(h, h_cap, remaining)
-        bound = cfg.tol * h_step / h_cap
-        try:
-            xn, yn, err = _rk_step(rhs, x, y, h_step)
-            if err > bound:
-                raise _BranchJump
-            _, _, r_new = field_fn(xn, yn, r_ref)
-        except _BranchJump:
+            return out, "arc-limit"
+        cap = min(h_cap, remaining)
+        xn, yn, ds, err = _rk_step(rhs, t, x, y, k0, h)
+        if ds > cap + 1e-12:
+            h *= cap / ds
+            continue
+        bound = cfg.tol * ds / h_cap
+        if not err <= bound:  # nan fails too
+            if ds < _H_MIN:
+                return out, "singularity"
             h *= 0.5
-            if h < _H_MIN:
-                return samples, stall_fn(x, y, r_ref)
             continue
         if not (xmin <= xn <= xmax and ymin <= yn <= ymax):
-            return samples, "domain-exit"
-        x, y, r_ref = xn, yn, r_new
-        arc += h_step
-        samples.append((Point(x, y), r_ref))
-        if err > 0.0:
-            h = h_step * min(5.0, max(0.2, 0.9 * (bound / err) ** 0.25))
-        else:
-            h = h_step * 5.0
-    return samples, "branch-loss"
+            return out, "domain-exit"
+        t += h
+        x, y = xn, yn
+        arc += ds
+        out.append((t, x, y))
+        k0 = rhs(t, x, y)
+        h *= min(5.0, max(0.2, 0.9 * (bound / err) ** 0.25)) if err > 0.0 else 5.0
+        if k0[2] > 0.0:
+            h = min(h, 0.98 * h_cap / k0[2])
+    return out, "step-limit"
 
 
-def _trace(x0, y0, r0, cfg: TraceConfig, field_fn, stall_fn, drift_fn, orient=1.0) -> TraceResult:
-    """March both directions from (x0, y0) on r0 and merge them."""
-    back, r_back = _march(x0, y0, r0, -orient, cfg, field_fn, stall_fn)
-    fwd, r_fwd = _march(x0, y0, r0, orient, cfg, field_fn, stall_fn)
-    start_sample = (Point(x0, y0), r0)
+def _trace(cfg: TraceConfig, x0, y0, orient, leg, drift_fn) -> TraceResult:
+    """March both directions from (x0, y0) and merge them.
+
+    ``leg(sigma)`` gives (rhs, t0, value) for direction sigma = -orient
+    (backward) and orient (forward): the right-hand side, the start's t
+    and value(t, x, y), the tracked value of a sample.
+    """
+    ends = []
+    for sigma in (-orient, orient):
+        rhs, t0, value = leg(sigma)
+        pts, reason = _march(rhs, t0, x0, y0, cfg)
+        ends.append(([(Point(x, y), value(t, x, y)) for t, x, y in pts], reason))
+    (back, r_back), (fwd, r_fwd) = ends
+    # Both legs give the start the same value.
+    start_sample = (Point(x0, y0), value(t0, x0, y0))
     samples = list(reversed(back)) + [start_sample] + fwd
     f0 = drift_fn(*start_sample)
     drift = 0.0
@@ -308,13 +249,26 @@ def trace_orthogonal(cfg: TraceConfig) -> TraceResult:
             raise NoBranchError(f"no slope root within 0.1 of hint {hint!r} at ({x0!r}, {y0!r})")
     else:
         p0 = min(rs.roots, key=abs)
+    q0 = 1.0 / p0
+    d0 = 3.0 * q0 * q0 + 2.0 - x0
+
+    def leg(sigma):
+        def rhs(t, x, y):
+            q = sigma * t
+            w = 1.0 + q * q
+            d = 3.0 * q * q + 2.0 - x
+            v = sigma * d / w
+            return q * v, v, abs(d) / math.sqrt(w)
+
+        return rhs, sigma * q0, lambda t, x, y: sigma * t
 
     def drift_fn(pt, q):
         return (q * q - pt.x) * math.sqrt(1.0 + q * q)
 
-    # (q, 1) runs along sign(q) (1, p): orient by sign(q0) so forward is +x.
-    orient = math.copysign(1.0, p0)
-    res = _trace(x0, y0, 1.0 / p0, cfg, _root_field, _stall_reason, drift_fn, orient)
+    # dx/dtau = sigma q D / (1 + q^2), so forward, sigma = sign(q0 D0), is
+    # +x; at a cusp start, where D0 = 0, forward is sign(q0).
+    orient = math.copysign(1.0, q0 * d0 if d0 else q0)
+    res = _trace(cfg, x0, y0, orient, leg, drift_fn)
     res.samples = [(pt, 1.0 / q if q else math.copysign(math.inf, q)) for pt, q in res.samples]
     return res
 
@@ -344,26 +298,25 @@ def trace_classic(kind: str, cfg: TraceConfig) -> TraceResult:
         raise DomainError(f"unknown classic kind {kind!r}")
     raw_field, conserved = _CLASSIC[kind]
     x0, y0 = _start(cfg)
+    if math.hypot(*raw_field(x0, y0)) < 1e-12:
+        raise DomainError(f"start {cfg.start!r} is singular for {kind!r}")
 
-    def field_fn(x, y, _p_ref):
-        # The direction is the normalised field itself: a slope alone
-        # would lose its orientation wherever vx < 0.
+    def slope(_t, x, y):
         vx, vy = raw_field(x, y)
-        n = math.hypot(vx, vy)
-        if n < 1e-12:
-            raise _BranchJump
-        p = vy / vx if vx != 0.0 else math.copysign(math.inf, vy)
-        return vx / n, vy / n, p
+        return vy / vx if vx != 0.0 else math.copysign(math.inf, vy)
 
-    try:
-        _, _, p_start = field_fn(x0, y0, None)
-    except _BranchJump:
-        raise DomainError(f"start {cfg.start!r} is singular for {kind!r}") from None
+    def leg(sigma):
+        # The direction is the normalised field itself: a slope alone
+        # would lose its orientation wherever vx < 0.  A vanishing field
+        # gives nan, which fails the error test.
+        def rhs(_t, x, y):
+            vx, vy = raw_field(x, y)
+            n = sigma / (math.hypot(vx, vy) or math.nan)
+            return vx * n, vy * n, 1.0
+
+        return rhs, 0.0, slope
 
     def drift_fn(pt, _p):
         return conserved(pt.x, pt.y)
 
-    def stall_fn(*_):
-        return "singularity"
-
-    return _trace(x0, y0, p_start, cfg, field_fn, stall_fn, drift_fn)
+    return _trace(cfg, x0, y0, 1.0, leg, drift_fn)

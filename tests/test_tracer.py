@@ -8,11 +8,16 @@ Covers:
     vertex of a member just above the cusp boundary C = -2
   - slope-equation residual at every accepted sample
   - both tracers: sample spacing bounded by twice the configured step,
-    and a domain box ends the trace with domain-exit
+    each end spends its arc budget, and a domain box ends the trace with
+    domain-exit
   - order-of-accuracy: tightening tol by 10 improves deviation >= 5x
-  - cusp termination (singularity) on a C < -2 curve
+  - cusps are crossed: a C = -4 trace passes both cusp parameters on the
+    closed form, and a trace that starts on a cusp runs both ways
   - the vertical-tangent vertex is crossed: the trace reaches y < 0 on
     the closed form and runs its arc budget both ways
+  - the forward end runs along +x from the start, for either sign of q
+    and of D = 3q^2 + 2 - x
+  - a march that uses up its step attempts ends with step-limit
   - classic fixtures conserve xy, x^2 + y^2, (x+1)^2 + y^2, and stall
     as a singularity next to the monopole's centre
   - error cases: no slope branch, singular classic start, a missing or
@@ -31,11 +36,13 @@ from orthotraj import (
     Point,
     TraceConfig,
     TrajectoryCurve,
+    cusp_parameters,
     curve_point,
     ode_o_residual,
     trace_classic,
     trace_orthogonal,
 )
+from orthotraj import tracer
 
 
 def closed_form_gap(curve, result):
@@ -73,6 +80,18 @@ class TestSharedStepper:
         for (a, _), (b, _) in zip(res.samples, res.samples[1:]):
             chord = math.hypot(b.x - a.x, b.y - a.y)
             assert chord <= 2.0 * cfg.step * (1.0 + 1e-9)
+
+    def test_each_end_spends_its_arc_budget(self, trace, start, hint):
+        # At this spacing and curvature the chords of a half fall short of
+        # its arc by about 2e-6 relative; the last step lands on max_arc.
+        cfg = TraceConfig(start=start, initial_slope_hint=hint, max_arc=5.0)
+        res = trace(cfg)
+        assert res.end_reasons == ("arc-limit", "arc-limit")
+        pts = [pt for pt, _ in res.samples]
+        i = pts.index(start)
+        for half in (pts[: i + 1], pts[i:]):
+            chords = sum(math.hypot(b.x - a.x, b.y - a.y) for a, b in zip(half, half[1:]))
+            assert cfg.max_arc * (1.0 - 1e-5) <= chords <= cfg.max_arc * (1.0 + 1e-12)
 
     def test_domain_exit(self, trace, start, hint):
         cfg = TraceConfig(
@@ -141,15 +160,33 @@ class TestTraceOrthogonal:
             devs.append(closed_form_gap(curve, trace_orthogonal(cfg)))
         assert devs[0] / devs[1] >= 5.0
 
-    def test_cusp_terminates_as_singularity(self):
+    def test_cusped_member_crosses_both_cusps(self):
+        # C = -4 has its cusps at t = +-0.76642, where D = 3q^2 + 2 - x
+        # changes sign; each sign change between samples brackets one.
         curve = TrajectoryCurve(-4.0)
         start = curve_point(curve, 1.0)
         res = trace_orthogonal(TraceConfig(start=start, initial_slope_hint=1.0))
-        assert res.terminated_by == "singularity"
-        assert "singularity" in res.end_reasons
-        # The stalled end sits at the cusp parameter t ~ 0.76642.
-        t_end = 1.0 / res.samples[0][1]
-        assert t_end == pytest.approx(0.7664209365408798, abs=2e-3)
+        assert res.end_reasons == ("arc-limit", "arc-limit")
+        qs = [1.0 / p for _, p in res.samples]
+        ds = [3.0 * q * q + 2.0 - pt.x for (pt, _), q in zip(res.samples, qs)]
+        brackets = sorted(
+            sorted(qs[i : i + 2]) for i in range(len(ds) - 1) if (ds[i] > 0.0) != (ds[i + 1] > 0.0)
+        )
+        assert len(brackets) == 2
+        for (lo, hi), t_cusp in zip(brackets, cusp_parameters(curve)):
+            assert lo - 1e-5 <= t_cusp <= hi + 1e-5
+        assert closed_form_gap(curve, res) <= 1e-5
+        assert res.potential_drift <= 10.0 * 1e-8
+
+    def test_cusp_start_runs_both_ways(self):
+        # (5, 2) lies on the evolute: q = -1 is the double root there, the
+        # cusp of the member C = G(5, -1) = -4 sqrt(2), where the speed is 0.
+        res = trace_orthogonal(TraceConfig(start=Point(5.0, 2.0), initial_slope_hint=-1.0))
+        assert res.end_reasons == ("arc-limit", "arc-limit")
+        i = res.samples.index((Point(5.0, 2.0), -1.0))
+        assert 0 < i < len(res.samples) - 1
+        assert closed_form_gap(TrajectoryCurve(-4.0 * math.sqrt(2.0)), res) <= 1e-5
+        assert res.potential_drift <= 10.0 * 1e-8
 
     def test_vertex_crossing_matches_the_closed_form(self):
         # Tracing the parabola down through its vertex: q = dx/dy passes
@@ -174,6 +211,24 @@ class TestTraceOrthogonal:
         res = trace_orthogonal(cfg)
         assert min(pt.y for pt, _ in res.samples) < 0.0 < max(pt.y for pt, _ in res.samples)
         assert res.potential_drift <= 10.0 * cfg.tol
+
+    @pytest.mark.parametrize(
+        "C,t0",
+        # D = 3q^2 + 2 - x > 0 at the first two starts, < 0 between the
+        # cusps of C = -4 at the last two; q0 takes both signs.
+        [(0.0, 1.0), (3.0, -2.0), (-4.0, 0.5), (-4.0, -0.5)],
+    )
+    def test_forward_runs_along_plus_x(self, C, t0):
+        start = curve_point(TrajectoryCurve(C), t0)
+        res = trace_orthogonal(TraceConfig(start=start, initial_slope_hint=1.0 / t0, max_arc=1.0))
+        i = res.samples.index((start, 1.0 / t0))
+        assert res.samples[i - 1][0].x < start.x < res.samples[i + 1][0].x
+
+    def test_step_limit_has_its_own_reason(self, monkeypatch):
+        monkeypatch.setattr(tracer, "_MAX_STEPS", 50)
+        res = trace_orthogonal(TraceConfig(start=Point(1.0, 2.0), initial_slope_hint=1.0))
+        assert res.end_reasons == ("step-limit", "step-limit")
+        assert res.terminated_by == "step-limit"
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
