@@ -1,20 +1,32 @@
-"""Property tests of the tracer over the trace domain, and the q-root oracle.
+"""Property tests of the tracer over the trace domain, against the
+closed form and two q-root oracles.
 
 The tracer integrates x, y and the arc in q = 1/p = dx/dy, a root of the
-monic cubic q^3 - (x - 2) q - y, so no root is solved along a trace.
+monic cubic q^3 - (x - 2) q - y, so no root is solved along a trace: the
+continuation is the q-ODE itself, and these tests check that it stays on
+the cubic's roots.
 
 Covers:
   - traces from any start t0 on any member C, cusped ones included:
     every sample lies within 1e-5 of the closed-form point of its own q
     and the drift of G(x, q) = (q^2 - x) sqrt(1 + q^2) stays within 10 tol
+  - at every sample off the collision band, a trace's q lies within
+    1e-6 (1 + |r|) of r, the root nearest it of the q-cubic at the
+    sample: r from ``slopes_at`` (as q = 1/p) where |y| >= 1e-3, and r
+    exact (mpmath, 50 digits beyond the smallest root) anywhere, the
+    near-axis band included, from box, evolute-band and near-axis starts
+  - off the evolute a trace starts on each root it is given, keeps the
+    drift within 10 tol and spends its arc budget both ways
+  - a trace through the vertex passes q = 0 on the x-axis, at the
+    vertex (-C, 0) of its member
   - the pinned end reasons of the tracer-suite starts and of trace
     workload starts (cusped and uncusped members)
 
-``exact_roots`` (mpmath, 50 digits beyond the smallest root) and the box,
-evolute-band, near-axis and on-axis strategies are the oracle for
-``slopes_at``'s q-roots.  No test uses them yet: ``slopes_at`` still loses
-roots near the x-axis (ROADMAP item 1), and its test moves onto them
-with that fix.
+Box-point starts take their slope from ``slopes_at``, which near the
+x-axis loses roots and returns spurious ones (ROADMAP item 1): at
+(0, -1e-6) it adds p = 1.1e-6, which is no root.  So the mpmath test
+hints each start with an exact root, and skips a start whose root
+``slopes_at`` lost; the on-axis strategy waits for item 1.
 """
 
 import math
@@ -24,7 +36,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from orthotraj import TraceConfig, TrajectoryCurve, curve_point, trace_orthogonal
+from orthotraj import (
+    NoBranchError,
+    Point,
+    TraceConfig,
+    TrajectoryCurve,
+    curve_point,
+    slopes_at,
+    trace_orthogonal,
+)
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=40)
 
@@ -75,6 +95,37 @@ def exact_roots(x, y):
         return [float(q.real) for q in qs if abs(q.imag) <= 1e-40 * abs(q)]
 
 
+def off_collision_band(x, y):
+    """Whether the q-cubic's discriminant 4a^3 - 27y^2 is not small against its terms."""
+    a = x - 2.0
+    return abs(4.0 * a**3 - 27.0 * y * y) >= 0.1 * (4.0 * abs(a) ** 3 + 27.0 * y * y)
+
+
+def trace_from(pt, k, **kw):
+    """The trace from pt on its k-th ``slopes_at`` root (mod the count)."""
+    x, y = pt
+    roots = slopes_at(x, y).roots
+    p = roots[k % len(roots)]
+    return p, trace_orthogonal(TraceConfig(start=Point(x, y), initial_slope_hint=p, **kw))
+
+
+def assert_on_the_nearest_root(res, oracle):
+    """Each sample's q off the collision band is within 1e-6 (1 + |r|)
+    of the root r of ``oracle(x, y)`` nearest it; returns the count checked."""
+    n = 0
+    for pt, p in res.samples:
+        if not off_collision_band(pt.x, pt.y):
+            continue
+        q = 1.0 / p
+        roots = oracle(pt.x, pt.y)
+        if roots is None:
+            continue
+        r = min(roots, key=lambda r: abs(r - q))
+        assert abs(q - r) <= 1e-6 * (1.0 + abs(r))
+        n += 1
+    return n
+
+
 @SETTINGS
 @given(st.floats(-5.0, 5.0), signs, st.floats(0.3, 3.0))
 # C = -2: the vertex is a cusp, where q = 0 and D = 0 at once.
@@ -95,6 +146,77 @@ def test_trace_follows_the_closed_form(C, sign, t_abs):
         assert math.hypot(ref.x - pt.x, ref.y - pt.y) <= 1e-5
     assert res.potential_drift <= 10.0 * tol
 
+
+@SETTINGS
+@given(box_points(), st.integers(0, 2))
+def test_continuation_picks_the_nearest_full_solve_root(pt, k):
+    def full_solve(x, y):
+        return [1.0 / r for r in slopes_at(x, y).roots] if abs(y) >= 1e-3 else None
+
+    _, res = trace_from(pt, k, max_arc=2.0)
+    assert_on_the_nearest_root(res, full_solve)
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(st.one_of(box_points(), evolute_band(), near_axis()), st.integers(0, 2))
+# A start 1e-10 above the axis: q ~ -1e-10 is the root nearest the axis.
+@example((3.0, 1e-10), 2)
+# A start inside a pair of roots 2e-5 apart, next to the cusp of its member.
+@example((5.95647517597705, -3.029080263665009), 2)
+def test_continuation_picks_the_nearest_exact_root(pt, k):
+    # The start slope is the ``slopes_at`` root within 0.1 of 1/r, r the
+    # k-th exact root; where ``slopes_at`` lost it (ROADMAP item 1) the
+    # start raises and there is no trace to check.  Arc steps up to 0.5
+    # keep the mpmath oracle to a few calls per trace.
+    x, y = pt
+    roots = exact_roots(x, y)
+    cfg = TraceConfig(
+        start=Point(x, y), initial_slope_hint=1.0 / roots[k % len(roots)], step=0.25, max_arc=2.0
+    )
+    try:
+        res = trace_orthogonal(cfg)
+    except NoBranchError:
+        return
+    assert_on_the_nearest_root(res, exact_roots)
+
+
+@SETTINGS
+@given(box_points())
+def test_continuation_settles_on_each_root_off_the_evolute(pt):
+    x, y = pt
+    if not off_collision_band(x, y):
+        return
+    for k, p in enumerate(slopes_at(x, y).roots):
+        _, res = trace_from(pt, k, max_arc=0.5)
+        assert (Point(x, y), pytest.approx(p, rel=1e-12, abs=0.0)) in res.samples
+        assert res.end_reasons == ("arc-limit", "arc-limit")
+        assert res.potential_drift <= 10.0 * 1e-8
+
+
+def test_vertex_root_settles_on_the_axis():
+    # The member through (x, 0) with q = 0 there is C = G(x, 0) = -x; C = -3
+    # is cusped.  Where q changes sign between two samples, y does too, and
+    # the chord between them, taken in q to q = 0, meets the vertex.  Near
+    # it x = -C + c q^2 + O(q^4) with c = 1 + C/2, so the chord's x is off
+    # by -c qa qb; y = (2 + C) q + O(q^3) is odd in q.
+    for x in (3.0, -1.0):
+        C = -x
+        cfg = TraceConfig(
+            start=curve_point(TrajectoryCurve(C), 1.0), initial_slope_hint=1.0, max_arc=5.0
+        )
+        res = trace_orthogonal(cfg)
+        crossings = []
+        for (a, pa), (b, pb) in zip(res.samples, res.samples[1:]):
+            qa, qb = 1.0 / pa, 1.0 / pb
+            if (qa > 0.0) != (qb > 0.0):
+                assert (a.y > 0.0) != (b.y > 0.0)
+                w = qa / (qa - qb)
+                xv = a.x + w * (b.x - a.x) + (1.0 + C / 2.0) * qa * qb
+                crossings.append((xv, a.y + w * (b.y - a.y)))
+        assert len(crossings) == 1
+        xv, yv = crossings[0]
+        assert xv == pytest.approx(x, abs=1e-6)
+        assert yv == pytest.approx(0.0, abs=1e-6)
 
 # (C, t0, max_arc, end reasons).  The first four are the verify tracer
 # suite's starts, with twice the suite's arc budget; the rest are trace
