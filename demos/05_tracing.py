@@ -4,8 +4,9 @@
 The tracer never sees the closed form: it takes one real root q = dx/dy
 of the cubic q^3 - (x - 2) q - y at the start and then marches the
 explicit ODE dx/dq = q D / (1 + q^2), dy/dq = D / (1 + q^2),
-D = 3 q^2 + 2 - x, in q itself by adaptive Runge-Kutta steps of at most
-2 step of arc, both ways from the start point.  The first integral
+D = 3 q^2 + 2 - x, in q itself by Dormand-Prince Runge-Kutta steps
+sized by the error tolerance, both ways from the start point, and
+interpolates samples at most 2 step of arc apart.  The first integral
 G(x, q) = (q^2 - x) sqrt(1 + q^2) is recorded along the way; its drift
 measures how far the march strays from a true solution.
 """

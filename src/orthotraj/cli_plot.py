@@ -504,7 +504,7 @@ _COMMANDS = {
         (("--x0",), "x0", float, "start x"),
         (("--y0",), "y0", float, "start y"),
         (("--p0",), "p0", float, "initial slope hint"),
-        (("--tol",), "tol", float, "local error tolerance (default 1e-8)"),
+        (("--tol",), "tol", float, "error of x and y summed over the arc budget (default 1e-8)"),
     )),
     "intersect": (_cmd_intersect, "line-curve intersection report", (
         (("-m",), "m", float, "line slope"),

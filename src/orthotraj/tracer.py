@@ -16,12 +16,14 @@ solves the cubic once, for the start root; no root is solved after
 that.  The drift monitor G(x, q) = (q^2 - x) sqrt(1 + q^2) equals C all
 along member C.
 
-One stepper, ``_march``, integrates every trace: Cash-Karp embedded
-4(5) Runge-Kutta steps of d(x, y, s)/dtau = rhs(tau, x, y), at most
-2 ``step`` of arc s each, with the local error of x and y bounded per
-unit of arc (s has a kink at a cusp, so it stays out of the error
-test), the arc budget, the domain box, the step limit and the sample
-recording.  It runs once per direction from the start point.
+One stepper, ``_march``, integrates every trace: Dormand-Prince 5(4)
+Runge-Kutta steps (DOPRI5) of d(x, y, s)/dtau = rhs(tau, x, y), sized
+by ``tol`` alone, with the local error of x and y bounded per unit of
+arc budget (s has a kink at a cusp, so it stays out of the error test);
+the samples come from the method's continuous extension, at most
+2 ``step`` of arc apart, and the last step lands on the arc budget
+inside the step.  It also keeps the domain box and the step limit, and
+runs once per direction from the start point.
 ``trace_orthogonal`` marches in tau = sigma q, sigma = +-1 the direction,
 and returns slopes p = 1/q (+-inf where q = 0).  ``trace_classic``
 marches one of three textbook orthogonal-trajectory fields in tau = s
@@ -46,18 +48,30 @@ from .roots import slopes_at
 
 __all__ = ["TraceConfig", "TraceResult", "trace_orthogonal", "trace_classic"]
 
-# Cash-Karp 4(5) tableau.
-_C = (0.0, 1 / 5, 3 / 10, 3 / 5, 1.0, 7 / 8)
+# Dormand-Prince 5(4) tableau (DOPRI5): the nodes of stages 2-7 and their
+# rows.  The last row is the 5th-order solution, so stage 7 is rhs at the
+# step's end and the next step's stage 1.  _E = b5 - b4 weighs the
+# stages of the error estimate, _D those of the 4th-order continuous
+# extension (Hairer, Norsett & Wanner, Solving ODEs I, II.5-II.6).
+_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _A = (
-    (),
     (1 / 5,),
     (3 / 40, 9 / 40),
-    (3 / 10, -9 / 10, 6 / 5),
-    (-11 / 54, 5 / 2, -70 / 27, 35 / 27),
-    (1631 / 55296, 175 / 512, 575 / 13824, 44275 / 110592, 253 / 4096),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
-_B5 = (37 / 378, 0.0, 250 / 621, 125 / 594, 0.0, 512 / 1771)
-_B4 = (2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4)
+_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+_D = (
+    -12715105075 / 11282082432,
+    0.0,
+    87487479700 / 32700410799,
+    -10690763975 / 1880347072,
+    701980252875 / 199316789632,
+    -1453857185 / 822651844,
+    69997945 / 29380423,
+)
 
 _H_MIN = 1e-6           # arc of the smallest step that error control tries
 _MAX_STEPS = 300_000
@@ -68,10 +82,11 @@ _SEVERITY = {"arc-limit": 0, "domain-exit": 1, "step-limit": 2, "singularity": 3
 class TraceConfig:
     """Integration parameters for one trace.
 
-    ``step`` is the initial arc of a step and half the cap on the arc of
-    each step, so samples lie at most 2 ``step`` apart; ``max_arc`` is
-    the arc budget per direction; ``tol`` bounds the local error of x and
-    y per 2 ``step`` of arc.  All three are finite and positive.
+    ``step`` is the arc of the first step and half the sample spacing:
+    samples lie at most 2 ``step`` of arc apart; ``max_arc`` is the arc
+    budget per direction; ``tol`` bounds the local error of x and y
+    summed over one direction's arc budget, and alone sets the step
+    sizes.  All three are finite and positive.
     ``domain`` is an optional (xmin, xmax, ymin, ymax) box; None uses a
     very large default box.
     """
@@ -122,72 +137,111 @@ class TraceResult:
 
 
 def _rk_step(rhs, t: float, x: float, y: float, k0: tuple, h: float):
-    """One Cash-Karp step from (t, x, y), where k0 = rhs(t, x, y).
+    """One Dormand-Prince step from (t, x, y), where k0 = rhs(t, x, y).
 
-    Returns (x5, y5, ds, err): the 5th-order x, y and arc increment, and
-    the larger embedded error estimate of x and y.
+    Returns (x5, y5, ds, err, ks): the 5th-order x, y and arc increment,
+    the larger embedded error estimate of x and y, and the seven stages,
+    the last of which is rhs(t + h, x5, y5).
     """
     ks = [k0]
-    for c, a in zip(_C[1:], _A[1:]):
+    for c, a in zip(_C, _A):
         xs = x
         ys = y
         for aj, k in zip(a, ks):
             xs += h * aj * k[0]
             ys += h * aj * k[1]
         ks.append(rhs(t + c * h, xs, ys))
-    x5 = x
-    y5 = y
     ds = ex = ey = 0.0
-    for b5, b4, k in zip(_B5, _B4, ks):
-        x5 += h * b5 * k[0]
-        y5 += h * b5 * k[1]
-        ds += h * b5 * k[2]
-        ex += h * (b5 - b4) * k[0]
-        ey += h * (b5 - b4) * k[1]
-    return x5, y5, ds, max(abs(ex), abs(ey))
+    for b, k in zip(_A[-1], ks):
+        ds += h * b * k[2]
+    for e, k in zip(_E, ks):
+        ex += h * e * k[0]
+        ey += h * e * k[1]
+    return xs, ys, ds, max(abs(ex), abs(ey)), ks
+
+
+def _dense(u0: float, u1: float, h: float, ks: list, j: int) -> tuple:
+    """Component j's continuous extension over a step from u0 to u1, as
+    (u0, r1, r2, r3, r4) for ``_at``."""
+    r1 = u1 - u0
+    r2 = h * ks[0][j] - r1
+    r3 = r1 - h * ks[6][j] - r2
+    r4 = h * sum(d * k[j] for d, k in zip(_D, ks))
+    return u0, r1, r2, r3, r4
+
+
+def _at(poly: tuple, th: float) -> float:
+    """The continuous extension ``poly`` at the step fraction th."""
+    u0, r1, r2, r3, r4 = poly
+    th1 = 1.0 - th
+    return u0 + th * (r1 + th1 * (r2 + th * (r3 + th1 * r4)))
 
 
 def _march(rhs, t, x, y, cfg: TraceConfig):
     """Integrate d(x, y, s)/dt = rhs(t, x, y) from arc 0; returns the
-    accepted (t, x, y) in order and the end reason.
+    samples (t, x, y) in order and the end reason.
 
-    A step whose arc ds exceeds min(2 step, arc left) by more than the
-    1e-12 to which the budget is met is rescaled and retried; one whose
-    error exceeds tol ds / (2 step) is halved.  The next step aims at
-    0.98 * 2 step of arc at the current speed ds/dt.
+    Step sizes follow ``tol`` alone: a step is accepted when the error of
+    x and y is at most tol ds / max_arc, so the local errors over the
+    arc budget sum to at most tol; a rejected step is halved.  A step
+    whose arc ds exceeds 1.25 (arc left) is rescaled by (arc left)/ds and
+    retried, and after an accepted step h is capped at 1.1 (arc left)
+    over the speed ds/dt, so the last step overshoots the budget a little
+    and lands on it inside the step.  Each step emits its samples from
+    the continuous extension, equally spaced in t, at most 2 ``step`` of
+    arc apart at the largest stage speed; a full step ends on its own
+    accepted point.
     """
     xmin, xmax, ymin, ymax = cfg.bounds()
-    h_cap = 2.0 * cfg.step
+    spacing = 2.0 * cfg.step
     k0 = rhs(t, x, y)
     # At a cusp start the speed k0[2] is 0: try one step of t.
     h = cfg.step / k0[2] if k0[2] > 0.0 else cfg.step
     arc = 0.0
     out = []
     for _ in range(_MAX_STEPS):
-        remaining = cfg.max_arc - arc
-        if remaining <= 1e-12:
+        left = cfg.max_arc - arc
+        if left <= 1e-12:
             return out, "arc-limit"
-        cap = min(h_cap, remaining)
-        xn, yn, ds, err = _rk_step(rhs, t, x, y, k0, h)
-        if ds > cap + 1e-12:
-            h *= cap / ds
+        xn, yn, ds, err, ks = _rk_step(rhs, t, x, y, k0, h)
+        if ds > 1.25 * left:
+            h *= left / ds
             continue
-        bound = cfg.tol * ds / h_cap
+        bound = cfg.tol * ds / cfg.max_arc
         if not err <= bound:  # nan fails too
             if ds < _H_MIN:
                 return out, "singularity"
             h *= 0.5
             continue
-        if not (xmin <= xn <= xmax and ymin <= yn <= ymax):
-            return out, "domain-exit"
+        end = 1.0
+        if ds > left:
+            # Land on the budget: bisect the dense arc for s(th) = left.
+            s_poly = _dense(0.0, ds, h, ks, 2)
+            end, hi = 0.0, 1.0
+            for _ in range(52):
+                mid = 0.5 * (end + hi)
+                if _at(s_poly, mid) < left:
+                    end = mid
+                else:
+                    hi = mid
+        n = max(1, math.ceil(max(k[2] for k in ks) * end * h / spacing))
+        x_poly = _dense(x, xn, h, ks, 0)
+        y_poly = _dense(y, yn, h, ks, 1)
+        for i in range(1, n + 1):
+            th = end * i / n
+            xi, yi = (xn, yn) if th == 1.0 else (_at(x_poly, th), _at(y_poly, th))
+            if not (xmin <= xi <= xmax and ymin <= yi <= ymax):
+                return out, "domain-exit"
+            out.append((t + th * h, xi, yi))
+        if end < 1.0:
+            return out, "arc-limit"
         t += h
         x, y = xn, yn
         arc += ds
-        out.append((t, x, y))
-        k0 = rhs(t, x, y)
-        h *= min(5.0, max(0.2, 0.9 * (bound / err) ** 0.25)) if err > 0.0 else 5.0
+        k0 = ks[-1]
+        h *= min(5.0, max(0.2, 0.9 * (bound / err) ** 0.2)) if err > 0.0 else 5.0
         if k0[2] > 0.0:
-            h = min(h, 0.98 * h_cap / k0[2])
+            h = min(h, 1.1 * (cfg.max_arc - arc) / k0[2])
     return out, "step-limit"
 
 
@@ -196,7 +250,7 @@ def _trace(cfg: TraceConfig, x0, y0, orient, leg, drift_fn) -> TraceResult:
 
     ``leg(sigma)`` gives (rhs, t0, value) for direction sigma = -orient
     (backward) and orient (forward): the right-hand side, the start's t
-    and value(t, x, y), the tracked value of a sample.
+    and value(t, x, y), the slope p that a sample carries.
     """
     ends = []
     for sigma in (-orient, orient):
@@ -208,9 +262,7 @@ def _trace(cfg: TraceConfig, x0, y0, orient, leg, drift_fn) -> TraceResult:
     start_sample = (Point(x0, y0), value(t0, x0, y0))
     samples = list(reversed(back)) + [start_sample] + fwd
     f0 = drift_fn(*start_sample)
-    drift = 0.0
-    for pt, v in samples:
-        drift = max(drift, abs(drift_fn(pt, v) - f0))
+    drift = max(abs(drift_fn(pt, v) - f0) for pt, v in samples)
     reasons = (r_back, r_fwd)
     return TraceResult(
         samples=samples,
@@ -249,7 +301,13 @@ def trace_orthogonal(cfg: TraceConfig) -> TraceResult:
             raise NoBranchError(f"no slope root within 0.1 of hint {hint!r} at ({x0!r}, {y0!r})")
     else:
         p0 = min(rs.roots, key=abs)
-    q0 = 1.0 / p0
+    # ``slopes_at`` can return p = 0 or a spurious root next to the x-axis
+    # (at (0, -1e-6) it adds p = 1.1e-6, with a relative residual of about
+    # 1), so the start root must solve the monic q-cubic; nan fails too.
+    q0 = 1.0 / p0 if p0 else math.nan
+    a0 = x0 - 2.0
+    if not abs(q0 * q0 * q0 - a0 * q0 - y0) <= 1e-9 * (abs(q0) ** 3 + abs(a0 * q0) + abs(y0)):
+        raise NoBranchError(f"slope {p0!r} at ({x0!r}, {y0!r}) does not solve the slope cubic")
     d0 = 3.0 * q0 * q0 + 2.0 - x0
 
     def leg(sigma):
@@ -260,17 +318,20 @@ def trace_orthogonal(cfg: TraceConfig) -> TraceResult:
             v = sigma * d / w
             return q * v, v, abs(d) / math.sqrt(w)
 
-        return rhs, sigma * q0, lambda t, x, y: sigma * t
+        def slope(t, _x, _y):
+            q = sigma * t
+            return 1.0 / q if q else math.copysign(math.inf, q)
 
-    def drift_fn(pt, q):
+        return rhs, sigma * q0, slope
+
+    def drift_fn(pt, p):
+        q = 1.0 / p
         return (q * q - pt.x) * math.sqrt(1.0 + q * q)
 
     # dx/dtau = sigma q D / (1 + q^2), so forward, sigma = sign(q0 D0), is
     # +x; at a cusp start, where D0 = 0, forward is sign(q0).
     orient = math.copysign(1.0, q0 * d0 if d0 else q0)
-    res = _trace(cfg, x0, y0, orient, leg, drift_fn)
-    res.samples = [(pt, 1.0 / q if q else math.copysign(math.inf, q)) for pt, q in res.samples]
-    return res
+    return _trace(cfg, x0, y0, orient, leg, drift_fn)
 
 
 # Classic textbook pairs: direction field (unnormalized) and conserved

@@ -107,6 +107,13 @@ class TestRunExitCodes:
     def test_trace_failure_exit_code(self, capsys):
         assert run(["trace", "--x0", "1", "--y0", "0"]) == 1
 
+    @pytest.mark.parametrize("y0", ["-1e-6", "-1e-9"])
+    def test_trace_spurious_start_root_fails(self, y0, capsys):
+        # slopes_at returns p = 1.1e-6 at y0 = -1e-6 and p = 0 at -1e-9,
+        # neither a root: the trace fails instead of tracing the axis.
+        assert run(["trace", "--x0", "0", f"--y0={y0}"]) == 1
+        assert capsys.readouterr().err.startswith("trace failed: ")
+
     def test_trace_far_start_leaves_the_box(self, capsys):
         # The one slope at (2, 1e10) is about 4.6e-4, never 0.
         assert run(["trace", "--x0", "2", "--y0", "1e10"]) == 0

@@ -182,6 +182,9 @@ def test_continuation_picks_the_nearest_exact_root(pt, k):
 
 @SETTINGS
 @given(box_points())
+# Landing on max_arc inside a step much longer than the arc left spreads
+# that step's error into its samples: the drift here read 1.1e-7 > 10 tol.
+@example((0.0, -6.0))
 def test_continuation_settles_on_each_root_off_the_evolute(pt):
     x, y = pt
     if not off_collision_band(x, y):

@@ -8,8 +8,12 @@ Covers:
     vertex of a member just above the cusp boundary C = -2
   - slope-equation residual at every accepted sample
   - both tracers: sample spacing bounded by twice the configured step,
-    each end spends its arc budget, and a domain box ends the trace with
+    each end spends its arc budget with no sample gap under 1e-3 among
+    its last four samples, and a domain box ends the trace with
     domain-exit
+  - the cost follows tol, not the sample spacing: the parabola trace
+    takes at most 400 steps, about as many at step 0.01 as at 0.5, and
+    more at a tighter tol
   - order-of-accuracy: tightening tol by 10 improves deviation >= 5x
   - cusps are crossed: a C = -4 trace passes both cusp parameters on the
     closed form, and a trace that starts on a cusp runs both ways
@@ -20,8 +24,9 @@ Covers:
   - a march that uses up its step attempts ends with step-limit
   - classic fixtures conserve xy, x^2 + y^2, (x+1)^2 + y^2, and stall
     as a singularity next to the monopole's centre
-  - error cases: no slope branch, singular classic start, a missing or
-    non-finite start for either tracer, bad config (non-positive or
+  - error cases: no slope branch, a start slope from ``slopes_at`` that
+    does not solve the cubic (p = 0 or spurious), singular classic
+    start, a missing or non-finite start for either tracer, bad config (non-positive or
     non-finite step, max_arc or tol, a nan slope hint, a domain box that
     is not four finite numbers with xmin < xmax and ymin < ymax)
 """
@@ -59,6 +64,23 @@ def closed_form_gap(curve, result):
     return worst
 
 
+def parabola_steps(**kw):
+    """Step attempts (``tracer._rk_step`` calls) of the (1, 2) parabola
+    trace at max_arc 20."""
+    calls = []
+    rk_step = tracer._rk_step
+
+    def counting(*args):
+        calls.append(None)
+        return rk_step(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tracer, "_rk_step", counting)
+        cfg = TraceConfig(start=Point(1.0, 2.0), initial_slope_hint=1.0, max_arc=20.0, **kw)
+        assert trace_orthogonal(cfg).end_reasons == ("arc-limit", "arc-limit")
+    return len(calls)
+
+
 # Both tracers run on one stepper; each case is (trace(cfg), start, hint).
 TRACERS = [
     pytest.param(trace_orthogonal, Point(1.0, 2.0), 1.0, id="orthogonal"),
@@ -93,6 +115,15 @@ class TestSharedStepper:
             chords = sum(math.hypot(b.x - a.x, b.y - a.y) for a, b in zip(half, half[1:]))
             assert cfg.max_arc * (1.0 - 1e-5) <= chords <= cfg.max_arc * (1.0 + 1e-12)
 
+    @pytest.mark.parametrize("max_arc", [0.5, 5.0, 20.0])
+    def test_no_tiny_gap_at_an_end(self, trace, start, hint, max_arc):
+        # The last step lands on max_arc inside the step, so no end takes
+        # an extra sliver of a step.
+        cfg = TraceConfig(start=start, initial_slope_hint=hint, max_arc=max_arc)
+        pts = [pt for pt, _ in trace(cfg).samples]
+        gaps = [math.hypot(b.x - a.x, b.y - a.y) for a, b in zip(pts, pts[1:])]
+        assert min(gaps[:3] + gaps[-3:]) >= 1e-3
+
     def test_domain_exit(self, trace, start, hint):
         cfg = TraceConfig(
             start=start,
@@ -125,6 +156,14 @@ class TestTraceOrthogonal:
         with pytest.raises(NoBranchError):
             trace_orthogonal(TraceConfig(start=Point(1.0, 0.0)))
 
+    @pytest.mark.parametrize("y0", [-1e-6, -1e-9])
+    def test_spurious_start_root_is_no_branch(self, y0):
+        # Next to the axis slopes_at returns a root of smallest magnitude
+        # that does not solve q^3 + 2q - y0 = 0: p = 1.1e-6 at y0 = -1e-6,
+        # p = 0 at y0 = -1e-9; the one true root is p ~ 2 / y0.
+        with pytest.raises(NoBranchError, match="does not solve the slope cubic"):
+            trace_orthogonal(TraceConfig(start=Point(0.0, y0)))
+
     def test_hint_must_be_near_a_root(self):
         with pytest.raises(NoBranchError):
             trace_orthogonal(TraceConfig(start=Point(1.0, 2.0), initial_slope_hint=3.0))
@@ -148,8 +187,8 @@ class TestTraceOrthogonal:
             assert abs(resid) <= 1e-6 * scale
 
     def test_order_of_accuracy(self):
-        # With a large step cap the deviation is governed by tol alone;
-        # a 10x tighter tol must improve it by at least 5x.
+        # Steps follow tol alone, so the deviation is governed by tol; a
+        # 10x tighter tol must improve it by at least 5x.
         curve = TrajectoryCurve(1.0)
         start = curve_point(curve, 1.0)
         devs = []
@@ -229,6 +268,17 @@ class TestTraceOrthogonal:
         res = trace_orthogonal(TraceConfig(start=Point(1.0, 2.0), initial_slope_hint=1.0))
         assert res.end_reasons == ("step-limit", "step-limit")
         assert res.terminated_by == "step-limit"
+
+    def test_steps_follow_tol_not_the_sample_spacing(self):
+        # The samples are interpolated at the spacing, so the step sizes,
+        # and with them the cost, follow tol alone.
+        fine = parabola_steps(step=0.01)
+        coarse = parabola_steps(step=0.5)
+        assert fine <= 400
+        assert abs(fine - coarse) <= 0.1 * max(fine, coarse)
+
+    def test_tighter_tol_takes_more_steps(self):
+        assert parabola_steps(tol=1e-10) > parabola_steps(tol=1e-8)
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
