@@ -22,7 +22,9 @@ by ``tol`` alone, with the local error of x and y bounded per unit of
 arc budget (s has a kink at a cusp, so it stays out of the error test);
 the samples come from the method's continuous extension, at most
 2 ``step`` of arc apart, and the last step lands on the arc budget
-inside the step.  It also keeps the domain box and the step limit, and
+inside the step.  The tracer's ``emit`` makes each sample once, in
+its final (Point, p) form, and returns its conserved quantity for the
+drift.  ``_march`` also keeps the domain box and the step limit, and
 runs once per direction from the start point.
 ``trace_orthogonal`` marches in tau = sigma q, sigma = +-1 the direction,
 and returns slopes p = 1/q (+-inf where q = 0).  ``trace_classic``
@@ -39,6 +41,7 @@ Termination reasons:
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -86,7 +89,8 @@ class TraceConfig:
     samples lie at most 2 ``step`` of arc apart; ``max_arc`` is the arc
     budget per direction; ``tol`` bounds the local error of x and y
     summed over one direction's arc budget, and alone sets the step
-    sizes.  All three are finite and positive.
+    sizes, down to the rounding of x and y.  All three are finite and
+    positive.
     ``domain`` is an optional (xmin, xmax, ymin, ymax) box; None uses a
     very large default box.
     """
@@ -139,35 +143,45 @@ class TraceResult:
 def _rk_step(rhs, t: float, x: float, y: float, k0: tuple, h: float):
     """One Dormand-Prince step from (t, x, y), where k0 = rhs(t, x, y).
 
-    Returns (x5, y5, ds, err, ks): the 5th-order x, y and arc increment,
-    the larger embedded error estimate of x and y, and the seven stages,
-    the last of which is rhs(t + h, x5, y5).
+    Returns (x5, y5, ds, err, us, vs, ws): the 5th-order x, y and arc
+    increment, the larger error estimate of x and y, and the x, y and s
+    parts of the seven stages, the last at (t + h, x5, y5).  Each sum
+    adds the tableau's nonzero terms from left to right.
     """
-    ks = [k0]
-    for c, a in zip(_C, _A):
-        xs = x
-        ys = y
-        for aj, k in zip(a, ks):
-            xs += h * aj * k[0]
-            ys += h * aj * k[1]
-        ks.append(rhs(t + c * h, xs, ys))
-    ds = ex = ey = 0.0
-    for b, k in zip(_A[-1], ks):
-        ds += h * b * k[2]
-    for e, k in zip(_E, ks):
-        ex += h * e * k[0]
-        ey += h * e * k[1]
-    return xs, ys, ds, max(abs(ex), abs(ey)), ks
+    (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43), a5, b = _A
+    (a50, a51, a52, a53, a54), (b0, _, b2, b3, b4, b5) = a5, b
+    (c1, c2, c3, c4, c5, c6), (e0, _, e2, e3, e4, e5, e6) = _C, _E
+    u0, v0, w0 = k0
+    u1, v1, w1 = rhs(t + c1 * h, x + h * a10 * u0, y + h * a10 * v0)
+    u2, v2, w2 = rhs(t + c2 * h, x + h * a20 * u0 + h * a21 * u1, y + h * a20 * v0 + h * a21 * v1)
+    xs = x + h * a30 * u0 + h * a31 * u1 + h * a32 * u2
+    ys = y + h * a30 * v0 + h * a31 * v1 + h * a32 * v2
+    u3, v3, w3 = rhs(t + c3 * h, xs, ys)
+    xs = x + h * a40 * u0 + h * a41 * u1 + h * a42 * u2 + h * a43 * u3
+    ys = y + h * a40 * v0 + h * a41 * v1 + h * a42 * v2 + h * a43 * v3
+    u4, v4, w4 = rhs(t + c4 * h, xs, ys)
+    xs = x + h * a50 * u0 + h * a51 * u1 + h * a52 * u2 + h * a53 * u3 + h * a54 * u4
+    ys = y + h * a50 * v0 + h * a51 * v1 + h * a52 * v2 + h * a53 * v3 + h * a54 * v4
+    u5, v5, w5 = rhs(t + c5 * h, xs, ys)
+    xs = x + h * b0 * u0 + h * b2 * u2 + h * b3 * u3 + h * b4 * u4 + h * b5 * u5
+    ys = y + h * b0 * v0 + h * b2 * v2 + h * b3 * v3 + h * b4 * v4 + h * b5 * v5
+    u6, v6, w6 = rhs(t + c6 * h, xs, ys)
+    ds = h * b0 * w0 + h * b2 * w2 + h * b3 * w3 + h * b4 * w4 + h * b5 * w5
+    ex = h * e0 * u0 + h * e2 * u2 + h * e3 * u3 + h * e4 * u4 + h * e5 * u5 + h * e6 * u6
+    ey = h * e0 * v0 + h * e2 * v2 + h * e3 * v3 + h * e4 * v4 + h * e5 * v5 + h * e6 * v6
+    us, vs = (u0, u1, u2, u3, u4, u5, u6), (v0, v1, v2, v3, v4, v5, v6)
+    return xs, ys, ds, max(abs(ex), abs(ey)), us, vs, (w0, w1, w2, w3, w4, w5, w6)
 
 
-def _dense(u0: float, u1: float, h: float, ks: list, j: int) -> tuple:
-    """Component j's continuous extension over a step from u0 to u1, as
-    (u0, r1, r2, r3, r4) for ``_at``."""
+def _dense(u0: float, u1: float, h: float, ks: tuple) -> tuple:
+    """The continuous extension over a step from u0 to u1 of a component
+    with stages ``ks``, as (u0, r1, r2, r3, r4) for ``_at``."""
+    k0, _, k2, k3, k4, k5, k6 = ks
+    d0, _, d2, d3, d4, d5, d6 = _D
     r1 = u1 - u0
-    r2 = h * ks[0][j] - r1
-    r3 = r1 - h * ks[6][j] - r2
-    r4 = h * sum(d * k[j] for d, k in zip(_D, ks))
-    return u0, r1, r2, r3, r4
+    r2 = h * k0 - r1
+    r3 = r1 - h * k6 - r2
+    return u0, r1, r2, r3, h * (d0 * k0 + d2 * k2 + d3 * k3 + d4 * k4 + d5 * k5 + d6 * k6)
 
 
 def _at(poly: tuple, th: float) -> float:
@@ -177,46 +191,54 @@ def _at(poly: tuple, th: float) -> float:
     return u0 + th * (r1 + th1 * (r2 + th * (r3 + th1 * r4)))
 
 
-def _march(rhs, t, x, y, cfg: TraceConfig):
-    """Integrate d(x, y, s)/dt = rhs(t, x, y) from arc 0; returns the
-    samples (t, x, y) in order and the end reason.
+def _march(cfg: TraceConfig, x, y, rhs, t, emit):
+    """Integrate d(x, y, s)/dt = rhs(t, x, y) from (x, y) at arc 0,
+    making each sample once; returns the samples, end reason and drift.
 
-    Step sizes follow ``tol`` alone: a step is accepted when the error of
-    x and y is at most tol ds / max_arc, so the local errors over the
-    arc budget sum to at most tol; a rejected step is halved.  A step
-    whose arc ds exceeds 1.25 (arc left) is rescaled by (arc left)/ds and
-    retried, and after an accepted step h is capped at 1.1 (arc left)
-    over the speed ds/dt, so the last step overshoots the budget a little
-    and lands on it inside the step.  Each step emits its samples from
-    the continuous extension, equally spaced in t, at most 2 ``step`` of
-    arc apart at the largest stage speed; a full step ends on its own
-    accepted point.
+    ``emit(out, t, x, y)`` appends the final (Point, p) sample at
+    (t, x, y) to ``out`` and returns its conserved quantity F; the start
+    is the first sample, and the drift is max |F - F0| over the samples.
+    A step is accepted when the error of x and y is at most
+    tol ds / max_arc, so the local errors over the arc budget sum to at
+    most tol, or at most the rounding eps (|x| + |y|) of its end; a
+    rejected step is halved.  A step whose arc ds exceeds 1.25 (arc left)
+    is rescaled by (arc left)/ds and retried, and after an accepted step
+    h is capped at 1.1 (arc left) over the speed ds/dt, so the last step
+    lands on the budget inside the step.  Each step's samples come from
+    the continuous extension (``_at``, inlined), equally spaced in t, at
+    most 2 ``step`` of arc apart at the largest stage speed; a full step
+    ends on its own accepted point.
     """
     xmin, xmax, ymin, ymax = cfg.bounds()
     spacing = 2.0 * cfg.step
+    out = []
+    f0 = emit(out, t, x, y)
+    drift = 0.0
     k0 = rhs(t, x, y)
     # At a cusp start the speed k0[2] is 0: try one step of t.
     h = cfg.step / k0[2] if k0[2] > 0.0 else cfg.step
     arc = 0.0
-    out = []
     for _ in range(_MAX_STEPS):
         left = cfg.max_arc - arc
         if left <= 1e-12:
-            return out, "arc-limit"
-        xn, yn, ds, err, ks = _rk_step(rhs, t, x, y, k0, h)
+            return out, "arc-limit", drift
+        xn, yn, ds, err, us, vs, ws = _rk_step(rhs, t, x, y, k0, h)
         if ds > 1.25 * left:
             h *= left / ds
             continue
         bound = cfg.tol * ds / cfg.max_arc
         if not err <= bound:  # nan fails too
-            if ds < _H_MIN:
-                return out, "singularity"
-            h *= 0.5
-            continue
+            # No step size takes the error below the rounding of x and y.
+            bound = max(bound, sys.float_info.epsilon * (abs(xn) + abs(yn)))
+            if not err <= bound:
+                if ds < _H_MIN:
+                    return out, "singularity", drift
+                h *= 0.5
+                continue
         end = 1.0
         if ds > left:
             # Land on the budget: bisect the dense arc for s(th) = left.
-            s_poly = _dense(0.0, ds, h, ks, 2)
+            s_poly = _dense(0.0, ds, h, ws)
             end, hi = 0.0, 1.0
             for _ in range(52):
                 mid = 0.5 * (end + hi)
@@ -224,50 +246,49 @@ def _march(rhs, t, x, y, cfg: TraceConfig):
                     end = mid
                 else:
                     hi = mid
-        n = max(1, math.ceil(max(k[2] for k in ks) * end * h / spacing))
-        x_poly = _dense(x, xn, h, ks, 0)
-        y_poly = _dense(y, yn, h, ks, 1)
+        n = max(1, math.ceil(max(ws) * end * h / spacing))
+        _, xr1, xr2, xr3, xr4 = _dense(x, xn, h, us)
+        _, yr1, yr2, yr3, yr4 = _dense(y, yn, h, vs)
         for i in range(1, n + 1):
             th = end * i / n
-            xi, yi = (xn, yn) if th == 1.0 else (_at(x_poly, th), _at(y_poly, th))
+            th1 = 1.0 - th
+            xi = x + th * (xr1 + th1 * (xr2 + th * (xr3 + th1 * xr4))) if th1 else xn
+            yi = y + th * (yr1 + th1 * (yr2 + th * (yr3 + th1 * yr4))) if th1 else yn
             if not (xmin <= xi <= xmax and ymin <= yi <= ymax):
-                return out, "domain-exit"
-            out.append((t + th * h, xi, yi))
+                return out, "domain-exit", drift
+            f = abs(emit(out, t + th * h, xi, yi) - f0)
+            if f > drift:
+                drift = f
         if end < 1.0:
-            return out, "arc-limit"
+            return out, "arc-limit", drift
         t += h
         x, y = xn, yn
         arc += ds
-        k0 = ks[-1]
+        k0 = us[6], vs[6], ws[6]
         h *= min(5.0, max(0.2, 0.9 * (bound / err) ** 0.2)) if err > 0.0 else 5.0
         if k0[2] > 0.0:
             h = min(h, 1.1 * (cfg.max_arc - arc) / k0[2])
-    return out, "step-limit"
+    return out, "step-limit", drift
 
 
-def _trace(cfg: TraceConfig, x0, y0, orient, leg, drift_fn) -> TraceResult:
+def _trace(cfg: TraceConfig, x0, y0, orient, leg) -> TraceResult:
     """March both directions from (x0, y0) and merge them.
 
-    ``leg(sigma)`` gives (rhs, t0, value) for direction sigma = -orient
-    (backward) and orient (forward): the right-hand side, the start's t
-    and value(t, x, y), the slope p that a sample carries.
+    ``leg(sigma)`` gives ``_march``'s (rhs, t, emit) for direction
+    sigma = -orient (backward) and orient (forward): the right-hand side,
+    the start's t and the sample maker.  Both legs begin with the start
+    sample; the merge keeps the forward one.
     """
-    ends = []
-    for sigma in (-orient, orient):
-        rhs, t0, value = leg(sigma)
-        pts, reason = _march(rhs, t0, x0, y0, cfg)
-        ends.append(([(Point(x, y), value(t, x, y)) for t, x, y in pts], reason))
-    (back, r_back), (fwd, r_fwd) = ends
-    # Both legs give the start the same value.
-    start_sample = (Point(x0, y0), value(t0, x0, y0))
-    samples = list(reversed(back)) + [start_sample] + fwd
-    f0 = drift_fn(*start_sample)
-    drift = max(abs(drift_fn(pt, v) - f0) for pt, v in samples)
+    (samples, r_back, d_back), (fwd, r_fwd, d_fwd) = [
+        _march(cfg, x0, y0, *leg(sigma)) for sigma in (-orient, orient)
+    ]
+    samples.reverse()
+    samples[-1:] = fwd
     reasons = (r_back, r_fwd)
     return TraceResult(
         samples=samples,
         terminated_by=max(reasons, key=lambda r: _SEVERITY[r]),
-        potential_drift=drift,
+        potential_drift=max(d_back, d_fwd),
         end_reasons=reasons,
     )
 
@@ -318,20 +339,20 @@ def trace_orthogonal(cfg: TraceConfig) -> TraceResult:
             v = sigma * d / w
             return q * v, v, abs(d) / math.sqrt(w)
 
-        def slope(t, _x, _y):
+        def emit(out, t, x, y):
             q = sigma * t
-            return 1.0 / q if q else math.copysign(math.inf, q)
+            p = 1.0 / q if q else math.copysign(math.inf, q)
+            # tuple.__new__ skips Point's Python-level __new__, half the cost.
+            out.append((tuple.__new__(Point, (x, y)), p))
+            q = 1.0 / p
+            return (q * q - x) * math.sqrt(1.0 + q * q)
 
-        return rhs, sigma * q0, slope
-
-    def drift_fn(pt, p):
-        q = 1.0 / p
-        return (q * q - pt.x) * math.sqrt(1.0 + q * q)
+        return rhs, sigma * q0, emit
 
     # dx/dtau = sigma q D / (1 + q^2), so forward, sigma = sign(q0 D0), is
     # +x; at a cusp start, where D0 = 0, forward is sign(q0).
     orient = math.copysign(1.0, q0 * d0 if d0 else q0)
-    return _trace(cfg, x0, y0, orient, leg, drift_fn)
+    return _trace(cfg, x0, y0, orient, leg)
 
 
 # Classic textbook pairs: direction field (unnormalized) and conserved
@@ -362,9 +383,11 @@ def trace_classic(kind: str, cfg: TraceConfig) -> TraceResult:
     if math.hypot(*raw_field(x0, y0)) < 1e-12:
         raise DomainError(f"start {cfg.start!r} is singular for {kind!r}")
 
-    def slope(_t, x, y):
+    def emit(out, _t, x, y):
         vx, vy = raw_field(x, y)
-        return vy / vx if vx != 0.0 else math.copysign(math.inf, vy)
+        p = vy / vx if vx != 0.0 else math.copysign(math.inf, vy)
+        out.append((tuple.__new__(Point, (x, y)), p))
+        return conserved(x, y)
 
     def leg(sigma):
         # The direction is the normalised field itself: a slope alone
@@ -375,9 +398,6 @@ def trace_classic(kind: str, cfg: TraceConfig) -> TraceResult:
             n = sigma / (math.hypot(vx, vy) or math.nan)
             return vx * n, vy * n, 1.0
 
-        return rhs, 0.0, slope
+        return rhs, 0.0, emit
 
-    def drift_fn(pt, _p):
-        return conserved(pt.x, pt.y)
-
-    return _trace(cfg, x0, y0, 1.0, leg, drift_fn)
+    return _trace(cfg, x0, y0, 1.0, leg)

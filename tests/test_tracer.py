@@ -22,6 +22,12 @@ Covers:
   - the forward end runs along +x from the start, for either sign of q
     and of D = 3q^2 + 2 - x
   - a march that uses up its step attempts ends with step-limit
+  - a tol under the rounding of x and y still runs its arc budget or to
+    the box: tol 1e-15, max_arc 1e10, and a cusped member at tol 1e-11
+  - the drift made during the march equals max |F - F0| recomputed from
+    the samples, the start sample appears once, and every sample point
+    is a Point (main trace to arc-limit and to domain-exit, a classic
+    fixture)
   - classic fixtures conserve xy, x^2 + y^2, (x+1)^2 + y^2, and stall
     as a singularity next to the monopole's centre
   - error cases: no slope branch, a start slope from ``slopes_at`` that
@@ -269,6 +275,28 @@ class TestTraceOrthogonal:
         assert res.end_reasons == ("step-limit", "step-limit")
         assert res.terminated_by == "step-limit"
 
+    @pytest.mark.parametrize(
+        "start,hint,kw,ends",
+        [
+            (Point(1.0, 2.0), 1.0, {"tol": 1e-15}, ("arc-limit", "arc-limit")),
+            (
+                Point(1.0, 2.0),
+                1.0,
+                {"max_arc": 1e10, "domain": (-10.0, 10.0, -10.0, 10.0)},
+                ("domain-exit", "domain-exit"),
+            ),
+            # Next to a cusp the speed vanishes but the rounding of x does not.
+            (curve_point(TrajectoryCurve(-4.0), 1.0), 1.0, {"tol": 1e-11}, ("arc-limit", "arc-limit")),
+        ],
+        ids=["tol-1e-15", "max_arc-1e10", "cusped-tol-1e-11"],
+    )
+    def test_tol_under_the_rounding_still_runs(self, start, hint, kw, ends):
+        # Per step, tol ds / max_arc falls under the rounding of x and y
+        # here; these ended singularity when that bound was not floored.
+        res = trace_orthogonal(TraceConfig(start=start, initial_slope_hint=hint, **kw))
+        assert res.end_reasons == ends
+        assert res.potential_drift <= 1e-10
+
     def test_steps_follow_tol_not_the_sample_spacing(self):
         # The samples are interpolated at the spacing, so the step sizes,
         # and with them the cost, follow tol alone.
@@ -314,6 +342,47 @@ class TestTraceOrthogonal:
     def test_bad_domain_is_rejected(self, domain):
         with pytest.raises(DomainError):
             TraceConfig(start=Point(1.0, 2.0), domain=domain)
+
+
+def main_potential(pt, p):
+    q = 1.0 / p
+    return (q * q - pt.x) * math.sqrt(1.0 + q * q)
+
+
+@pytest.mark.parametrize(
+    "trace,start,hint,p0,potential",
+    [
+        pytest.param(trace_orthogonal, Point(1.0, 2.0), 1.0, 1.0, main_potential, id="orthogonal"),
+        pytest.param(
+            lambda cfg: trace_classic("monopole", cfg),
+            Point(3.0, 4.0),
+            None,
+            -0.75,
+            lambda pt, _p: pt.x * pt.x + pt.y * pt.y,
+            id="monopole",
+        ),
+    ],
+)
+@pytest.mark.parametrize(
+    "kw,end",
+    [
+        ({}, "arc-limit"),
+        ({"domain": (-4.5, 4.5, -4.5, 4.5)}, "domain-exit"),
+        # At a spacing this coarse every sample ends its step.
+        ({"step": 1.0}, "arc-limit"),
+    ],
+    ids=["arc", "box", "coarse"],
+)
+def test_samples_and_drift_in_one_pass(trace, start, hint, p0, potential, kw, end):
+    # The samples and the drift are made inside the march; recompute the
+    # drift from the merged samples, with the start's p as the slope.
+    res = trace(TraceConfig(start=start, initial_slope_hint=hint, max_arc=20.0, **kw))
+    assert res.end_reasons == (end, end)
+    assert all(type(pt) is Point for pt, _ in res.samples)
+    assert res.samples.count((start, p0)) == 1
+    assert [pt for pt, _ in res.samples].count(start) == 1
+    f0 = potential(start, p0)
+    assert res.potential_drift == max(abs(potential(pt, p) - f0) for pt, p in res.samples)
 
 
 class TestTraceClassic:
