@@ -11,13 +11,16 @@ parametrization (parameter t, family constant C)
     x(t) = t^2 - C / sqrt(1 + t^2)
     y(t) = 2 t + C t / sqrt(1 + t^2)
 
-where C = 0 recovers the parabola itself.  Differentiating,
+where C = 0 recovers the parabola itself: member C is P(t) + C n(t), the
+parabola P(t) = (t^2, 2t) offset by C along its unit normal
+n(t) = (-1, t) / sqrt(1 + t^2) (Bruce & Giblin, Curves and Singularities,
+1992; Farouki & Neff, CAGD 7, 1990).  Differentiating,
 
     dx/dt = t * g(t),   dy/dt = g(t),   g(t) = 2 + C (1 + t^2)^(-3/2),
 
 so the slope dy/dx is 1/t wherever g(t) != 0, independent of C.  Both
-velocity components vanish exactly where g(t) = 0, which happens iff
-C <= -2; those are the cusps.
+velocity components vanish where C = -rho(t), rho = 2 (1 + t^2)^(3/2) the
+parabola's radius of curvature; rho >= 2, so these cusps need C <= -2.
 
 Everything here is a pure scalar function of its inputs.
 """
@@ -193,12 +196,12 @@ def orthogonal_foot(
     Because the curve slope is 1/t independently of C, orthogonality
     (m * slope = -1) forces t = -m; that point lies on the line for every
     C.  For m = 0 the foot is the curve's vertical-tangent point on the
-    x-axis.  If t = -m happens to be a cusp (possible only for C <= -2
-    with m^2 = (C^2/4)^(1/3) - 1) the foot is flagged degenerate.
+    x-axis.  If t = -m is a cusp, where C = -2 (1 + m^2)^(3/2), as
+    ``cusp_parameters`` reports it, the foot is flagged degenerate.
     """
     m = _require_finite(m, "m")
     foot = sample(curve, -m)
-    if not foot.regular:
+    if not foot.regular or foot.t in cusp_parameters(curve):
         raise DegenerateFootError(
             f"foot of line m={m!r} on curve C={curve.C!r} is a cusp"
         )
@@ -208,14 +211,14 @@ def orthogonal_foot(
 def cusp_parameters(curve: TrajectoryCurve) -> list:
     """All parameters t where both velocity components vanish.
 
-    Solving g(t) = 2 + C (1 + t^2)^(-3/2) = 0 gives t^2 = (C^2/4)^(1/3) - 1,
-    which has real solutions iff C <= -2: none for C > -2, t = 0 at
-    C = -2, a symmetric pair for C < -2.
+    These solve C = -2 (1 + t^2)^(3/2): none for C > -2, t = 0 at C = -2,
+    a symmetric pair for C < -2.  With u^3 = -C/2 = 1 + eps, t^2 = u^2 - 1
+    = eps (u + 1) / (u^2 + u + 1), which neither cancels as C -> -2 (eps
+    is exact there) nor overflows for huge |C|.
     """
-    C = curve.C
-    if C > -2.0:
+    h = -0.5 * curve.C
+    if h < 1.0:
         return []
-    if C == -2.0:
-        return [0.0]
-    r = math.sqrt((C * C / 4.0) ** (1.0 / 3.0) - 1.0)
-    return [-r, r]
+    u = h ** (1.0 / 3.0)
+    r = math.sqrt((h - 1.0) / (u * u + u + 1.0) * (u + 1.0))
+    return [-r, r] if r else [r]

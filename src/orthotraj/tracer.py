@@ -13,8 +13,9 @@ Its x and y parts are smooth everywhere: the vertex (q = 0) is a plain
 point, and at a cusp (D = 0, on the evolute 27 y^2 = 4 (x - 2)^3) only
 the speed ds/dq vanishes, so a trace runs through both.  ``slopes_at``
 solves the cubic once, for the start root; no root is solved after
-that.  The drift monitor G(x, q) = (q^2 - x) sqrt(1 + q^2) equals C all
-along member C.
+that.  The drift monitor, the normal offset (q (y - q) - x) / sqrt(1 + q^2)
+of (x, y) from the parabola point (q^2, 2q), equals C all along member C,
+the parabola's offset curve at distance C (see ``core_model``).
 
 One stepper, ``_march``, integrates every trace: Dormand-Prince 5(4)
 Runge-Kutta steps (DOPRI5) of d(x, y, s)/dtau = rhs(tau, x, y), sized
@@ -130,8 +131,8 @@ class TraceResult:
     ``end_reasons`` gives the termination reason of the (backward,
     forward) ends and ``terminated_by`` the more severe of the two.
     ``potential_drift`` is max |F - F0| over all samples of the conserved
-    quantity: G(x, 1/p) = C for the main family, regular at the vertex,
-    and the respective first integral for classic traces.
+    quantity: the normal offset (q (y - q) - x) / sqrt(1 + q^2) = C,
+    q = 1/p, for the main family, the first integral for classic traces.
     """
 
     samples: list = field(default_factory=list)
@@ -344,8 +345,7 @@ def trace_orthogonal(cfg: TraceConfig) -> TraceResult:
             p = 1.0 / q if q else math.copysign(math.inf, q)
             # tuple.__new__ skips Point's Python-level __new__, half the cost.
             out.append((tuple.__new__(Point, (x, y)), p))
-            q = 1.0 / p
-            return (q * q - x) * math.sqrt(1.0 + q * q)
+            return (q * (y - q) - x) / math.sqrt(1.0 + q * q)
 
         return rhs, sigma * q0, emit
 

@@ -1,5 +1,6 @@
 """Property tests of the tracer over the trace domain, against the
-closed form and two q-root oracles.
+closed form and two q-root oracles, and of the cusp census against
+mpmath.
 
 The tracer integrates x, y and the arc in q = 1/p = dx/dy, a root of the
 monic cubic q^3 - (x - 2) q - y, so no root is solved along a trace: the
@@ -9,7 +10,15 @@ the cubic's roots.
 Covers:
   - traces from any start t0 on any member C, cusped ones included:
     every sample lies within 1e-5 of the closed-form point of its own q
-    and the drift of G(x, q) = (q^2 - x) sqrt(1 + q^2) stays within 10 tol
+    and the drift of the normal offset (q (y - q) - x) / sqrt(1 + q^2)
+    stays within 10 tol; the same over the whole plane, with |C| in
+    [1e-3, 1e5] and |t0| in [1e-3, 1e3] log-uniform, where member C is
+    also checked to be the offset curve P(t) + C n(t) of the parabola
+    P(t) = (t^2, 2t), with |n| = 1
+  - the cusps solve C = -2 (1 + t^2)^(3/2) to 4 ulp of mpmath as
+    C -> -2 and to 1e-13 relative, always finite, for |C| up to 1.7e308;
+    each cusp is the parabola's centre of curvature (2 + 3t^2, -2t^3),
+    and the foot of the line of slope -t there is degenerate
   - at every sample off the collision band, a trace's q lies within
     1e-6 (1 + |r|) of r, the root nearest it of the q-cubic at the
     sample: r from ``slopes_at`` (as q = 1/p) where |y| >= 1e-3, and r
@@ -30,6 +39,7 @@ hints each start with an exact root, and skips a start whose root
 """
 
 import math
+import sys
 
 import mpmath
 import pytest
@@ -37,11 +47,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orthotraj import (
+    PARABOLA_NORMALS,
+    DegenerateFootError,
     NoBranchError,
     Point,
     TraceConfig,
     TrajectoryCurve,
     curve_point,
+    cusp_parameters,
+    orthogonal_foot,
     slopes_at,
     trace_orthogonal,
 )
@@ -49,6 +63,11 @@ from orthotraj import (
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=40)
 
 signs = st.sampled_from((-1.0, 1.0))
+
+
+def log_uniform(lo, hi):
+    """Either sign, magnitude 10^k with k uniform in [lo, hi]."""
+    return st.builds(lambda sign, k: sign * 10.0**k, signs, st.floats(lo, hi))
 
 
 @st.composite
@@ -134,8 +153,12 @@ def assert_on_the_nearest_root(res, oracle):
 # nearly zero speed and crosses the cusp within its first steps.
 @example(-4.0, 1.0, 0.767)
 def test_trace_follows_the_closed_form(C, sign, t_abs):
-    curve = TrajectoryCurve(C)
-    t0 = sign * t_abs
+    assert_trace_follows(TrajectoryCurve(C), sign * t_abs)
+
+
+def assert_trace_follows(curve, t0):
+    """The trace from t0 on ``curve``: every sample within 1e-5 of the
+    closed-form point of its own q, and a drift within 10 tol."""
     tol = 1e-8
     cfg = TraceConfig(
         start=curve_point(curve, t0), initial_slope_hint=1.0 / t0, tol=tol, max_arc=20.0
@@ -145,6 +168,27 @@ def test_trace_follows_the_closed_form(C, sign, t_abs):
         ref = curve_point(curve, 1.0 / p)
         assert math.hypot(ref.x - pt.x, ref.y - pt.y) <= 1e-5
     assert res.potential_drift <= 10.0 * tol
+
+
+@SETTINGS
+@given(log_uniform(-3.0, 5.0), log_uniform(-3.0, 3.0))
+# For |q| past about 8 the drift of G(x, q) = (q^2 - x) sqrt(1 + q^2),
+# which weighs phase error along the curve by |q|, read up to 9.4e-7 here.
+@example(-0.6341008949286117, -990.2462580496584)
+def test_trace_follows_the_offset_curve_over_the_whole_plane(C, t0):
+    curve = TrajectoryCurve(C)
+    s = math.sqrt(1.0 + t0 * t0)
+    nx, ny = -1.0 / s, t0 / s
+    x, y = curve_point(curve, t0)
+    eps = sys.float_info.epsilon
+    # C is the normal distance between members: |d(x, y)/dC| = |n| = 1.
+    assert abs(math.hypot(nx, ny) - 1.0) <= 2.0 * eps
+    assert abs(x - (t0 * t0 + C * nx)) <= 4.0 * eps * (t0 * t0 + abs(C))
+    assert abs(y - (2.0 * t0 + C * ny)) <= 4.0 * eps * (2.0 * abs(t0) + abs(C))
+    try:
+        assert_trace_follows(curve, t0)
+    except NoBranchError:
+        return  # ``slopes_at`` lost the start root (ROADMAP item 1)
 
 
 @SETTINGS
@@ -250,3 +294,48 @@ def test_end_reasons_pinned(C, t0, max_arc, ends):
         max_arc=max_arc,
     )
     assert trace_orthogonal(cfg).end_reasons == ends
+
+
+def exact_cusp(C):
+    """The cusp parameter t >= 0 of member C <= -2 by mpmath, 50 digits."""
+    with mpmath.workdps(50):
+        return float(mpmath.sqrt(mpmath.cbrt(-mpmath.mpf(C) / 2) ** 2 - 1))
+
+
+def assert_degenerate_feet(curve, cusps):
+    for t in cusps:
+        with pytest.raises(DegenerateFootError):
+            orthogonal_foot(PARABOLA_NORMALS, -t, curve)
+
+
+@SETTINGS
+@given(st.floats(-16.0, 0.0).map(lambda k: -2.0 * (1.0 + 10.0**k)))
+# (C^2/4)^(1/3) - 1 cancels as C -> -2: it was 22% off here.
+@example(-2.0000000000000004)
+# The velocity at these cusps is (-8.9e-17, 2.2e-16), not exactly 0.
+@example(-2.5)
+def test_cusps_next_to_the_vertex_cusp(C):
+    curve = TrajectoryCurve(C)
+    cusps = cusp_parameters(curve)
+    t = exact_cusp(C)
+    assert cusps == ([-cusps[-1], cusps[-1]] if t else [0.0])
+    assert abs(cusps[-1] - t) <= 4.0 * math.ulp(t)
+    for tc in cusps:
+        # Member -rho(tc) passes the parabola's centre of curvature at tc.
+        x, y = curve_point(curve, tc)
+        cx, cy = 2.0 + 3.0 * tc * tc, -2.0 * tc**3
+        assert math.hypot(x - cx, y - cy) <= 1e-14 * (2.0 + 3.0 * tc * tc + 2.0 * abs(tc) ** 3)
+    assert_degenerate_feet(curve, cusps)
+
+
+@SETTINGS
+@given(st.floats(0.31, 308.23).map(lambda k: -(10.0**k)))
+# C * C overflowed past |C| = 1.34e154: this read [-inf, inf].
+@example(-1e300)
+def test_cusps_of_huge_members(C):
+    curve = TrajectoryCurve(C)
+    cusps = cusp_parameters(curve)
+    t = exact_cusp(C)
+    assert cusps == [-cusps[-1], cusps[-1]]
+    assert abs(cusps[-1] - t) <= 1e-13 * t
+    assert_degenerate_feet(curve, cusps)

@@ -5,7 +5,9 @@ Covers:
   - closed-form agreement for C in {-1, 0, 1, 3} from t0 = 1, measured
     as the gap |P(1/p) - sample| that the verify tracer suite also uses
   - potential conservation (drift <= 10 * tol), also across the sharp
-    vertex of a member just above the cusp boundary C = -2
+    vertex of a member just above the cusp boundary C = -2; the drift is
+    that of the normal offset (q (y - q) - x) / sqrt(1 + q^2), and an
+    error of 1e-6 in x at every step shows in it
   - slope-equation residual at every accepted sample
   - both tracers: sample spacing bounded by twice the configured step,
     each end spends its arc budget with no sample gap under 1e-3 among
@@ -269,6 +271,19 @@ class TestTraceOrthogonal:
         i = res.samples.index((start, 1.0 / t0))
         assert res.samples[i - 1][0].x < start.x < res.samples[i + 1][0].x
 
+    def test_drift_sees_an_error_off_the_curve(self, monkeypatch):
+        # The offset drift is blind to phase error along the curve, not to
+        # error across it: push each step's end 1e-6 along +x.
+        rk_step = tracer._rk_step
+
+        def kicked(*args):
+            xs, *rest = rk_step(*args)
+            return (xs + 1e-6, *rest)
+
+        monkeypatch.setattr(tracer, "_rk_step", kicked)
+        cfg = TraceConfig(start=Point(1.0, 2.0), initial_slope_hint=1.0, max_arc=20.0)
+        assert trace_orthogonal(cfg).potential_drift > 10.0 * cfg.tol
+
     def test_step_limit_has_its_own_reason(self, monkeypatch):
         monkeypatch.setattr(tracer, "_MAX_STEPS", 50)
         res = trace_orthogonal(TraceConfig(start=Point(1.0, 2.0), initial_slope_hint=1.0))
@@ -345,8 +360,9 @@ class TestTraceOrthogonal:
 
 
 def main_potential(pt, p):
+    # The normal offset of the sample from the parabola point P(q).
     q = 1.0 / p
-    return (q * q - pt.x) * math.sqrt(1.0 + q * q)
+    return (q * (pt.y - q) - pt.x) / math.sqrt(1.0 + q * q)
 
 
 @pytest.mark.parametrize(
