@@ -93,8 +93,8 @@ class TrajectoryCurve:
 class CurveSample:
     """Curve evaluation at one parameter value.
 
-    ``regular`` is False exactly when both velocity components vanish
-    (a cusp), in which case no tangent direction exists there.
+    ``regular`` is False exactly at a cusp, where no tangent exists: where
+    the velocity is (0, 0) or t is in ``cusp_parameters(curve)``.
     """
 
     t: float
@@ -140,27 +140,20 @@ def sample(curve: TrajectoryCurve, t: float) -> CurveSample:
     """Point, velocity and regularity flag at parameter t."""
     pt = curve_point(curve, t)
     vel = curve_velocity(curve, t)
-    regular = max(abs(vel[0]), abs(vel[1])) > 0.0
+    regular = vel != (0.0, 0.0) and t not in cusp_parameters(curve)
     return CurveSample(t=t, point=pt, velocity=vel, regular=regular)
 
 
 def curve_slope(curve: TrajectoryCurve, t: float) -> float:
-    """Slope dy/dx at parameter t.
+    """Slope dy/dx = 1/t at parameter t, the same on every member.
 
-    Equals 1/t wherever defined (the common factor g cancels).  At t = 0
-    the tangent is vertical and ``math.inf`` is returned as the
-    infinite-slope signal.  At a cusp (both velocity components zero)
+    At t = 0 the tangent is vertical and ``math.inf`` is returned as the
+    infinite-slope signal.  Where ``sample`` is not regular (a cusp)
     there is no tangent and DegeneratePointError is raised.
     """
-    t = _require_finite(t, "t")
-    dx, dy = curve_velocity(curve, t)
-    if dx == 0.0 and dy == 0.0:
-        raise DegeneratePointError(
-            f"cusp at t={t!r} on curve C={curve.C!r}: velocity vanishes"
-        )
-    if t == 0.0:
-        return math.inf
-    return dy / dx
+    if not sample(curve, t).regular:
+        raise DegeneratePointError(f"cusp at t={t!r} on curve C={curve.C!r}")
+    return 1.0 / t if t else math.inf
 
 
 def ode_c_residual(x: float, y: float, p: float) -> float:
@@ -196,15 +189,13 @@ def orthogonal_foot(
     Because the curve slope is 1/t independently of C, orthogonality
     (m * slope = -1) forces t = -m; that point lies on the line for every
     C.  For m = 0 the foot is the curve's vertical-tangent point on the
-    x-axis.  If t = -m is a cusp, where C = -2 (1 + m^2)^(3/2), as
-    ``cusp_parameters`` reports it, the foot is flagged degenerate.
+    x-axis.  If t = -m is a cusp, where C = -2 (1 + m^2)^(3/2), the
+    sample there is not regular and the foot is flagged degenerate.
     """
     m = _require_finite(m, "m")
     foot = sample(curve, -m)
-    if not foot.regular or foot.t in cusp_parameters(curve):
-        raise DegenerateFootError(
-            f"foot of line m={m!r} on curve C={curve.C!r} is a cusp"
-        )
+    if not foot.regular:
+        raise DegenerateFootError(f"foot of line m={m!r} on curve C={curve.C!r} is a cusp")
     return foot
 
 

@@ -2,11 +2,11 @@
 
 Two families of checks live here.  ``intersections`` locates every
 crossing of a family line with a trajectory curve in a parameter window
-and flags which crossing is orthogonal (exactly one per line and curve,
-at t = -m).  ``fit_conic``/``is_parabola`` quantify the degeneration
-claim: the C = 0 member is the parabola y^2 = 4x and fits a quadratic
-form to machine precision, while every C != 0 member leaves a conic
-residual orders of magnitude above it.
+and flags the orthogonal one, the foot t = -m unless it is a cusp.
+``fit_conic``/``is_parabola`` quantify the degeneration claim: the C = 0
+member is the parabola y^2 = 4x and fits a quadratic form to machine
+precision, while every C != 0 member leaves a conic residual orders of
+magnitude above it.
 """
 
 import math
@@ -14,15 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_model import (
-    PARABOLA_NORMALS,
-    Point,
-    TrajectoryCurve,
-    curve_point,
-    curve_slope,
-    line_at,
-)
-from .errors import DegenerateInputError, DegeneratePointError, DomainError
+from .core_model import Point, TrajectoryCurve, curve_point, sample
+from .errors import DegenerateInputError, DomainError
 from .roots import bracketed_root
 
 __all__ = [
@@ -37,7 +30,6 @@ __all__ = [
 
 _SCAN_POINTS = 10_000       # sign-scan resolution over the t-window
 _DEDUPE_TOL = 1e-8          # crossings closer than this merge into one
-_ORTHO_TOL = 1e-6           # |slope product + 1| tolerance
 _CONIC_ACCEPT = 1e-8        # residual at or below: the samples lie on a conic
 _CONIC_REJECT = 1e-3        # residual at or above: definitely not a conic
 _PARABOLA_DISC_TOL = 1e-6   # |b^2 - 4ac| tolerance relative to |(a,b,c)|^2
@@ -47,9 +39,10 @@ _PARABOLA_DISC_TOL = 1e-6   # |b^2 - 4ac| tolerance relative to |(a,b,c)|^2
 class IntersectionRecord:
     """One line-curve crossing.
 
-    ``slope_product`` is m * (curve slope); ``math.inf`` tags a vertical
-    curve tangent.  ``orthogonal`` is True when the product is -1 within
-    tolerance, or for the vertical-tangent / horizontal-line pairing.
+    ``slope_product`` is m times the curve slope 1/t: ``math.inf`` at
+    t = 0 (a vertical tangent) and nan at a cusp, where the curve has no
+    slope.  ``orthogonal`` is True for the foot t = -m alone, unless the
+    foot is a cusp.
     """
 
     t: float
@@ -62,36 +55,38 @@ def intersections(m: float, curve: TrajectoryCurve, t_min: float, t_max: float):
     """All crossings of the slope-m family line with ``curve`` for
     t in [t_min, t_max], sorted by t.
 
-    The crossing function g(t) = y(t) - (m x(t) - 2m - m^3) is sign-
-    scanned on a uniform grid of 10^4 points; each sign change is
-    refined by bracketed bisection/secant and nearby roots are merged.
-    Grid nodes where g evaluates to exactly zero count as roots too
-    (the orthogonal foot often lands on one).
+    The crossing function factors as
+
+        y(t) - (m x(t) - 2m - m^3) = (t + m) h(t),
+        h(t) = 2 + m^2 - m t + C / sqrt(1 + t^2),
+
+    so the foot t = -m is returned exactly.  The roots of h come from a
+    sign scan on 10^4 grid nodes (a node where h is 0 counts), refined by
+    bracketed bisection/secant; roots within 1e-8 merge, the foot winning.
     """
     m = float(m)
     if not math.isfinite(m):
         raise DomainError(f"m must be finite, got {m!r}")
-    if not t_min < t_max:
-        raise DomainError(f"need t_min < t_max, got [{t_min!r}, {t_max!r}]")
-    line = line_at(PARABOLA_NORMALS, m)
+    if not (t_min < t_max and math.isfinite(t_max - t_min)):
+        raise DomainError(f"need a finite window t_min < t_max, got [{t_min!r}, {t_max!r}]")
     C = curve.C
+    a = 2.0 + m * m
+
+    def h(t: float) -> float:
+        return a - m * t + C / math.sqrt(1.0 + t * t)
 
     ts = np.linspace(t_min, t_max, _SCAN_POINTS)
-    s = np.sqrt(1.0 + ts * ts)
-    xs = ts * ts - C / s
-    ys = 2.0 * ts + C * ts / s
-    vals = ys - (m * xs + line.intercept)
-
-    def g(t: float) -> float:
-        pt = curve_point(curve, t)
-        return pt.y - line.y_at(pt.x)
-
+    vals = a - m * ts + C / np.sqrt(1.0 + ts * ts)
     roots = [float(t) for t in ts[vals == 0.0]]
     sign = np.sign(vals)
     change = (sign[:-1] * sign[1:]) < 0.0
     for i in np.flatnonzero(change):
-        roots.append(bracketed_root(g, float(ts[i]), float(ts[i + 1]), tol=1e-12))
+        roots.append(bracketed_root(h, float(ts[i]), float(ts[i + 1]), tol=1e-12))
 
+    foot = -m + 0.0  # + 0.0 turns the foot of m = 0 into t = +0.0
+    if t_min <= foot <= t_max:
+        roots = [r for r in roots if abs(r - foot) > _DEDUPE_TOL]
+        roots.append(foot)
     roots.sort()
     merged = []
     for r in roots:
@@ -101,24 +96,9 @@ def intersections(m: float, curve: TrajectoryCurve, t_min: float, t_max: float):
 
     records = []
     for t in merged:
-        pt = curve_point(curve, t)
-        if abs(t) <= _DEDUPE_TOL:
-            # Vertical tangent: orthogonal exactly to the horizontal line.
-            records.append(
-                IntersectionRecord(
-                    t=t, point=pt, slope_product=math.inf, orthogonal=(m == 0.0)
-                )
-            )
-            continue
-        try:
-            product = m * curve_slope(curve, t)
-            orthogonal = abs(product + 1.0) <= _ORTHO_TOL
-        except DegeneratePointError:
-            product = math.nan
-            orthogonal = False
-        records.append(
-            IntersectionRecord(t=t, point=pt, slope_product=product, orthogonal=orthogonal)
-        )
+        at = sample(curve, t)
+        product = (m / t if t else math.inf) if at.regular else math.nan
+        records.append(IntersectionRecord(t, at.point, product, t == -m and at.regular))
     return records
 
 

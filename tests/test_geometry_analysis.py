@@ -3,10 +3,13 @@
 Covers:
   - the two crossings of the m = 1 line with the parabola, frozen from
     2t = t^2 - 3  =>  t in {-1, 3}
-  - vertical-tangent crossing of the horizontal line at the vertex
-  - empty windows, window validation, record ordering
-  - an independent dense-scan oracle for crossing counts and locations
-  - orthogonal uniqueness across an (m, C) grid
+  - vertical-tangent crossing of the horizontal line at the vertex, at
+    t = +0.0
+  - empty windows, window validation (infinite ends and widths too, in
+    the library and the CLI), record ordering
+  - an independent dense-scan oracle for crossing counts and locations,
+    including a second crossing within one scan cell of the foot
+  - orthogonal uniqueness across an (m, C) grid, at exactly t = -m
   - conic fits: parabola and circle to machine residual, C != 0 members
     rejected, permutation invariance, degenerate inputs, coordinates so
     large that the fit overflows, and huge circles with tiny quadratic
@@ -30,6 +33,7 @@ from orthotraj import (
     intersections,
     is_parabola,
 )
+from orthotraj.cli_plot import run
 
 
 def dense_scan_oracle(m, C, t_min, t_max, n=200_001):
@@ -76,7 +80,7 @@ class TestIntersections:
         recs = intersections(0.0, TrajectoryCurve(0.0), -5.0, 5.0)
         assert len(recs) == 1
         rec = recs[0]
-        assert abs(rec.t) <= 1e-8
+        assert rec.t == 0.0 and math.copysign(1.0, rec.t) == 1.0
         assert rec.point.x == pytest.approx(0.0, abs=1e-9)
         assert rec.point.y == pytest.approx(0.0, abs=1e-9)
         assert math.isinf(rec.slope_product)
@@ -91,6 +95,10 @@ class TestIntersections:
             intersections(1.0, TrajectoryCurve(0.0), 2.0, 2.0)
         with pytest.raises(DomainError):
             intersections(math.nan, TrajectoryCurve(0.0), -1.0, 1.0)
+        # t = -1 and t = 3 lie in both windows, which have no finite width.
+        with pytest.raises(DomainError):
+            intersections(1.0, TrajectoryCurve(0.0), -math.inf, 5.0)
+        assert run(["intersect", "-m", "1", "-C", "0", "--t-min=-1e308", "--t-max", "1e308"]) == 2
 
     def test_records_sorted_and_on_line(self):
         for m, C in ((1.0, -4.0), (-2.0, 1.0), (3.0, 4.0), (0.5, -3.0)):
@@ -105,13 +113,16 @@ class TestIntersections:
                 assert abs(r.point.y - ref.y) <= 1e-9
 
     def test_against_dense_scan_oracle(self):
-        for m in (-2.0, -1.0, 1.0, 2.0):
-            for C in (-4.0, 0.0, 1.0, 4.0):
-                recs = intersections(m, TrajectoryCurve(C), -10.0, 10.0)
-                oracle = dense_scan_oracle(m, C, -10.0, 10.0)
-                assert len(recs) == len(oracle), (m, C)
-                for rec, t_ref in zip(recs, oracle):
-                    assert rec.t == pytest.approx(t_ref, abs=1e-6)
+        pairs = [(m, C) for m in (-2.0, -1.0, 1.0, 2.0) for C in (-4.0, 0.0, 1.0, 4.0)]
+        # The foot and a second crossing 9.8e-4 apart, inside one cell of
+        # the 10^4-point scan.
+        pairs.append((-0.7881322984535474, -4.125309922579596))
+        for m, C in pairs:
+            recs = intersections(m, TrajectoryCurve(C), -10.0, 10.0)
+            oracle = dense_scan_oracle(m, C, -10.0, 10.0)
+            assert len(recs) == len(oracle), (m, C)
+            for rec, t_ref in zip(recs, oracle):
+                assert rec.t == pytest.approx(t_ref, abs=1e-6)
 
     def test_orthogonal_uniqueness_grid(self):
         for m in (-3.0, -2.0, -1.0, 1.0, 2.0, 3.0):
@@ -119,7 +130,7 @@ class TestIntersections:
                 recs = intersections(m, TrajectoryCurve(C), -10.0, 10.0)
                 orth = [r for r in recs if r.orthogonal]
                 assert len(orth) == 1, (m, C)
-                assert abs(orth[0].t - (-m)) <= 1e-8
+                assert orth[0].t == -m
 
     def test_non_orthogonal_extra_exists(self):
         recs = intersections(1.0, TrajectoryCurve(0.0), -10.0, 10.0)

@@ -17,8 +17,10 @@ Covers:
     P(t) = (t^2, 2t), with |n| = 1
   - the cusps solve C = -2 (1 + t^2)^(3/2) to 4 ulp of mpmath as
     C -> -2 and to 1e-13 relative, always finite, for |C| up to 1.7e308;
-    each cusp is the parabola's centre of curvature (2 + 3t^2, -2t^3),
-    and the foot of the line of slope -t there is degenerate
+    each cusp is the parabola's centre of curvature (2 + 3t^2, -2t^3);
+    at each cusp t the curve has no slope, its sample is not regular,
+    the foot of the line of slope -t is degenerate, and that line's
+    crossing at t is not orthogonal and has a nan slope product
   - at every sample off the collision band, a trace's q lies within
     1e-6 (1 + |r|) of r, the root nearest it of the q-cubic at the
     sample: r from ``slopes_at`` (as q = 1/p) where |y| >= 1e-3, and r
@@ -49,16 +51,20 @@ from hypothesis import strategies as st
 from orthotraj import (
     PARABOLA_NORMALS,
     DegenerateFootError,
+    DegeneratePointError,
     NoBranchError,
     Point,
     TraceConfig,
     TrajectoryCurve,
     curve_point,
+    curve_slope,
     cusp_parameters,
+    intersections,
     orthogonal_foot,
     slopes_at,
     trace_orthogonal,
 )
+from orthotraj.core_model import sample
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=40)
 
@@ -302,10 +308,18 @@ def exact_cusp(C):
         return float(mpmath.sqrt(mpmath.cbrt(-mpmath.mpf(C) / 2) ** 2 - 1))
 
 
-def assert_degenerate_feet(curve, cusps):
+def assert_cusps_are_degenerate(curve, cusps):
+    """Every reported cusp is one to ``sample``, ``curve_slope``,
+    ``orthogonal_foot`` and ``intersections`` alike."""
     for t in cusps:
+        assert not sample(curve, t).regular
+        with pytest.raises(DegeneratePointError):
+            curve_slope(curve, t)
         with pytest.raises(DegenerateFootError):
             orthogonal_foot(PARABOLA_NORMALS, -t, curve)
+        w = 2.0 * (1.0 + abs(t))
+        (rec,) = [r for r in intersections(-t, curve, -w, w) if r.t == t]
+        assert not rec.orthogonal and math.isnan(rec.slope_product)
 
 
 @SETTINGS
@@ -325,7 +339,7 @@ def test_cusps_next_to_the_vertex_cusp(C):
         x, y = curve_point(curve, tc)
         cx, cy = 2.0 + 3.0 * tc * tc, -2.0 * tc**3
         assert math.hypot(x - cx, y - cy) <= 1e-14 * (2.0 + 3.0 * tc * tc + 2.0 * abs(tc) ** 3)
-    assert_degenerate_feet(curve, cusps)
+    assert_cusps_are_degenerate(curve, cusps)
 
 
 @SETTINGS
@@ -338,4 +352,4 @@ def test_cusps_of_huge_members(C):
     t = exact_cusp(C)
     assert cusps == [-cusps[-1], cusps[-1]]
     assert abs(cusps[-1] - t) <= 1e-13 * t
-    assert_degenerate_feet(curve, cusps)
+    assert_cusps_are_degenerate(curve, cusps)
