@@ -76,7 +76,10 @@ def intersections(m: float, curve: TrajectoryCurve, t_min: float, t_max: float):
         return a - m * t + C / math.sqrt(1.0 + t * t)
 
     ts = np.linspace(t_min, t_max, _SCAN_POINTS)
-    vals = a - m * ts + C / np.sqrt(1.0 + ts * ts)
+    # Past |t| = 1.3e154, ts * ts overflows to inf, and C / inf = 0 is the
+    # limit of C / sqrt(1 + t^2) there.
+    with np.errstate(over="ignore"):
+        vals = a - m * ts + C / np.sqrt(1.0 + ts * ts)
     roots = [float(t) for t in ts[vals == 0.0]]
     sign = np.sign(vals)
     change = (sign[:-1] * sign[1:]) < 0.0

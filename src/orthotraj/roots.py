@@ -140,8 +140,8 @@ def bracketed_root(f, lo: float, hi: float, tol: float = 1e-12) -> float:
     """Root of f in [lo, hi] by bisection accelerated with secant steps.
 
     Requires lo < hi and f(lo) * f(hi) <= 0.  Stops when the bracket
-    width drops below ``tol`` and returns the endpoint with the smaller
-    |f|.
+    width drops below ``tol``, or to two adjacent floats, and returns the
+    endpoint with the smaller |f|.
     """
     if not lo < hi:
         raise DomainError(f"need lo < hi, got [{lo!r}, {hi!r}]")
@@ -155,13 +155,15 @@ def bracketed_root(f, lo: float, hi: float, tol: float = 1e-12) -> float:
         raise NoBracketError(f"no sign change on [{lo!r}, {hi!r}]")
 
     a, b = lo, hi
-    for _ in range(200):
-        if b - a <= tol:
+    # Bisection alone takes about 650 halvings to close a bracket 1e196
+    # wide, so the cap covers the whole double range.
+    for _ in range(2200):
+        mid = 0.5 * (a + b)
+        if b - a <= tol or not a < mid < b:
             break
         # Secant candidate; fall back to bisection when it leaves the
         # bracket interior or the denominator degenerates.
         denom = fb - fa
-        mid = 0.5 * (a + b)
         if denom != 0.0:
             cand = b - fb * (b - a) / denom
             if not (a < cand < b):

@@ -7,38 +7,44 @@ parameter t of the closed form.  Differentiating the cubic along a
 solution, where dy = dx / q, gives with D = 3 q^2 + 2 - x the explicit ODE
 
     dx/dq = q D / (1 + q^2),   dy/dq = D / (1 + q^2),
-    ds/dq = |D| / sqrt(1 + q^2).
+    ds/dq = D / sqrt(1 + q^2),
 
-Its x and y parts are smooth everywhere: the vertex (q = 0) is a plain
-point, and at a cusp (D = 0, on the evolute 27 y^2 = 4 (x - 2)^3) only
-the speed ds/dq vanishes, so a trace runs through both.  ``slopes_at``
-solves the cubic once, for the start root; no root is solved after
-that.  The drift monitor, the normal offset (q (y - q) - x) / sqrt(1 + q^2)
-of (x, y) from the parabola point (q^2, 2q), equals C all along member C,
-the parabola's offset curve at distance C (see ``core_model``).
+where s is the signed arc: the arc length is |ds| while D keeps its sign.
+All three are smooth everywhere: the vertex (q = 0) is a plain point,
+and at a cusp (D = 0, on the evolute 27 y^2 = 4 (x - 2)^3) only the
+signed speed ds/dq changes sign, so a trace runs through both.
+``slopes_at`` solves the cubic once, for the start root; no root is
+solved after that.  The drift monitor, the normal offset
+(q (y - q) - x) / sqrt(1 + q^2) of (x, y) from the parabola point
+(q^2, 2q), equals C all along member C, the parabola's offset curve at
+distance C (see ``core_model``).
 
 One stepper, ``_march``, integrates every trace: Dormand-Prince 5(4)
 Runge-Kutta steps (DOPRI5) of d(x, y, s)/dtau = rhs(tau, x, y), sized
 by ``tol`` alone, with the local error of x and y bounded per unit of
-arc budget (s has a kink at a cusp, so it stays out of the error test);
-the samples come from the method's continuous extension, at most
-2 ``step`` of arc apart, and the last step lands on the arc budget
-inside the step.  The tracer's ``emit`` makes each sample once, in
-its final (Point, p) form, and returns its conserved quantity for the
-drift.  ``_march`` also keeps the domain box and the step limit, and
-runs once per direction from the start point.
-``trace_orthogonal`` marches in tau = sigma q, sigma = +-1 the direction,
-and returns slopes p = 1/q (+-inf where q = 0).  ``trace_classic``
-marches one of three textbook orthogonal-trajectory fields in tau = s
-and reports the drift of its exact conserved quantity.
+arc budget (s stays out of the error test).  The step's sign carries
+the direction, so ``rhs`` and the sample maker ``emit`` are functions
+of the curve alone, and one march runs each direction from the start
+point.  The samples come from the method's continuous extension, at
+most 2 ``step`` of arc apart, and ``_locate`` bisects that extension
+wherever a step is cut: at the zero of the signed speed, where the arc
+of a step splits into |s| on either side; on the arc budget; and on the
+box edge.  So each end lies on its arc budget or on the box edge.  The
+tracer's ``emit`` makes each sample once, in its final (Point, p) form,
+and returns its conserved quantity for the drift.
+``trace_orthogonal`` marches in tau = q and returns slopes p = 1/q
+(+-inf where q = 0).  ``trace_classic`` marches one of three textbook
+orthogonal-trajectory fields in tau = s and reports the drift of its
+exact conserved quantity.
 
 Termination reasons:
 
     arc-limit    the arc-length budget was spent
-    domain-exit  the trace left the configured bounding box
+    domain-exit  the trace reached the edge of the configured bounding
+                 box, where its end sample lies
     step-limit   the march used up its _MAX_STEPS step attempts
-    singularity  the smallest step could not follow the field, as next
-                 to a classic fixture's singular point
+    singularity  the smallest step, |dtau| = 1e-6, could not follow the
+                 field, as next to a classic fixture's singular point
 """
 
 import math
@@ -77,7 +83,7 @@ _D = (
     69997945 / 29380423,
 )
 
-_H_MIN = 1e-6           # arc of the smallest step that error control tries
+_H_MIN = 1e-6           # the smallest |dtau| that error control tries
 _MAX_STEPS = 300_000
 _SEVERITY = {"arc-limit": 0, "domain-exit": 1, "step-limit": 2, "singularity": 3}
 
@@ -93,7 +99,9 @@ class TraceConfig:
     sizes, down to the rounding of x and y.  All three are finite and
     positive.
     ``domain`` is an optional (xmin, xmax, ymin, ymax) box; None uses a
-    very large default box.
+    very large default box.  A trace that leaves the box ends
+    ``domain-exit`` with its last sample on the box edge; a start outside
+    the box is returned alone, both ends ``domain-exit``.
     """
 
     start: Optional[Point] = None
@@ -192,71 +200,93 @@ def _at(poly: tuple, th: float) -> float:
     return u0 + th * (r1 + th1 * (r2 + th * (r3 + th1 * r4)))
 
 
-def _march(cfg: TraceConfig, x, y, rhs, t, emit):
-    """Integrate d(x, y, s)/dt = rhs(t, x, y) from (x, y) at arc 0,
-    making each sample once; returns the samples, end reason and drift.
+def _locate(ok, lo: float = 0.0, hi: float = 1.0) -> float:
+    """The step fraction where ``ok`` turns false, from lo (true) towards
+    hi (false), by 52 bisections: where a step is cut.  Returns the last
+    fraction found true."""
+    for _ in range(52):
+        mid = 0.5 * (lo + hi)
+        if ok(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
-    ``emit(out, t, x, y)`` appends the final (Point, p) sample at
-    (t, x, y) to ``out`` and returns its conserved quantity F; the start
-    is the first sample, and the drift is max |F - F0| over the samples.
-    A step is accepted when the error of x and y is at most
-    tol ds / max_arc, so the local errors over the arc budget sum to at
-    most tol, or at most the rounding eps (|x| + |y|) of its end; a
-    rejected step is halved.  A step whose arc ds exceeds 1.25 (arc left)
-    is rescaled by (arc left)/ds and retried, and after an accepted step
-    h is capped at 1.1 (arc left) over the speed ds/dt, so the last step
-    lands on the budget inside the step.  Each step's samples come from
-    the continuous extension (``_at``, inlined), equally spaced in t, at
-    most 2 ``step`` of arc apart at the largest stage speed; a full step
-    ends on its own accepted point.
+
+def _march(cfg: TraceConfig, x, y, rhs, t, sigma, emit):
+    """Integrate d(x, y, s)/dt = rhs(t, x, y) from (x, y) at arc 0 in the
+    direction sigma = +-1 of t, making each sample once; returns the
+    samples, end reason and drift.
+
+    h has the sign sigma and rhs's third component is the signed speed:
+    a step's arc is |ds|, or |s| on either side of the speed's zero where
+    the stage speeds change sign.  ``emit(out, t, x, y)`` appends the
+    (Point, p) sample at (t, x, y) to ``out`` and returns its conserved
+    quantity F; the start is the first sample, and the drift is
+    max |F - F0| over the samples.  A step is accepted when the error of
+    x and y is at most tol min(arc, arc left) / max_arc, so the local
+    errors over the arc budget sum to at most tol, or at most the
+    rounding eps (|x| + |y|); otherwise h is halved, down to _H_MIN.
+    After an accepted step |h| is capped at 1.1 (arc left) over the
+    speed.  Samples come from the continuous extension (``_at``,
+    inlined), equally spaced in t, at most 2 ``step`` of arc apart; a
+    full step ends on its accepted point.  ``_locate`` cuts a step at the
+    speed's zero, on the arc budget and on the box edge (after the last
+    sample inside), and the cut is the end sample.  A start outside the
+    box is returned alone.
     """
     xmin, xmax, ymin, ymax = cfg.bounds()
-    spacing = 2.0 * cfg.step
+
+    def inside(u):  # the current step's continuous extension at u is in the box
+        return xmin <= _at(xp, u) <= xmax and ymin <= _at(yp, u) <= ymax
+
     out = []
     f0 = emit(out, t, x, y)
-    drift = 0.0
+    drift = arc = 0.0
+    if not (xmin <= x <= xmax and ymin <= y <= ymax):
+        return out, "domain-exit", drift
     k0 = rhs(t, x, y)
     # At a cusp start the speed k0[2] is 0: try one step of t.
-    h = cfg.step / k0[2] if k0[2] > 0.0 else cfg.step
-    arc = 0.0
+    h = sigma * (cfg.step / abs(k0[2]) if k0[2] else cfg.step)
     for _ in range(_MAX_STEPS):
-        left = cfg.max_arc - arc
-        if left <= 1e-12:
-            return out, "arc-limit", drift
         xn, yn, ds, err, us, vs, ws = _rk_step(rhs, t, x, y, k0, h)
-        if ds > 1.25 * left:
-            h *= left / ds
-            continue
-        bound = cfg.tol * ds / cfg.max_arc
+        _, xr1, xr2, xr3, xr4 = xp = _dense(x, xn, h, us)
+        _, yr1, yr2, yr3, yr4 = yp = _dense(y, yn, h, vs)
+        wmin, wmax = min(ws), max(ws)
+        tc = sc = 0.0
+        if wmin < 0.0 < wmax:
+            # A cusp: the arc is |s| up to the speed's zero tc, |s - s(tc)| past it.
+            tc = _locate(lambda u: rhs(t + u * h, _at(xp, u), _at(yp, u))[2] * ws[0] > 0.0)
+            sc = _at(_dense(0.0, ds, h, ws), tc)
+        da = abs(sc) + abs(ds - sc)
+        left = cfg.max_arc - arc
+        bound = cfg.tol * min(da, left) / cfg.max_arc
         if not err <= bound:  # nan fails too
             # No step size takes the error below the rounding of x and y.
             bound = max(bound, sys.float_info.epsilon * (abs(xn) + abs(yn)))
             if not err <= bound:
-                if ds < _H_MIN:
+                if abs(h) < _H_MIN:
                     return out, "singularity", drift
                 h *= 0.5
                 continue
         end = 1.0
-        if ds > left:
-            # Land on the budget: bisect the dense arc for s(th) = left.
-            s_poly = _dense(0.0, ds, h, ws)
-            end, hi = 0.0, 1.0
-            for _ in range(52):
-                mid = 0.5 * (end + hi)
-                if _at(s_poly, mid) < left:
-                    end = mid
-                else:
-                    hi = mid
-        n = max(1, math.ceil(max(ws) * end * h / spacing))
-        _, xr1, xr2, xr3, xr4 = _dense(x, xn, h, us)
-        _, yr1, yr2, yr3, yr4 = _dense(y, yn, h, vs)
+        if arc + da >= cfg.max_arc:
+            # Land on the budget: where the arc of the dense s reaches left.
+            sp = _dense(0.0, ds, h, ws)
+            end = _locate(
+                lambda u: (abs(sc) + abs(_at(sp, u) - sc) if u >= tc else abs(_at(sp, u))) < left
+            )
+        n = max(1, math.ceil(max(wmax, -wmin) * end * abs(h) / (2.0 * cfg.step)))
         for i in range(1, n + 1):
             th = end * i / n
             th1 = 1.0 - th
             xi = x + th * (xr1 + th1 * (xr2 + th * (xr3 + th1 * xr4))) if th1 else xn
             yi = y + th * (yr1 + th1 * (yr2 + th * (yr3 + th1 * yr4))) if th1 else yn
             if not (xmin <= xi <= xmax and ymin <= yi <= ymax):
-                return out, "domain-exit", drift
+                # Cut the step on the box edge, after the last sample inside.
+                th = _locate(inside, end * (i - 1) / n, th)
+                f = abs(emit(out, t + th * h, _at(xp, th), _at(yp, th)) - f0)
+                return out, "domain-exit", max(drift, f)
             f = abs(emit(out, t + th * h, xi, yi) - f0)
             if f > drift:
                 drift = f
@@ -264,30 +294,28 @@ def _march(cfg: TraceConfig, x, y, rhs, t, emit):
             return out, "arc-limit", drift
         t += h
         x, y = xn, yn
-        arc += ds
+        arc += da
         k0 = us[6], vs[6], ws[6]
         h *= min(5.0, max(0.2, 0.9 * (bound / err) ** 0.2)) if err > 0.0 else 5.0
-        if k0[2] > 0.0:
-            h = min(h, 1.1 * (cfg.max_arc - arc) / k0[2])
+        if k0[2]:
+            h = math.copysign(min(abs(h), 1.1 * (cfg.max_arc - arc) / abs(k0[2])), h)
     return out, "step-limit", drift
 
 
-def _trace(cfg: TraceConfig, x0, y0, orient, leg) -> TraceResult:
+def _trace(cfg: TraceConfig, x0, y0, orient, rhs, t0, emit) -> TraceResult:
     """March both directions from (x0, y0) and merge them.
 
-    ``leg(sigma)`` gives ``_march``'s (rhs, t, emit) for direction
-    sigma = -orient (backward) and orient (forward): the right-hand side,
-    the start's t and the sample maker.  Both legs begin with the start
-    sample; the merge keeps the forward one.
+    ``_march`` runs with (rhs, t0, emit), the right-hand side, the
+    start's t and the sample maker, once with sigma = -orient (backward)
+    and once with sigma = orient (forward).  Both legs begin with the
+    start sample; the merge keeps the forward one.
     """
     (samples, r_back, d_back), (fwd, r_fwd, d_fwd) = [
-        _march(cfg, x0, y0, *leg(sigma)) for sigma in (-orient, orient)
+        _march(cfg, x0, y0, rhs, t0, sigma, emit) for sigma in (-orient, orient)
     ]
-    samples.reverse()
-    samples[-1:] = fwd
     reasons = (r_back, r_fwd)
     return TraceResult(
-        samples=samples,
+        samples=samples[:0:-1] + fwd,
         terminated_by=max(reasons, key=lambda r: _SEVERITY[r]),
         potential_drift=max(d_back, d_fwd),
         end_reasons=reasons,
@@ -330,29 +358,23 @@ def trace_orthogonal(cfg: TraceConfig) -> TraceResult:
     a0 = x0 - 2.0
     if not abs(q0 * q0 * q0 - a0 * q0 - y0) <= 1e-9 * (abs(q0) ** 3 + abs(a0 * q0) + abs(y0)):
         raise NoBranchError(f"slope {p0!r} at ({x0!r}, {y0!r}) does not solve the slope cubic")
-    d0 = 3.0 * q0 * q0 + 2.0 - x0
 
-    def leg(sigma):
-        def rhs(t, x, y):
-            q = sigma * t
-            w = 1.0 + q * q
-            d = 3.0 * q * q + 2.0 - x
-            v = sigma * d / w
-            return q * v, v, abs(d) / math.sqrt(w)
+    def rhs(q, x, y):
+        w = 1.0 + q * q
+        d = 3.0 * q * q + 2.0 - x
+        v = d / w
+        return q * v, v, d / math.sqrt(w)
 
-        def emit(out, t, x, y):
-            q = sigma * t
-            p = 1.0 / q if q else math.copysign(math.inf, q)
-            # tuple.__new__ skips Point's Python-level __new__, half the cost.
-            out.append((tuple.__new__(Point, (x, y)), p))
-            return (q * (y - q) - x) / math.sqrt(1.0 + q * q)
+    def emit(out, q, x, y):
+        p = 1.0 / q if q else math.copysign(math.inf, q)
+        # tuple.__new__ skips Point's Python-level __new__, half the cost.
+        out.append((tuple.__new__(Point, (x, y)), p))
+        return (q * (y - q) - x) / math.sqrt(1.0 + q * q)
 
-        return rhs, sigma * q0, emit
-
-    # dx/dtau = sigma q D / (1 + q^2), so forward, sigma = sign(q0 D0), is
-    # +x; at a cusp start, where D0 = 0, forward is sign(q0).
-    orient = math.copysign(1.0, q0 * d0 if d0 else q0)
-    return _trace(cfg, x0, y0, orient, leg)
+    # Forward is +x: the sign of dx/dq = q D / (1 + q^2) at the start, or
+    # of q0 at a cusp start, where D = 0.
+    orient = math.copysign(1.0, rhs(q0, x0, y0)[0] or q0)
+    return _trace(cfg, x0, y0, orient, rhs, q0, emit)
 
 
 # Classic textbook pairs: direction field (unnormalized) and conserved
@@ -389,15 +411,12 @@ def trace_classic(kind: str, cfg: TraceConfig) -> TraceResult:
         out.append((tuple.__new__(Point, (x, y)), p))
         return conserved(x, y)
 
-    def leg(sigma):
-        # The direction is the normalised field itself: a slope alone
-        # would lose its orientation wherever vx < 0.  A vanishing field
-        # gives nan, which fails the error test.
-        def rhs(_t, x, y):
-            vx, vy = raw_field(x, y)
-            n = sigma / (math.hypot(vx, vy) or math.nan)
-            return vx * n, vy * n, 1.0
+    # The direction is the normalised field itself: a slope alone would
+    # lose its orientation wherever vx < 0.  A vanishing field gives nan,
+    # which fails the error test.
+    def rhs(_t, x, y):
+        vx, vy = raw_field(x, y)
+        n = 1.0 / (math.hypot(vx, vy) or math.nan)
+        return vx * n, vy * n, 1.0
 
-        return rhs, 0.0, emit
-
-    return _trace(cfg, x0, y0, 1.0, leg)
+    return _trace(cfg, x0, y0, 1.0, rhs, 0.0, emit)

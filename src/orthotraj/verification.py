@@ -145,13 +145,23 @@ def _random_foot_pairs(n: int, seed: int = 20260810):
     return pairs
 
 
+def _right_angle_defect(m: float, curve: TrajectoryCurve, t: float) -> float:
+    """|v . (1, m)| / (|v| sqrt(1 + m^2)) for the tangent v from
+    ``curve_velocity`` at t: the cosine of the angle between the curve and
+    the slope-m line, 0 where they meet at a right angle, inf at a cusp,
+    where v = (0, 0)."""
+    vx, vy = curve_velocity(curve, t)
+    norm = math.hypot(1.0, m) * math.hypot(vx, vy)
+    return abs(vx + m * vy) / norm if norm else math.inf
+
+
 def suite_orthogonality(n_pairs: int = 1000):
-    """Foot incidence, slope product, and crossing uniqueness."""
+    """Foot incidence, the tangent at the foot, and crossing uniqueness,
+    the last two measured on the curve's velocity."""
     pairs = _random_foot_pairs(n_pairs)
     worst_incidence = 0.0
-    worst_product = 0.0
+    worst_cosine = 0.0
     unique_failures = 0
-    worst_t_gap = 0.0
     for m, C in pairs:
         curve = TrajectoryCurve(C)
         foot = orthogonal_foot(PARABOLA_NORMALS, m, curve)
@@ -159,14 +169,11 @@ def suite_orthogonality(n_pairs: int = 1000):
         worst_incidence = max(
             worst_incidence, abs(foot.point.y - line.y_at(foot.point.x))
         )
-        worst_product = max(worst_product, abs(m * (1.0 / foot.t) + 1.0))
+        worst_cosine = max(worst_cosine, _right_angle_defect(m, curve, foot.t))
 
         recs = intersections(m, curve, -10.0, 10.0)
-        orth = [r for r in recs if r.orthogonal]
-        if len(orth) != 1:
+        if [r.t for r in recs if _right_angle_defect(m, curve, r.t) <= 1e-9] != [-m]:
             unique_failures += 1
-        else:
-            worst_t_gap = max(worst_t_gap, abs(orth[0].t - (-m)))
     return [
         _result(
             "foot incidence on the line (tol 1e-9)",
@@ -174,14 +181,14 @@ def suite_orthogonality(n_pairs: int = 1000):
             f"max |y - (mx - 2m - m^3)| = {worst_incidence:.3e} over {n_pairs} pairs",
         ),
         _result(
-            "foot slope product is -1 (tol 1e-9)",
-            worst_product <= 1e-9,
-            f"max |m/t + 1| = {worst_product:.3e}",
+            "curve tangent at the foot is normal to the line (tol 1e-9)",
+            worst_cosine <= 1e-9,
+            f"max |v . (1, m)| / (|v| sqrt(1 + m^2)) = {worst_cosine:.3e}",
         ),
         _result(
-            "exactly one orthogonal crossing per (m, C) on [-10, 10]",
-            unique_failures == 0 and worst_t_gap <= 1e-8,
-            f"{unique_failures} uniqueness failures; max |t - (-m)| = {worst_t_gap:.3e}",
+            "exactly one right-angle crossing per (m, C) on [-10, 10], at t = -m",
+            unique_failures == 0,
+            f"{unique_failures} pairs without exactly one crossing at a right angle (tol 1e-9)",
         ),
     ]
 

@@ -8,8 +8,9 @@ to see them).  Tolerances live in the suites; nothing is loosened here.
      both to 1e-8 on the (y, p) grid
   2. potential/parametrization consistency (1e-9 / 1e-12)
   3. on-curve identity of the implicit slope equation (1e-9 relative)
-  4. orthogonality at scale: 1000 random (m, C) feet (incidence and
-     slope product to 1e-9) and exactly one orthogonal crossing each
+  4. orthogonality at scale: 1000 random (m, C) feet (incidence, and
+     the curve's velocity normal to the line, to 1e-9) and exactly one
+     crossing at a right angle each, at t = -m
   5. the non-orthogonal second crossing of (m=1, C=0) at t=3, (9, 6),
      slope product 1/3 (1e-8)
   6. parabola degeneration: conic ~ y^2 - 4x iff C = 0, residual >= 1e-3

@@ -6,7 +6,8 @@ Covers:
   - vertical-tangent crossing of the horizontal line at the vertex, at
     t = +0.0
   - empty windows, window validation (infinite ends and widths too, in
-    the library and the CLI), record ordering
+    the library and the CLI), a window so wide that t^2 overflows (no
+    warning, both crossings found), record ordering
   - an independent dense-scan oracle for crossing counts and locations,
     including a second crossing within one scan cell of the foot
   - orthogonal uniqueness across an (m, C) grid, at exactly t = -m
@@ -18,6 +19,7 @@ Covers:
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -99,6 +101,13 @@ class TestIntersections:
         with pytest.raises(DomainError):
             intersections(1.0, TrajectoryCurve(0.0), -math.inf, 5.0)
         assert run(["intersect", "-m", "1", "-C", "0", "--t-min=-1e308", "--t-max", "1e308"]) == 2
+
+    def test_huge_window_warns_nothing(self):
+        # The scan grid reaches |t| = 1e200, where t * t overflows.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            recs = intersections(1.0, TrajectoryCurve(0.0), -1e200, 1e200)
+        assert [r.t for r in recs] == pytest.approx([-1.0, 3.0], abs=1e-10)
 
     def test_records_sorted_and_on_line(self):
         for m, C in ((1.0, -4.0), (-2.0, 1.0), (3.0, 4.0), (0.5, -3.0)):

@@ -15,6 +15,9 @@ Covers:
     [1e-3, 1e5] and |t0| in [1e-3, 1e3] log-uniform, where member C is
     also checked to be the offset curve P(t) + C n(t) of the parabola
     P(t) = (t^2, 2t), with |n| = 1
+  - each leg of a trace on any member, cusped ones included, ends on
+    its arc budget to 1e-9 of the closed-form arc, which is split at
+    the cusps
   - the cusps solve C = -2 (1 + t^2)^(3/2) to 4 ulp of mpmath as
     C -> -2 and to 1e-13 relative, always finite, for |C| up to 1.7e308;
     each cusp is the parabola's centre of curvature (2 + 3t^2, -2t^3);
@@ -30,8 +33,9 @@ Covers:
     drift within 10 tol and spends its arc budget both ways
   - a trace through the vertex passes q = 0 on the x-axis, at the
     vertex (-C, 0) of its member
-  - the pinned end reasons of the tracer-suite starts and of trace
-    workload starts (cusped and uncusped members)
+  - the pinned end reasons of the tracer-suite starts, of trace
+    workload starts (cusped and uncusped members) and of a member with
+    two cusps next to its vertex
 
 Box-point starts take their slope from ``slopes_at``, which near the
 x-axis loses roots and returns spurious ones (ROADMAP item 1): at
@@ -197,6 +201,45 @@ def test_trace_follows_the_offset_curve_over_the_whole_plane(C, t0):
         return  # ``slopes_at`` lost the start root (ROADMAP item 1)
 
 
+def closed_form_arc(C, a, b):
+    """The arc of member C between parameters a and b.
+
+    A(t) = t sqrt(1 + t^2) + asinh t + C atan t integrates the signed
+    speed ds/dt = 2 sqrt(1 + t^2) + C / (1 + t^2), which changes sign at
+    each cusp; the arc is |A(v) - A(u)| summed over the pieces between
+    the cusps.
+    """
+
+    def A(t):
+        return t * math.sqrt(1.0 + t * t) + math.asinh(t) + C * math.atan(t)
+
+    tc = exact_cusp(C) if C <= -2.0 else math.inf
+    cuts = sorted([a, b] + [c for c in (-tc, tc) if min(a, b) < c < max(a, b)])
+    return sum(abs(A(v) - A(u)) for u, v in zip(cuts, cuts[1:]))
+
+
+@SETTINGS
+@given(st.floats(-5.0, 5.0), signs, st.floats(0.3, 3.0))
+# Two cusps at t = +-0.0497, next to the vertex, and one a step away
+# from the start.
+@example(-2.0074, -1.0, 1.7613)
+@example(-4.0, 1.0, 0.767)
+def test_each_leg_spends_its_arc_budget_on_the_closed_form(C, sign, t_abs):
+    # Cusped legs met the budget only to 1e-5 while the tracer
+    # integrated the kinked speed |D| / sqrt(1 + q^2).
+    t0 = sign * t_abs
+    cfg = TraceConfig(
+        start=curve_point(TrajectoryCurve(C), t0),
+        initial_slope_hint=1.0 / t0,
+        tol=1e-9,
+        max_arc=20.0,
+    )
+    res = trace_orthogonal(cfg)
+    assert res.end_reasons == ("arc-limit", "arc-limit")
+    for _, p in (res.samples[0], res.samples[-1]):
+        assert abs(closed_form_arc(C, t0, 1.0 / p) - cfg.max_arc) <= 1e-9
+
+
 @SETTINGS
 @given(box_points(), st.integers(0, 2))
 def test_continuation_picks_the_nearest_full_solve_root(pt, k):
@@ -272,11 +315,14 @@ def test_vertex_root_settles_on_the_axis():
         assert yv == pytest.approx(0.0, abs=1e-6)
 
 # (C, t0, max_arc, end reasons).  The first four are the verify tracer
-# suite's starts, with twice the suite's arc budget; the rest are trace
-# workload starts on cusped and uncusped members.  Every member traces
-# its whole budget both ways, through the vertex and through its cusps
-# (C <= -2); the last one passes two cusps at t = +-0.0531, either side
-# of its vertex.
+# suite's starts, with twice the suite's arc budget; the next six are
+# trace workload starts on cusped and uncusped members.  Every member
+# traces its whole budget both ways, through the vertex and through its
+# cusps (C <= -2); the sixth of them passes two cusps at t = +-0.0531,
+# either side of its vertex.  The last one passes two cusps at
+# t = +-0.0497, between which D is small, so each step there covers
+# little arc: while the smallest step was measured in arc, not in q, its
+# backward leg ended `singularity`.
 PINNED_ENDS = [
     (-1.0, 1.0, 40.0, ("arc-limit", "arc-limit")),
     (0.0, 1.0, 40.0, ("arc-limit", "arc-limit")),
@@ -288,6 +334,7 @@ PINNED_ENDS = [
     (-2.2464404338068973, -1.1315851596129136, 20.0, ("arc-limit", "arc-limit")),
     (-3.80908676375989, -2.539177107165723, 20.0, ("arc-limit", "arc-limit")),
     (-2.0084558412431455, -2.1956328064540727, 20.0, ("arc-limit", "arc-limit")),
+    (-2.0074, -1.7613, 20.0, ("arc-limit", "arc-limit")),
 ]
 
 

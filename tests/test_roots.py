@@ -12,7 +12,8 @@ Covers:
     * max(1, |r|)^3
   - odd root count off the x-axis, p = 0 never a root, non-finite input
   - bisection/secant bracketing: convergence, errors, cross-check with
-    the closed-form cusp parameters
+    the closed-form cusp parameters, a bracket 2e196 wide, and a root
+    whose bracket stops at adjacent floats, wider than tol
 """
 
 import math
@@ -171,6 +172,23 @@ class TestBracketedRoot:
         r = bracketed_root(lambda t: 2.0 - 4.0 * (1.0 + t * t) ** -1.5, 0.5, 1.0, 1e-12)
         assert r == pytest.approx(0.7664209365408798, abs=1e-10)
         assert r == pytest.approx(cusp_parameters(TrajectoryCurve(-4.0))[1], abs=1e-10)
+
+    def test_huge_bracket(self):
+        # The secant step lands on 0 and bisection must halve the bracket
+        # some 650 times: past 200 iterations this returned 0.0.
+        assert bracketed_root(lambda t: 3.0 - t, -1e196, 1e196) == 3.0
+
+    def test_root_between_adjacent_floats(self):
+        # ulp(1e5) = 1.5e-11 > tol, so the bracket stops at adjacent
+        # floats; it ran on to the iteration cap (202 calls) before.
+        calls = []
+
+        def f(t):
+            calls.append(t)
+            return math.tanh(50.0 * (t - 1e5 - 0.3))
+
+        r = bracketed_root(f, 1e5 - 1.0, 1e5 + 1.0, tol=1e-12)
+        assert abs(r - (1e5 + 0.3)) <= math.ulp(1e5) and len(calls) <= 50
 
     def test_steep_function(self):
         r = bracketed_root(lambda t: math.tanh(50.0 * (t - 0.3)), -1.0, 1.0, tol=1e-13)

@@ -12,7 +12,7 @@ Covers:
   - both tracers: sample spacing bounded by twice the configured step,
     each end spends its arc budget with no sample gap under 1e-3 among
     its last four samples, and a domain box ends the trace with
-    domain-exit
+    domain-exit on the box edge; a start outside the box is returned alone
   - the cost follows tol, not the sample spacing: the parabola trace
     takes at most 400 steps, about as many at step 0.01 as at 0.5, and
     more at a tighter tol
@@ -133,15 +133,20 @@ class TestSharedStepper:
         assert min(gaps[:3] + gaps[-3:]) >= 1e-3
 
     def test_domain_exit(self, trace, start, hint):
-        cfg = TraceConfig(
-            start=start,
-            initial_slope_hint=hint,
-            domain=(-5.0, 5.0, -5.0, 5.0),
-        )
-        res = trace(cfg)
+        box = (-5.0, 5.0, -5.0, 5.0)
+        res = trace(TraceConfig(start=start, initial_slope_hint=hint, domain=box))
         assert "domain-exit" in res.end_reasons
         for pt, _ in res.samples:
             assert -5.0 <= pt.x <= 5.0 and -5.0 <= pt.y <= 5.0
+        # The step that leaves the box is cut on its edge.
+        for reason, (pt, _) in zip(res.end_reasons, (res.samples[0], res.samples[-1])):
+            if reason == "domain-exit":
+                gap = min(abs(v - e) for v, e in zip((pt.x, pt.x, pt.y, pt.y), box))
+                assert gap <= 1e-12 * 5.0
+        # A start outside the box is returned alone.
+        res = trace(TraceConfig(start=start, initial_slope_hint=hint, domain=(2.0, 3.0, 2.0, 3.0)))
+        assert res.end_reasons == ("domain-exit", "domain-exit")
+        assert [pt for pt, _ in res.samples] == [start]
 
 
 class TestTraceOrthogonal:
