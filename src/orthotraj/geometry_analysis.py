@@ -9,6 +9,7 @@ precision, while every C != 0 member leaves a conic residual orders of
 magnitude above it.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -51,6 +52,20 @@ class IntersectionRecord:
     orthogonal: bool
 
 
+@functools.lru_cache(maxsize=8)
+def _scan_grid(t_min: float, t_max: float):
+    """The read-only scan nodes ts over [t_min, t_max] and sqrt(1 + ts^2),
+    built once per window."""
+    ts = np.linspace(t_min, t_max, _SCAN_POINTS)
+    # Past |t| = 1.3e154, ts * ts overflows to inf, and C / inf = 0 is the
+    # limit of C / sqrt(1 + t^2) there.
+    with np.errstate(over="ignore"):
+        s = np.sqrt(1.0 + ts * ts)
+    ts.flags.writeable = False
+    s.flags.writeable = False
+    return ts, s
+
+
 def intersections(m: float, curve: TrajectoryCurve, t_min: float, t_max: float):
     """All crossings of the slope-m family line with ``curve`` for
     t in [t_min, t_max], sorted by t.
@@ -62,7 +77,9 @@ def intersections(m: float, curve: TrajectoryCurve, t_min: float, t_max: float):
 
     so the foot t = -m is returned exactly.  The roots of h come from a
     sign scan on 10^4 grid nodes (a node where h is 0 counts), refined by
-    bracketed bisection/secant; roots within 1e-8 merge, the foot winning.
+    bracketed false position; roots within 1e-8 merge, the foot winning.
+    The nodes and their sqrt(1 + t^2) are built once per window and
+    shared by every call on that window.
     """
     m = float(m)
     if not math.isfinite(m):
@@ -75,16 +92,15 @@ def intersections(m: float, curve: TrajectoryCurve, t_min: float, t_max: float):
     def h(t: float) -> float:
         return a - m * t + C / math.sqrt(1.0 + t * t)
 
-    ts = np.linspace(t_min, t_max, _SCAN_POINTS)
-    # Past |t| = 1.3e154, ts * ts overflows to inf, and C / inf = 0 is the
-    # limit of C / sqrt(1 + t^2) there.
-    with np.errstate(over="ignore"):
-        vals = a - m * ts + C / np.sqrt(1.0 + ts * ts)
+    # The cache keys -0.0 and 0.0 alike; + 0.0 gives both the same last node.
+    ts, s = _scan_grid(t_min, t_max + 0.0)
+    vals = a - m * ts + C / s
     roots = [float(t) for t in ts[vals == 0.0]]
-    sign = np.sign(vals)
-    change = (sign[:-1] * sign[1:]) < 0.0
-    for i in np.flatnonzero(change):
-        roots.append(bracketed_root(h, float(ts[i]), float(ts[i + 1]), tol=1e-12))
+    neg = vals < 0.0
+    for i in np.flatnonzero(neg[:-1] != neg[1:]):
+        # One end is negative; a 0 or nan at the other is no sign change.
+        if vals[i] > 0.0 or vals[i + 1] > 0.0:
+            roots.append(bracketed_root(h, float(ts[i]), float(ts[i + 1]), tol=1e-12))
 
     foot = -m + 0.0  # + 0.0 turns the foot of m = 0 into t = +0.0
     if t_min <= foot <= t_max:

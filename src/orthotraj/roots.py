@@ -137,7 +137,8 @@ def slopes_at(x: float, y: float) -> RootSet:
 
 
 def bracketed_root(f, lo: float, hi: float, tol: float = 1e-12) -> float:
-    """Root of f in [lo, hi] by bisection accelerated with secant steps.
+    """Root of f in [lo, hi] by the Illinois variant of false position,
+    with bisection as the fallback (Dowell & Jarratt, BIT 11, 1971).
 
     Requires lo < hi and f(lo) * f(hi) <= 0.  Stops when the bracket
     width drops below ``tol``, or to two adjacent floats, and returns the
@@ -155,6 +156,12 @@ def bracketed_root(f, lo: float, hi: float, tol: float = 1e-12) -> float:
         raise NoBracketError(f"no sign change on [{lo!r}, {hi!r}]")
 
     a, b = lo, hi
+    # Illinois: the secant weighs the ends by wa and wb, and an end kept
+    # twice in a row has its weight halved, which ends plain false
+    # position's crawl toward a fixed end.  The sign tests and the
+    # returned end use the true fa and fb.
+    wa, wb = fa, fb
+    kept = None
     # Bisection alone takes about 650 halvings to close a bracket 1e196
     # wide, so the cap covers the whole double range.
     for _ in range(2200):
@@ -163,9 +170,9 @@ def bracketed_root(f, lo: float, hi: float, tol: float = 1e-12) -> float:
             break
         # Secant candidate; fall back to bisection when it leaves the
         # bracket interior or the denominator degenerates.
-        denom = fb - fa
+        denom = wb - wa
         if denom != 0.0:
-            cand = b - fb * (b - a) / denom
+            cand = b - wb * (b - a) / denom
             if not (a < cand < b):
                 cand = mid
         else:
@@ -177,7 +184,13 @@ def bracketed_root(f, lo: float, hi: float, tol: float = 1e-12) -> float:
         if fc == 0.0:
             return cand
         if (fc > 0.0) == (fa > 0.0):
-            a, fa = cand, fc
+            a, fa, wa = cand, fc, fc
+            if kept == "b":
+                wb *= 0.5
+            kept = "b"
         else:
-            b, fb = cand, fc
+            b, fb, wb = cand, fc, fc
+            if kept == "a":
+                wa *= 0.5
+            kept = "a"
     return a if abs(fa) <= abs(fb) else b

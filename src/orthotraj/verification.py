@@ -270,7 +270,8 @@ def suite_conic():
 
 
 def suite_cusps():
-    """Cusp census: none for C > -2, one at C = -2, a pair for C < -2."""
+    """Cusp census: none for C > -2, one at C = -2, a pair for C < -2;
+    a C < -2 member crosses itself on the axis, and no other does."""
     checks = []
     for C, expected in ((0.0, 0), (1.0, 0), (-1.0, 0), (-2.0, 1), (-4.0, 2)):
         got = cusp_parameters(TrajectoryCurve(C))
@@ -295,6 +296,42 @@ def suite_cusps():
             "velocity vanishes at reported cusps of C=-4",
             max(speeds) <= 1e-12,
             f"speeds {['%.3e' % s for s in speeds]}",
+        )
+    )
+
+    # The double point: y = t (2 + C / sqrt(1 + t^2)) vanishes at t = 0
+    # and, for C < -2 alone, at t = +-sqrt(C^2/4 - 1), where x is even in
+    # t, so both parameters land on (1 + C^2/4, 0).  The axis meetings are
+    # counted as sign changes of y on a grid that skips t = 0.
+    grid = np.linspace(-10.0, 10.0, 400)
+
+    def axis_meetings(curve):
+        ys = [curve_point(curve, float(t)).y for t in grid]
+        return sum((u > 0.0) != (v > 0.0) for u, v in zip(ys, ys[1:]))
+
+    worst_gap = 0.0
+    counts = {}
+    for C in (-10.0, -4.0, -2.5):
+        curve = TrajectoryCurve(C)
+        t_star = math.sqrt(C * C / 4.0 - 1.0)
+        x_star = 1.0 + C * C / 4.0
+        for t in (-t_star, t_star):
+            pt = curve_point(curve, t)
+            worst_gap = max(worst_gap, math.hypot(pt.x - x_star, pt.y) / x_star)
+        counts[C] = axis_meetings(curve)
+    checks.append(
+        _result(
+            "C < -2 members cross themselves at (1 + C^2/4, 0), t = +-sqrt(C^2/4 - 1)",
+            worst_gap <= 1e-12 and all(n == 3 for n in counts.values()),
+            f"max gap / (1 + C^2/4) = {worst_gap:.3e}; axis meetings {counts}",
+        )
+    )
+    counts = {C: axis_meetings(TrajectoryCurve(C)) for C in (-2.0, -1.0, 0.0, 4.0)}
+    checks.append(
+        _result(
+            "C >= -2 members meet the axis only at t = 0",
+            all(n == 1 for n in counts.values()),
+            f"axis meetings {counts}",
         )
     )
     return checks

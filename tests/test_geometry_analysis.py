@@ -11,6 +11,10 @@ Covers:
   - an independent dense-scan oracle for crossing counts and locations,
     including a second crossing within one scan cell of the foot
   - orthogonal uniqueness across an (m, C) grid, at exactly t = -m
+  - the scan grid shared per window: records bit-identical to an
+    uncached copy of the scan on interleaved windows (huge ones too),
+    the shared arrays read-only, and a root on a grid node taken with
+    no refinement of the cells beside it
   - conic fits: parabola and circle to machine residual, C != 0 members
     rejected, permutation invariance, degenerate inputs, coordinates so
     large that the fit overflows, and huge circles with tiny quadratic
@@ -28,14 +32,18 @@ from orthotraj import (
     ConicFit,
     DegenerateInputError,
     DomainError,
+    IntersectionRecord,
     TrajectoryCurve,
+    bracketed_root,
     classify_conic,
     curve_point,
     fit_conic,
+    geometry_analysis,
     intersections,
     is_parabola,
 )
 from orthotraj.cli_plot import run
+from orthotraj.core_model import sample
 
 
 def dense_scan_oracle(m, C, t_min, t_max, n=200_001):
@@ -61,6 +69,44 @@ def dense_scan_oracle(m, C, t_min, t_max, n=200_001):
                 b = mid
         roots.append(0.5 * (a + b))
     return sorted(roots)
+
+
+def uncached_intersections(m, curve, t_min, t_max):
+    """``intersections`` as it was before the scan grid was shared: the
+    grid and sqrt(1 + t^2) built on every call, signs from ``np.sign``."""
+    C = curve.C
+    a = 2.0 + m * m
+
+    def h(t):
+        return a - m * t + C / math.sqrt(1.0 + t * t)
+
+    ts = np.linspace(t_min, t_max, 10_000)
+    with np.errstate(over="ignore"):
+        vals = a - m * ts + C / np.sqrt(1.0 + ts * ts)
+    roots = [float(t) for t in ts[vals == 0.0]]
+    sign = np.sign(vals)
+    for i in np.flatnonzero((sign[:-1] * sign[1:]) < 0.0):
+        roots.append(bracketed_root(h, float(ts[i]), float(ts[i + 1]), tol=1e-12))
+    foot = -m + 0.0
+    if t_min <= foot <= t_max:
+        roots = [r for r in roots if abs(r - foot) > 1e-8]
+        roots.append(foot)
+    roots.sort()
+    merged = []
+    for r in roots:
+        if not merged or abs(r - merged[-1]) > 1e-8:
+            merged.append(r)
+    records = []
+    for t in merged:
+        at = sample(curve, t)
+        product = (m / t if t else math.inf) if at.regular else math.nan
+        records.append(IntersectionRecord(t, at.point, product, t == -m and at.regular))
+    return records
+
+
+def record_bits(rec):
+    """A record as exact bit patterns, so that nan, -0.0 and the last bit count."""
+    return (rec.t.hex(), rec.point.x.hex(), rec.point.y.hex(), rec.slope_product.hex(), rec.orthogonal)
 
 
 class TestIntersections:
@@ -144,6 +190,36 @@ class TestIntersections:
     def test_non_orthogonal_extra_exists(self):
         recs = intersections(1.0, TrajectoryCurve(0.0), -10.0, 10.0)
         assert any(not r.orthogonal for r in recs)
+
+    def test_shared_grid_matches_the_uncached_scan(self):
+        # Windows interleaved so that each call after the first on
+        # (-10, 10) reads a grid built for an earlier call.
+        rng = np.random.default_rng(19)
+        pairs = [
+            (float(rng.uniform(0.1, 3.0) * rng.choice((-1.0, 1.0))), float(rng.uniform(-5.0, 5.0)))
+            for _ in range(25)
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for window in ((-10.0, 10.0), (-5.0, 5.0), (-1e200, 1e200), (0.0, 2.0), (-10.0, 10.0)):
+                for m, C in pairs:
+                    got = intersections(m, TrajectoryCurve(C), *window)
+                    want = uncached_intersections(m, TrajectoryCurve(C), *window)
+                    assert [record_bits(r) for r in got] == [record_bits(r) for r in want], (m, C, window)
+
+    def test_root_on_a_node_needs_no_solve(self, monkeypatch):
+        # h = 3 - t on the parabola for m = 1: the first node of [3, 4] is
+        # the root, and the cell after it, from 0 to negative, is no cell.
+        solves = []
+        monkeypatch.setattr(geometry_analysis, "bracketed_root", lambda *args, **kw: solves.append(args))
+        recs = intersections(1.0, TrajectoryCurve(0.0), 3.0, 4.0)
+        assert [r.t for r in recs] == [3.0] and solves == []
+
+    def test_shared_grid_is_read_only(self):
+        intersections(1.0, TrajectoryCurve(0.0), -10.0, 10.0)
+        for arr in geometry_analysis._scan_grid(-10.0, 10.0):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
 
 
 class TestFitConic:

@@ -11,13 +11,15 @@ Covers:
   - residual bound |y r^3 + (x - 2) r^2 - 1| <= 1e-9 * max(|y|, |x - 2|, 1)
     * max(1, |r|)^3
   - odd root count off the x-axis, p = 0 never a root, non-finite input
-  - bisection/secant bracketing: convergence, errors, cross-check with
-    the closed-form cusp parameters, a bracket 2e196 wide, and a root
-    whose bracket stops at adjacent floats, wider than tol
+  - Illinois false-position bracketing: convergence, errors, cross-check
+    with the closed-form cusp parameters, a bracket 2e196 wide, a root
+    whose bracket stops at adjacent floats, wider than tol, and a
+    near-tangent scan cell that plain false position crawled through
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -189,6 +191,36 @@ class TestBracketedRoot:
 
         r = bracketed_root(f, 1e5 - 1.0, 1e5 + 1.0, tol=1e-12)
         assert abs(r - (1e5 + 0.3)) <= math.ulp(1e5) and len(calls) <= 50
+
+    def test_near_tangent_cell_ends_its_crawl(self):
+        # A cell of the intersections scan over [-10, 10] whose root of
+        # h lies 7.8e-5 from one end, near a tangency (h' = 5.9e-5 there).
+        # Plain false position kept the other end fixed and crawled: 434
+        # calls of h, to 1.1e-11 from the root.
+        m, C = 0.6661380780996973, -2.3418709594280704
+        lo, hi = 0.33303330333033365, 0.3350335033503349
+        a = 2.0 + m * m
+        calls = []
+
+        def h(t):
+            calls.append(t)
+            return a - m * t + C / math.sqrt(1.0 + t * t)
+
+        r = bracketed_root(h, lo, hi, tol=1e-12)
+        with mpmath.workdps(50):
+            M, CC = mpmath.mpf(m), mpmath.mpf(C)
+
+            def h_mp(t):
+                return 2 + M * M - M * t + CC / mpmath.sqrt(1 + t * t)
+
+            root = mpmath.findroot(h_mp, (mpmath.mpf(lo), mpmath.mpf(hi)), solver="anderson")
+            error = float(abs(r - root))
+            slope = float(abs(mpmath.diff(h_mp, root)))
+        assert len(calls) <= 40
+        # One ulp of h's terms (about 2.44) moves this root by 7.5e-12, and
+        # the double h changes sign all over +-5.6e-12 of it: the root can
+        # be asked no closer than an |h| of one ulp of those terms.
+        assert error * slope <= math.ulp(a)
 
     def test_steep_function(self):
         r = bracketed_root(lambda t: math.tanh(50.0 * (t - 0.3)), -1.0, 1.0, tol=1e-13)
