@@ -30,13 +30,10 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core_model import PARABOLA_NORMALS, Point, TrajectoryCurve, curve_point, cusp_parameters
 from .errors import ConfigError, DomainError, NoBranchError, OrthoTrajError
 from .geometry_analysis import conic_fit, intersections
 from .tracer import TraceConfig, trace_orthogonal
-from . import verification
 
 __all__ = [
     "CurveSpec",
@@ -261,10 +258,14 @@ def render_figure(spec: PlotSpec) -> str:
         )
     for i, cs in enumerate(spec.curves):
         curve = TrajectoryCurve(cs.C)
-        ts = np.linspace(cs.t_range[0], cs.t_range[1], spec.samples_per_curve)
+        # np.linspace's nodes, bit for bit: t0 + j step, then t1 exactly.
+        t0, t1 = cs.t_range
+        n = spec.samples_per_curve
+        step = (t1 - t0) / (n - 1)
+        ts = [t0 + j * step for j in range(n - 1)] + [t1]
         pieces = []
         for j, t in enumerate(ts):
-            pt = curve_point(curve, float(t))
+            pt = curve_point(curve, t)
             cmd = "M" if j == 0 else "L"
             pieces.append(f"{cmd} {fmt(px(pt.x))},{fmt(py(pt.y))}")
         dash = ' stroke-dasharray="6 4"' if cs.dashed else ""
@@ -364,6 +365,8 @@ def _json_safe(value):
 
 
 def _cmd_verify(params):
+    from . import verification  # numpy loads with the suites alone
+
     suite = params.get("suite", "all")
     names = verification.suite_names() if suite == "all" else [suite]
     if any(n not in verification.SUITES for n in names):

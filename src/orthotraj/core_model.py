@@ -122,11 +122,12 @@ def _g(C: float, t: float) -> float:
 
 
 def curve_point(curve: TrajectoryCurve, t: float) -> Point:
-    """Evaluate (x(t), y(t)) on the curve with constant ``curve.C``."""
+    """Evaluate (x(t), y(t)) on the curve with constant ``curve.C``, as
+    P(t) + C n(t) with n_y = t / s formed first: C t alone can overflow."""
     t = _require_finite(t, "t")
     C = curve.C
     s = math.sqrt(1.0 + t * t)
-    return Point(t * t - C / s, 2.0 * t + C * t / s)
+    return Point(t * t - C / s, 2.0 * t + C * (t / s))
 
 
 def curve_velocity(curve: TrajectoryCurve, t: float):

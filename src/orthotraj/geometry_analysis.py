@@ -13,8 +13,6 @@ import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core_model import Point, TrajectoryCurve, curve_point, sample
 from .errors import DegenerateInputError, DomainError
 from .roots import bracketed_root
@@ -55,7 +53,10 @@ class IntersectionRecord:
 @functools.lru_cache(maxsize=8)
 def _scan_grid(t_min: float, t_max: float):
     """The read-only scan nodes ts over [t_min, t_max] and sqrt(1 + ts^2),
-    built once per window."""
+    built once per window.  numpy loads here, at the first scan, not on
+    import."""
+    import numpy as np
+
     ts = np.linspace(t_min, t_max, _SCAN_POINTS)
     # Past |t| = 1.3e154, ts * ts overflows to inf, and C / inf = 0 is the
     # limit of C / sqrt(1 + t^2) there.
@@ -97,7 +98,7 @@ def intersections(m: float, curve: TrajectoryCurve, t_min: float, t_max: float):
     vals = a - m * ts + C / s
     roots = [float(t) for t in ts[vals == 0.0]]
     neg = vals < 0.0
-    for i in np.flatnonzero(neg[:-1] != neg[1:]):
+    for i in (neg[:-1] != neg[1:]).nonzero()[0]:
         # One end is negative; a 0 or nan at the other is no sign change.
         if vals[i] > 0.0 or vals[i + 1] > 0.0:
             roots.append(bracketed_root(h, float(ts[i]), float(ts[i + 1]), tol=1e-12))
@@ -167,6 +168,8 @@ def fit_conic(points) -> ConicFit:
     [x^2, xy, y^2, x, y, 1] design matrix built from pre-scaled
     coordinates; collinear input has no unique conic and is rejected.
     """
+    import numpy as np
+
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise DomainError(f"points must be an (n, 2) array, got shape {pts.shape}")
@@ -176,16 +179,17 @@ def fit_conic(points) -> ConicFit:
     if n < 12:
         raise DegenerateInputError(f"need at least 12 points, got {n}")
 
-    mean = pts.mean(axis=0)
-    centered = pts - mean
+    # An overflowing mean leaves inf in ``centered``, so r is inf as well.
+    with np.errstate(over="ignore"):
+        mean = pts.mean(axis=0)
+        centered = pts - mean
+        r = math.sqrt(float((centered**2).sum(axis=1).mean()))
+    if not math.isfinite(r):
+        raise DomainError("points too far apart for a conic fit: mean or RMS radius overflows")
     spread = np.linalg.svd(centered, compute_uv=False)
     if spread[1] <= 1e-10 * max(spread[0], 1e-300):
         raise DegenerateInputError("points are collinear")
 
-    with np.errstate(over="ignore"):
-        r = math.sqrt(float((centered**2).sum(axis=1).mean()))
-    if not math.isfinite(r):
-        raise DomainError("points too far apart for a conic fit: RMS radius overflows")
     q = centered / r
     x = q[:, 0]
     y = q[:, 1]
@@ -220,6 +224,8 @@ def fit_conic(points) -> ConicFit:
 def conic_fit(curve: TrajectoryCurve) -> ConicFit:
     """``fit_conic`` of 200 samples of the curve over t in [-3, 3], the
     one sampling behind every conic verdict on a family member."""
+    import numpy as np
+
     return fit_conic([curve_point(curve, t) for t in np.linspace(-3.0, 3.0, 200)])
 
 

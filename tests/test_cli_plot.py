@@ -2,7 +2,7 @@
 
 Covers:
   - SVG well-formedness, element counts, dashed-curve bookkeeping
-  - byte determinism of render_figure
+  - byte determinism of render_figure, and the preset figures' bytes
   - plot spec validation with field-named errors
   - exit codes: 0 success, 1 verification/trace failure, 2 usage/config,
     malformed config or spec values, unwritable outputs, argument values
@@ -12,6 +12,7 @@ Covers:
   - the module entry point via a subprocess
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -58,6 +59,20 @@ class TestRenderFigure:
     def test_determinism(self):
         spec = preset_spec("fig1a")
         assert render_figure(spec) == render_figure(spec)
+
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("fig1a", "195368718ef04b69f1bb38d582776527e30087cab823d6d7eafd31d3f45ff7b0"),
+            ("fig1b", "1abed68c8b2ef3518492690c0e9e62689455c6531e671a1fcd856e9709a3c07e"),
+        ],
+    )
+    def test_preset_bytes(self, name, digest):
+        """The digests were taken when the curve nodes came from
+        np.linspace, so a match proves that the pure-Python nodes
+        t0 + j step (then t1) equal np.linspace's bit for bit."""
+        svg = render_figure(preset_spec(name))
+        assert hashlib.sha256(svg.encode()).hexdigest() == digest
 
     def test_empty_spec_axes_only(self):
         svg = render_figure(PlotSpec())
@@ -139,9 +154,12 @@ class TestRunExitCodes:
             ["intersect", "-m", "1", "-C", "0", "--t-min", "5", "--t-max", "-5"],
             ["trace", "--x0", "1", "--y0", "2", "--tol", "0"],
             ["classify", "-C", "1e300"],
+            ["classify", "-C", "4e307"],
+            ["classify", "-C", "1e308"],
         ],
-        ids=["intersect-window", "trace-tol", "classify-overflow"],
+        ids=["intersect-window", "trace-tol", "classify-overflow", "classify-mean", "classify-max"],
     )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_domain_error_is_usage_error(self, argv, capsys):
         assert run(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")

@@ -3,7 +3,8 @@
 Covers:
   - the one line family: intercepts against hand values and, bit for
     bit, against Horner's rule on the coefficients (0, -2, 0, -1)
-  - curve parametrization and the parabola identity at C = 0
+  - curve parametrization and the parabola identity at C = 0, and
+    points of members with |C| up to the float maximum against mpmath
   - velocity formulas validated against central finite differences
   - slope = 1/t universality (also via a finite-difference quotient)
   - both ODE residual forms, on lines and on curves
@@ -14,7 +15,9 @@ Covers:
 """
 
 import math
+import random
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -108,6 +111,32 @@ class TestCurvePoint:
             x2, y2 = curve_point(curve, -t)
             assert x2 == x1
             assert y2 == -y1
+
+    def test_huge_constants_against_mpmath(self):
+        # y = 2t + C (t / s): C t alone would overflow for |C| near the
+        # float maximum, though y is finite.  Each coordinate is within
+        # 4 ulp of its larger term (the terms may cancel).
+        rng = random.Random(20)
+        cases = [
+            (C, t)
+            for C in (1e308, -1e308, 1.7976931348623157e308)
+            for t in (-3.0, 1e-300, 0.5, 1e150)
+        ]
+        for _ in range(400):
+            C = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 308.25)
+            t = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-5.0, 150.0)
+            cases.append((C, t))
+        with mpmath.workdps(40):
+            for C, t in cases:
+                x, y = curve_point(TrajectoryCurve(C), t)
+                T, K = mpmath.mpf(t), mpmath.mpf(C)
+                s = mpmath.sqrt(1 + T * T)
+                for got, terms in ((x, (T * T, -K / s)), (y, (2 * T, K * T / s))):
+                    assert math.isfinite(got), (C, t)
+                    scale = float(max(abs(v) for v in terms))
+                    assert abs(got - float(sum(terms))) <= 4 * math.ulp(scale), (C, t)
+        foot = orthogonal_foot(PARABOLA_NORMALS, -3.0, TrajectoryCurve(1e308))
+        assert foot.point.y == pytest.approx(1e308 * (3.0 / math.sqrt(10.0)), rel=1e-15)
 
     def test_rejects_non_finite(self):
         with pytest.raises(DomainError):

@@ -15,10 +15,11 @@ Covers:
     uncached copy of the scan on interleaved windows (huge ones too),
     the shared arrays read-only, and a root on a grid node taken with
     no refinement of the cells beside it
+  - finite records on a member with C = 1e308
   - conic fits: parabola and circle to machine residual, C != 0 members
     rejected, permutation invariance, degenerate inputs, coordinates so
-    large that the fit overflows, and huge circles with tiny quadratic
-    coefficients
+    large that the fit overflows (its mean too, with no warning), and
+    huge circles with tiny quadratic coefficients
   - the parabola-iff-C=0 dichotomy
 """
 
@@ -36,6 +37,7 @@ from orthotraj import (
     TrajectoryCurve,
     bracketed_root,
     classify_conic,
+    conic_fit,
     curve_point,
     fit_conic,
     geometry_analysis,
@@ -154,6 +156,11 @@ class TestIntersections:
             warnings.simplefilter("error")
             recs = intersections(1.0, TrajectoryCurve(0.0), -1e200, 1e200)
         assert [r.t for r in recs] == pytest.approx([-1.0, 3.0], abs=1e-10)
+
+    def test_huge_constant_gives_finite_records(self):
+        recs = intersections(-3.0, TrajectoryCurve(1e308), -10.0, 10.0)
+        assert [r.t for r in recs] == [3.0]
+        assert recs[0].point.y == pytest.approx(1e308 * (3.0 / math.sqrt(10.0)), rel=1e-15)
 
     def test_records_sorted_and_on_line(self):
         for m, C in ((1.0, -4.0), (-2.0, 1.0), (3.0, 4.0), (0.5, -3.0)):
@@ -284,6 +291,12 @@ class TestFitConic:
         ]
         with pytest.raises(DomainError):
             fit_conic(circle)
+        # ...or points so large that their mean overflows, with no warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for C in (4e307, 1e308):
+                with pytest.raises(DomainError):
+                    conic_fit(TrajectoryCurve(C))
 
     def test_discriminant_test_is_scale_free(self):
         # Far from its small features the curve is a circle of radius

@@ -1,10 +1,16 @@
-"""The package's public names.
+"""The package's public names and what importing it loads.
 
 ``orthotraj`` star-imports its modules and builds ``__all__`` from
 theirs, so this pins the exported set: no duplicates, every name
 resolves, and nothing leaks (a module without ``__all__`` would export
-``math`` and ``np``).
+``math``).  numpy loads only where the intersection scan, the conic fit
+and the verify suites use it: not on import, not for a trace and not
+for ``verify --help``.
 """
+
+import os
+import subprocess
+import sys
 
 import orthotraj
 
@@ -32,3 +38,33 @@ def test_public_api():
     for name in names:
         getattr(orthotraj, name)
     assert set(names) == EXPORTS
+
+
+_NUMPY_STEPS = """
+import contextlib, io, sys
+seen = []
+import orthotraj
+seen.append("numpy" in sys.modules)
+from orthotraj import cli_plot
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli_plot.run(["trace", "--x0", "1", "--y0", "2"]) == 0
+    seen.append("numpy" in sys.modules)
+    assert cli_plot.run(["verify", "--help"]) == 0
+    seen.append("numpy" in sys.modules)
+orthotraj.intersections(1.0, orthotraj.TrajectoryCurve(0.0), -10, 10)
+seen.append("numpy" in sys.modules)
+print(seen)
+"""
+
+
+def test_numpy_loads_only_where_used():
+    # A fresh interpreter, importing the same package as this test.
+    src = os.path.dirname(os.path.dirname(orthotraj.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_STEPS], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    # import, trace, verify --help: no numpy; the scan of intersections: numpy.
+    assert proc.stdout.strip() == "[False, False, False, True]"
