@@ -48,18 +48,18 @@ print("\ntrace from (0, 3) vs the closed-form C = sqrt(2) member:")
 print(f"  max gap = {gap:.2e}, drift = {res.potential_drift:.2e}")
 
 # A cusped member: at the cusps D changes sign and only the speed ds/dq
-# vanishes, so the march runs through both.
+# vanishes, so the march runs through both.  The member's cusps are known
+# in closed form, and the march lands a step on each: each cusp is the
+# q of a sample.
 curve = TrajectoryCurve(-4.0)
 res = trace_orthogonal(TraceConfig(start=curve_point(curve, 1.0), initial_slope_hint=1.0))
 qs = [1.0 / p for _, p in res.samples]
-ds = [3.0 * q * q + 2.0 - pt.x for (pt, _), q in zip(res.samples, qs)]
-crossed = sorted(
-    sorted(qs[i : i + 2]) for i in range(len(ds) - 1) if (ds[i] > 0.0) != (ds[i + 1] > 0.0)
-)
 print("\ntrace on the cusped C = -4 member:")
 print(f"  end reasons = {res.end_reasons}, q in [{min(qs):.2f}, {max(qs):.2f}]")
-for (lo, hi), t in zip(crossed, cusp_parameters(curve)):
-    print(f"  D changes sign between q = {lo:+.4f} and {hi:+.4f}: cusp at t = {t:+.6f}")
+for t in cusp_parameters(curve):
+    (pt, _), q = min(zip(res.samples, qs), key=lambda s: abs(s[1] - t))
+    d = 3.0 * q * q + 2.0 - pt.x
+    print(f"  cusp at t = {t:+.6f}: sample q - t = {q - t:+.1e}, D = {d:+.1e}")
 print(f"  potential drift = {res.potential_drift:.2e}")
 
 # The textbook fixtures, same integrator.

@@ -25,11 +25,13 @@ by ``tol`` alone, with the local error of x and y bounded per unit of
 arc budget (s stays out of the error test).  The step's sign carries
 the direction, so ``rhs`` and the sample maker ``emit`` are functions
 of the curve alone, and one march runs each direction from the start
-point.  The samples come from the method's continuous extension, at
-most 2 ``step`` of arc apart, and ``_locate`` bisects that extension
-wherever a step is cut: at the zero of the signed speed, where the arc
-of a step splits into |s| on either side; on the arc budget; and on the
-box edge.  So each end lies on its arc budget or on the box edge.  The
+point.  As q is the member's own parameter t, its cusps are known
+before the first step, ``cusp_parameters(C)``; a step that would pass
+one lands on it, so the signed speed keeps its sign inside a step and
+the step's arc is |ds|.  The samples come from the method's continuous
+extension, at most 2 ``step`` of arc apart, and ``_locate`` bisects that
+extension where a step is cut short: on the arc budget and on the box
+edge.  So each end lies on its arc budget or on the box edge.  The
 tracer's ``emit`` makes each sample once, in its final (Point, p) form,
 and returns its conserved quantity for the drift.
 ``trace_orthogonal`` marches in tau = q and returns slopes p = 1/q
@@ -52,7 +54,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .core_model import Point
+from .core_model import Point, TrajectoryCurve, cusp_parameters
 from .errors import DomainError, NoBranchError
 from .roots import slopes_at
 
@@ -202,8 +204,8 @@ def _at(poly: tuple, th: float) -> float:
 
 def _locate(ok, lo: float = 0.0, hi: float = 1.0) -> float:
     """The step fraction where ``ok`` turns false, from lo (true) towards
-    hi (false), by 52 bisections: where a step is cut.  Returns the last
-    fraction found true."""
+    hi (false), by 52 bisections: where a step is cut short, on the arc
+    budget or on the box edge.  Returns the last fraction found true."""
     for _ in range(52):
         mid = 0.5 * (lo + hi)
         if ok(mid):
@@ -213,27 +215,27 @@ def _locate(ok, lo: float = 0.0, hi: float = 1.0) -> float:
     return lo
 
 
-def _march(cfg: TraceConfig, x, y, rhs, t, sigma, emit):
+def _march(cfg: TraceConfig, x, y, rhs, t, sigma, emit, cuts=()):
     """Integrate d(x, y, s)/dt = rhs(t, x, y) from (x, y) at arc 0 in the
     direction sigma = +-1 of t, making each sample once; returns the
     samples, end reason and drift.
 
-    h has the sign sigma and rhs's third component is the signed speed:
-    a step's arc is |ds|, or |s| on either side of the speed's zero where
-    the stage speeds change sign.  ``emit(out, t, x, y)`` appends the
-    (Point, p) sample at (t, x, y) to ``out`` and returns its conserved
-    quantity F; the start is the first sample, and the drift is
-    max |F - F0| over the samples.  A step is accepted when the error of
-    x and y is at most tol min(arc, arc left) / max_arc, so the local
-    errors over the arc budget sum to at most tol, or at most the
-    rounding eps (|x| + |y|); otherwise h is halved, down to _H_MIN.
-    After an accepted step |h| is capped at 1.1 (arc left) over the
-    speed.  Samples come from the continuous extension (``_at``,
-    inlined), equally spaced in t, at most 2 ``step`` of arc apart; a
-    full step ends on its accepted point.  ``_locate`` cuts a step at the
-    speed's zero, on the arc budget and on the box edge (after the last
-    sample inside), and the cut is the end sample.  A start outside the
-    box is returned alone.
+    h has the sign sigma and rhs's third component is the signed speed.
+    A step that would pass the next of the sorted ``cuts``, the t where
+    that speed changes sign, lands on the cut exactly, so a step's arc is
+    |ds|.  ``emit(out, t, x, y)`` appends the (Point, p) sample at
+    (t, x, y) to ``out`` and returns its conserved quantity F; the start
+    is the first sample, and the drift is max |F - F0| over the samples.
+    A step is accepted when the error of x and y is at most
+    tol min(arc, arc left) / max_arc, so the local errors over the arc
+    budget sum to at most tol, or at most the rounding eps (|x| + |y|);
+    otherwise h is halved, down to _H_MIN.  After an accepted step |h| is
+    capped at 1.1 (arc left) over the speed.  Samples come from the
+    continuous extension (``_at``, inlined), equally spaced in t, at most
+    2 ``step`` of arc apart; a full step ends on its accepted point.
+    ``_locate`` cuts a step short on the arc budget and on the box edge
+    (after the last sample inside), and the cut is the end sample.  A
+    start outside the box is returned alone.
     """
     xmin, xmax, ymin, ymax = cfg.bounds()
 
@@ -248,17 +250,15 @@ def _march(cfg: TraceConfig, x, y, rhs, t, sigma, emit):
     k0 = rhs(t, x, y)
     # At a cusp start the speed k0[2] is 0: try one step of t.
     h = sigma * (cfg.step / abs(k0[2]) if k0[2] else cfg.step)
+    ahead = sorted((c for c in cuts if sigma * (c - t) > 0.0), key=lambda c: sigma * c)
     for _ in range(_MAX_STEPS):
+        tn = t + h
+        if ahead and sigma * (tn - ahead[0]) >= 0.0:  # land on the next cut, never across it
+            tn, h = ahead[0], ahead[0] - t
         xn, yn, ds, err, us, vs, ws = _rk_step(rhs, t, x, y, k0, h)
         _, xr1, xr2, xr3, xr4 = xp = _dense(x, xn, h, us)
         _, yr1, yr2, yr3, yr4 = yp = _dense(y, yn, h, vs)
-        wmin, wmax = min(ws), max(ws)
-        tc = sc = 0.0
-        if wmin < 0.0 < wmax:
-            # A cusp: the arc is |s| up to the speed's zero tc, |s - s(tc)| past it.
-            tc = _locate(lambda u: rhs(t + u * h, _at(xp, u), _at(yp, u))[2] * ws[0] > 0.0)
-            sc = _at(_dense(0.0, ds, h, ws), tc)
-        da = abs(sc) + abs(ds - sc)
+        da = abs(ds)
         left = cfg.max_arc - arc
         bound = cfg.tol * min(da, left) / cfg.max_arc
         if not err <= bound:  # nan fails too
@@ -273,10 +273,8 @@ def _march(cfg: TraceConfig, x, y, rhs, t, sigma, emit):
         if arc + da >= cfg.max_arc:
             # Land on the budget: where the arc of the dense s reaches left.
             sp = _dense(0.0, ds, h, ws)
-            end = _locate(
-                lambda u: (abs(sc) + abs(_at(sp, u) - sc) if u >= tc else abs(_at(sp, u))) < left
-            )
-        n = max(1, math.ceil(max(wmax, -wmin) * end * abs(h) / (2.0 * cfg.step)))
+            end = _locate(lambda u: abs(_at(sp, u)) < left)
+        n = max(1, math.ceil(max(map(abs, ws)) * end * abs(h) / (2.0 * cfg.step)))
         for i in range(1, n + 1):
             th = end * i / n
             th1 = 1.0 - th
@@ -287,13 +285,14 @@ def _march(cfg: TraceConfig, x, y, rhs, t, sigma, emit):
                 th = _locate(inside, end * (i - 1) / n, th)
                 f = abs(emit(out, t + th * h, _at(xp, th), _at(yp, th)) - f0)
                 return out, "domain-exit", max(drift, f)
-            f = abs(emit(out, t + th * h, xi, yi) - f0)
+            f = abs(emit(out, t + th * h if th1 else tn, xi, yi) - f0)
             if f > drift:
                 drift = f
         if end < 1.0:
             return out, "arc-limit", drift
-        t += h
-        x, y = xn, yn
+        if ahead and tn == ahead[0]:
+            ahead.pop(0)
+        t, x, y = tn, xn, yn
         arc += da
         k0 = us[6], vs[6], ws[6]
         h *= min(5.0, max(0.2, 0.9 * (bound / err) ** 0.2)) if err > 0.0 else 5.0
@@ -302,16 +301,17 @@ def _march(cfg: TraceConfig, x, y, rhs, t, sigma, emit):
     return out, "step-limit", drift
 
 
-def _trace(cfg: TraceConfig, x0, y0, orient, rhs, t0, emit) -> TraceResult:
+def _trace(cfg: TraceConfig, x0, y0, orient, rhs, t0, emit, cuts=()) -> TraceResult:
     """March both directions from (x0, y0) and merge them.
 
-    ``_march`` runs with (rhs, t0, emit), the right-hand side, the
-    start's t and the sample maker, once with sigma = -orient (backward)
-    and once with sigma = orient (forward).  Both legs begin with the
-    start sample; the merge keeps the forward one.
+    ``_march`` runs with (rhs, t0, emit, cuts), the right-hand side, the
+    start's t, the sample maker and the t where the speed changes sign,
+    once with sigma = -orient (backward) and once with sigma = orient
+    (forward).  Both legs begin with the start sample; the merge keeps
+    the forward one.
     """
     (samples, r_back, d_back), (fwd, r_fwd, d_fwd) = [
-        _march(cfg, x0, y0, rhs, t0, sigma, emit) for sigma in (-orient, orient)
+        _march(cfg, x0, y0, rhs, t0, sigma, emit, cuts) for sigma in (-orient, orient)
     ]
     reasons = (r_back, r_fwd)
     return TraceResult(
@@ -374,7 +374,10 @@ def trace_orthogonal(cfg: TraceConfig) -> TraceResult:
     # Forward is +x: the sign of dx/dq = q D / (1 + q^2) at the start, or
     # of q0 at a cusp start, where D = 0.
     orient = math.copysign(1.0, rhs(q0, x0, y0)[0] or q0)
-    return _trace(cfg, x0, y0, orient, rhs, q0, emit)
+    # Cut at the cusps of the start's member C = emit(...), the pair of C < -2;
+    # C = -2's one cusp t = 0 is no cut, as the speed only touches 0 there.
+    cuts = [t for t in cusp_parameters(TrajectoryCurve(emit([], q0, x0, y0))) if t]
+    return _trace(cfg, x0, y0, orient, rhs, q0, emit, cuts)
 
 
 # Classic textbook pairs: direction field (unnormalized) and conserved

@@ -17,7 +17,8 @@ Covers:
     P(t) = (t^2, 2t), with |n| = 1
   - each leg of a trace on any member, cusped ones included, ends on
     its arc budget to 1e-9 of the closed-form arc, which is split at
-    the cusps
+    the cusps; also at tol 1e-8 next to C = -2, where both cusps lie
+    inside one step's reach
   - the cusps solve C = -2 (1 + t^2)^(3/2) to 4 ulp of mpmath as
     C -> -2 and to 1e-13 relative, always finite, for |C| up to 1.7e308;
     each cusp is the parabola's centre of curvature (2 + 3t^2, -2t^3);
@@ -232,6 +233,25 @@ def test_each_leg_spends_its_arc_budget_on_the_closed_form(C, sign, t_abs):
         start=curve_point(TrajectoryCurve(C), t0),
         initial_slope_hint=1.0 / t0,
         tol=1e-9,
+        max_arc=20.0,
+    )
+    res = trace_orthogonal(cfg)
+    assert res.end_reasons == ("arc-limit", "arc-limit")
+    for _, p in (res.samples[0], res.samples[-1]):
+        assert abs(closed_form_arc(C, t0, 1.0 / p) - cfg.max_arc) <= 1e-9
+
+
+def test_a_step_holding_both_cusps_keeps_the_arc_budget():
+    # Next to C = -2 the two cusps lie about 1e-3 apart, within one step at
+    # tol 1e-8.  A march that takes such a step as one |ds| counts the arc
+    # between them with the wrong sign, and this leg misses its budget by
+    # 2.7e-9.  The property above runs at tol 1e-9, where steps are short
+    # enough to pass this case.
+    C, t0 = -2.000001439476883, -1.1402659982292442
+    cfg = TraceConfig(
+        start=curve_point(TrajectoryCurve(C), t0),
+        initial_slope_hint=1.0 / t0,
+        tol=1e-8,
         max_arc=20.0,
     )
     res = trace_orthogonal(cfg)

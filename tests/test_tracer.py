@@ -17,8 +17,9 @@ Covers:
     takes at most 400 steps, about as many at step 0.01 as at 0.5, and
     more at a tighter tol
   - order-of-accuracy: tightening tol by 10 improves deviation >= 5x
-  - cusps are crossed: a C = -4 trace passes both cusp parameters on the
-    closed form, and a trace that starts on a cusp runs both ways
+  - cusps are crossed: a C = -4 trace has a sample on each closed-form
+    cusp parameter, to 4 ulp of q, and a trace that starts on a cusp
+    runs both ways
   - the vertical-tangent vertex is crossed: the trace reaches y < 0 on
     the closed form and runs its arc budget both ways
   - the forward end runs along +x from the start, for either sign of q
@@ -214,19 +215,15 @@ class TestTraceOrthogonal:
 
     def test_cusped_member_crosses_both_cusps(self):
         # C = -4 has its cusps at t = +-0.76642, where D = 3q^2 + 2 - x
-        # changes sign; each sign change between samples brackets one.
+        # changes sign; the march lands a step on each, so each is the
+        # q = 1/p of a sample.
         curve = TrajectoryCurve(-4.0)
         start = curve_point(curve, 1.0)
         res = trace_orthogonal(TraceConfig(start=start, initial_slope_hint=1.0))
         assert res.end_reasons == ("arc-limit", "arc-limit")
         qs = [1.0 / p for _, p in res.samples]
-        ds = [3.0 * q * q + 2.0 - pt.x for (pt, _), q in zip(res.samples, qs)]
-        brackets = sorted(
-            sorted(qs[i : i + 2]) for i in range(len(ds) - 1) if (ds[i] > 0.0) != (ds[i + 1] > 0.0)
-        )
-        assert len(brackets) == 2
-        for (lo, hi), t_cusp in zip(brackets, cusp_parameters(curve)):
-            assert lo - 1e-5 <= t_cusp <= hi + 1e-5
+        for t_cusp in cusp_parameters(curve):
+            assert min(abs(q - t_cusp) for q in qs) <= 4.0 * math.ulp(t_cusp)
         assert closed_form_gap(curve, res) <= 1e-5
         assert res.potential_drift <= 10.0 * 1e-8
 
