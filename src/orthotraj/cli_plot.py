@@ -28,9 +28,9 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
-from .core_model import PARABOLA_NORMALS, Point, TrajectoryCurve, curve_point, cusp_parameters
+from .core_model import PARABOLA_NORMALS, Point, TrajectoryCurve, curve_point, cusp_parameters, linspace
 from .errors import ConfigError, DomainError, NoBranchError, OrthoTrajError
 from .geometry_analysis import conic_fit, intersections
 from .tracer import TraceConfig, trace_orthogonal
@@ -69,27 +69,6 @@ class PlotSpec:
     height_px: int = 720
 
 
-def _validate_spec(spec: PlotSpec) -> None:
-    if not spec.x_window[0] < spec.x_window[1]:
-        raise ConfigError(f"x_window must be increasing, got {spec.x_window!r}")
-    if not spec.y_window[0] < spec.y_window[1]:
-        raise ConfigError(f"y_window must be increasing, got {spec.y_window!r}")
-    if spec.samples_per_curve < 2:
-        raise ConfigError(f"samples_per_curve must be >= 2, got {spec.samples_per_curve!r}")
-    if spec.width_px <= 0 or spec.height_px <= 0:
-        raise ConfigError(
-            f"width_px/height_px must be positive, got {spec.width_px!r}x{spec.height_px!r}"
-        )
-    for cs in spec.curves:
-        if not math.isfinite(cs.C):
-            raise ConfigError(f"curves: C must be finite, got {cs.C!r}")
-        if not cs.t_range[0] < cs.t_range[1]:
-            raise ConfigError(f"curves: t_range must be increasing, got {cs.t_range!r}")
-    for m in spec.lines:
-        if not math.isfinite(m):
-            raise ConfigError(f"lines: m must be finite, got {m!r}")
-
-
 def preset_spec(name: str) -> PlotSpec:
     """The two built-in figure reconstructions."""
     members = {"fig1a": (0.0, 1.0, 2.0, 3.0), "fig1b": (0.0, -1.0, -2.0, -4.0)}
@@ -100,18 +79,48 @@ def preset_spec(name: str) -> PlotSpec:
 
 
 def _number(value, what: str) -> float:
-    """A finite JSON number (not a bool) as a float; else ConfigError.
-    The bound also rejects nan and integers too large for a float."""
+    """A finite number (not a bool) as a float; else ConfigError.
+    The bound also rejects nan, inf and integers too large for a float."""
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if not (number and abs(value) <= sys.float_info.max):
         raise ConfigError(f"{what} must be a finite number, got {value!r}")
     return float(value)
 
 
-def _pair(value, what: str) -> tuple:
-    if not (isinstance(value, list) and len(value) == 2):
+def _count(value, what: str, least: int) -> int:
+    if not _number(value, what).is_integer() or value < least:
+        raise ConfigError(f"{what} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
+def _span(value, what: str) -> tuple:
+    """An increasing (lo, hi) pair of finite numbers whose width is finite."""
+    if not (isinstance(value, (tuple, list)) and len(value) == 2):
         raise ConfigError(f"{what} must be a [lo, hi] pair, got {value!r}")
-    return (_number(value[0], what), _number(value[1], what))
+    lo, hi = _number(value[0], what), _number(value[1], what)
+    if not (lo < hi and math.isfinite(hi - lo)):
+        raise ConfigError(f"{what} must be increasing with a finite width, got {value!r}")
+    return (lo, hi)
+
+
+def _validate_spec(spec: PlotSpec) -> PlotSpec:
+    """``spec`` with every value checked, numbers as floats and counts as
+    ints, however it was built; ConfigError names the first bad field."""
+    curves = []
+    for cs in spec.curves:
+        if not isinstance(cs.dashed, bool):
+            raise ConfigError(f"curves: dashed must be true or false, got {cs.dashed!r}")
+        t_range = _span(cs.t_range, "curves: t_range")
+        curves.append(CurveSpec(_number(cs.C, "curves: C"), t_range, cs.dashed))
+    return PlotSpec(
+        curves=tuple(curves),
+        lines=tuple(_number(m, "lines") for m in spec.lines),
+        x_window=_span(spec.x_window, "x_window"),
+        y_window=_span(spec.y_window, "y_window"),
+        samples_per_curve=_count(spec.samples_per_curve, "samples_per_curve", 2),
+        width_px=_count(spec.width_px, "width_px", 1),
+        height_px=_count(spec.height_px, "height_px", 1),
+    )
 
 
 def _list(doc: dict, key: str) -> list:
@@ -122,43 +131,22 @@ def _list(doc: dict, key: str) -> list:
 
 
 def _spec_from_document(doc: dict) -> PlotSpec:
-    allowed = {
-        "curves", "lines", "x_window", "y_window",
-        "samples_per_curve", "width_px", "height_px",
-    }
-    unknown = set(doc) - allowed
+    """The PlotSpec of a JSON spec document.  Only its shape and keys are
+    checked here; ``render_figure`` checks the values."""
+    unknown = set(doc) - {f.name for f in fields(PlotSpec)}
     if unknown:
         raise ConfigError(f"unknown plot spec keys: {sorted(unknown)}")
     curves = []
     for entry in _list(doc, "curves"):
         if not isinstance(entry, dict):
             raise ConfigError(f"curves entries must be objects, got {entry!r}")
-        extra = set(entry) - {"C", "t_range", "dashed"}
+        extra = set(entry) - {f.name for f in fields(CurveSpec)}
         if extra:
             raise ConfigError(f"unknown curve keys: {sorted(extra)}")
         if "C" not in entry:
             raise ConfigError("curve entry missing required key 'C'")
-        fields = {"C": _number(entry["C"], "curves: C")}
-        if "t_range" in entry:
-            fields["t_range"] = _pair(entry["t_range"], "curves: t_range")
-        if "dashed" in entry:
-            if not isinstance(entry["dashed"], bool):
-                raise ConfigError(f"curves: dashed must be true or false, got {entry['dashed']!r}")
-            fields["dashed"] = entry["dashed"]
-        curves.append(CurveSpec(**fields))
-    kwargs = {key: _pair(doc[key], key) for key in ("x_window", "y_window") if key in doc}
-    for key in ("samples_per_curve", "width_px", "height_px"):
-        if key in doc:
-            if not _number(doc[key], key).is_integer():
-                raise ConfigError(f"{key} must be an integer, got {doc[key]!r}")
-            kwargs[key] = int(doc[key])
-    spec = PlotSpec(
-        curves=tuple(curves),
-        lines=tuple(_number(m, "lines") for m in _list(doc, "lines")),
-        **kwargs,
-    )
-    _validate_spec(spec)
-    return spec
+        curves.append(CurveSpec(**entry))
+    return PlotSpec(**{**doc, "curves": tuple(curves), "lines": tuple(_list(doc, "lines"))})
 
 
 def _clip_line_to_window(m: float, b: float, xw, yw):
@@ -183,7 +171,7 @@ def render_figure(spec: PlotSpec) -> str:
     stroke-dasharray), one ``<path class="family-line">`` per line
     clipped to the window, plus axes, ticks, and a legend of C values.
     """
-    _validate_spec(spec)
+    spec = _validate_spec(spec)
     w, h = spec.width_px, spec.height_px
     x0, x1 = spec.x_window
     y0, y1 = spec.y_window
@@ -258,13 +246,8 @@ def render_figure(spec: PlotSpec) -> str:
         )
     for i, cs in enumerate(spec.curves):
         curve = TrajectoryCurve(cs.C)
-        # np.linspace's nodes, bit for bit: t0 + j step, then t1 exactly.
-        t0, t1 = cs.t_range
-        n = spec.samples_per_curve
-        step = (t1 - t0) / (n - 1)
-        ts = [t0 + j * step for j in range(n - 1)] + [t1]
         pieces = []
-        for j, t in enumerate(ts):
+        for j, t in enumerate(linspace(*cs.t_range, spec.samples_per_curve)):
             pt = curve_point(curve, t)
             cmd = "M" if j == 0 else "L"
             pieces.append(f"{cmd} {fmt(px(pt.x))},{fmt(py(pt.y))}")
@@ -365,13 +348,13 @@ def _json_safe(value):
 
 
 def _cmd_verify(params):
-    from . import verification  # numpy loads with the suites alone
+    from . import verification  # only verify needs the suites; the rest skip loading them
 
     suite = params.get("suite", "all")
-    names = verification.suite_names() if suite == "all" else [suite]
+    names = list(verification.SUITES) if suite == "all" else [suite]
     if any(n not in verification.SUITES for n in names):
         raise ConfigError(
-            f"unknown suite {suite!r}; choose from {verification.suite_names()} or 'all'"
+            f"unknown suite {suite!r}; choose from {list(verification.SUITES)} or 'all'"
         )
     report, all_passed = verification.run_suites(names)
     rows = []

@@ -145,6 +145,14 @@ def sample(curve: TrajectoryCurve, t: float) -> CurveSample:
     return CurveSample(t=t, point=pt, velocity=vel, regular=regular)
 
 
+def linspace(start: float, stop: float, n: int) -> list:
+    """n >= 2 evenly spaced nodes, start + j step, then stop exactly: the
+    package's one node formula for every grid, bit for bit the nodes of
+    the intersection scan's array grid while the step is not 0."""
+    step = (stop - start) / (n - 1)
+    return [start + j * step for j in range(n - 1)] + [stop]
+
+
 def curve_slope(curve: TrajectoryCurve, t: float) -> float:
     """Slope dy/dx = 1/t at parameter t, the same on every member.
 

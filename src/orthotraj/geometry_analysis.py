@@ -13,7 +13,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .core_model import Point, TrajectoryCurve, curve_point, sample
+from .core_model import Point, TrajectoryCurve, curve_point, linspace, sample
 from .errors import DegenerateInputError, DomainError
 from .roots import bracketed_root
 
@@ -224,9 +224,7 @@ def fit_conic(points) -> ConicFit:
 def conic_fit(curve: TrajectoryCurve) -> ConicFit:
     """``fit_conic`` of 200 samples of the curve over t in [-3, 3], the
     one sampling behind every conic verdict on a family member."""
-    import numpy as np
-
-    return fit_conic([curve_point(curve, t) for t in np.linspace(-3.0, 3.0, 200)])
+    return fit_conic([curve_point(curve, t) for t in linspace(-3.0, 3.0, 200)])
 
 
 def classify_conic(curve: TrajectoryCurve) -> str:

@@ -5,13 +5,15 @@ structured pass/fail results.  The suites back both the ``verify`` CLI
 subcommand and the acceptance test module; each embeds its own
 independent reference (closed forms, finite differences, conserved
 quantities, brute-force scans) rather than trusting the code path it
-exercises.
+exercises.  The suites are scalar Python: every grid comes from
+``core_model.linspace`` and the orthogonality pairs from a seeded
+``random.Random``.  Arrays appear only inside ``geometry_analysis``'s
+scan and conic fit.
 """
 
 import math
+import random
 from dataclasses import dataclass
-
-import numpy as np
 
 from .core_model import (
     PARABOLA_NORMALS,
@@ -21,6 +23,7 @@ from .core_model import (
     curve_velocity,
     cusp_parameters,
     line_at,
+    linspace,
     ode_o_residual,
     orthogonal_foot,
 )
@@ -28,7 +31,7 @@ from .exact_ode import exactness_defect, potential, raw_form, scaled_form, solve
 from .geometry_analysis import conic_fit, intersections
 from .tracer import TraceConfig, trace_classic, trace_orthogonal
 
-__all__ = ["CheckResult", "SUITES", "run_suites", "suite_names"]
+__all__ = ["CheckResult", "SUITES", "run_suites"]
 
 
 @dataclass(frozen=True)
@@ -38,15 +41,10 @@ class CheckResult:
     detail: str
 
 
-def _result(name: str, passed: bool, detail: str) -> CheckResult:
-    return CheckResult(name=name, passed=bool(passed), detail=detail)
-
-
 def _grid_yp():
     """The shared verification grid: y in [-10, 10], p in +-[0.1, 10]."""
-    ys = np.linspace(-10.0, 10.0, 20)
-    ps = np.concatenate([np.linspace(0.1, 10.0, 25), np.linspace(-10.0, -0.1, 25)])
-    return [(float(y), float(p)) for y in ys for p in ps]
+    ps = linspace(0.1, 10.0, 25) + linspace(-10.0, -0.1, 25)
+    return [(y, p) for y in linspace(-10.0, 10.0, 20) for p in ps]
 
 
 def suite_exactness():
@@ -65,12 +63,12 @@ def suite_exactness():
         )
         worst_scaled = max(worst_scaled, abs(exactness_defect(scaled, y, p, h)))
     return [
-        _result(
+        CheckResult(
             "raw form defect equals 2p^2+1 (tol 1e-8)",
             worst_raw <= 1e-8,
             f"max |defect - (2p^2+1)| = {worst_raw:.3e}",
         ),
-        _result(
+        CheckResult(
             "scaled form is exact (tol 1e-8)",
             worst_scaled <= 1e-8,
             f"max |defect| = {worst_scaled:.3e}",
@@ -89,18 +87,18 @@ def suite_potential():
     worst_param = 0.0
     for C in range(-4, 5):
         curve = TrajectoryCurve(float(C))
-        for p in np.linspace(0.1, 10.0, 50):
-            a = solve_for_xy(float(p), float(C))
-            b = curve_point(curve, 1.0 / float(p))
+        for p in linspace(0.1, 10.0, 50):
+            a = solve_for_xy(p, float(C))
+            b = curve_point(curve, 1.0 / p)
             worst_param = max(worst_param, abs(a.x - b.x), abs(a.y - b.y))
 
     return [
-        _result(
+        CheckResult(
             "potential(solve_for_xy(p, C)) = C (tol 1e-9)",
             worst_level <= 1e-9,
             f"max |F - C| = {worst_level:.3e}",
         ),
-        _result(
+        CheckResult(
             "solve_for_xy(p, C) = curve_point(C, 1/p) for p > 0 (tol 1e-12)",
             worst_param <= 1e-12,
             f"max coordinate gap = {worst_param:.3e}",
@@ -113,8 +111,7 @@ def suite_ode_identity():
     worst = 0.0
     for C in (-4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0):
         curve = TrajectoryCurve(C)
-        for t in np.linspace(-6.0, 6.0, 1201):
-            t = float(t)
+        for t in linspace(-6.0, 6.0, 1201):
             if abs(t) < 1e-3:
                 continue
             x, y = curve_point(curve, t)
@@ -123,7 +120,7 @@ def suite_ode_identity():
             scale = max(1.0, abs(y * p**3), abs(p * p * (2.0 - x)))
             worst = max(worst, abs(resid) / scale)
     return [
-        _result(
+        CheckResult(
             "on-curve residual of y p^3 = p^2 (2-x) + 1 (rel tol 1e-9)",
             worst <= 1e-9,
             f"max relative residual = {worst:.3e}",
@@ -133,11 +130,11 @@ def suite_ode_identity():
 
 def _random_foot_pairs(n: int, seed: int = 20260810):
     """Seeded (m, C) pairs with non-degenerate feet and modest coordinates."""
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     pairs = []
     while len(pairs) < n:
-        m = float(rng.uniform(0.1, 3.0)) * (1.0 if rng.random() < 0.5 else -1.0)
-        C = float(rng.uniform(-5.0, 5.0))
+        m = rng.uniform(0.1, 3.0) * (1.0 if rng.random() < 0.5 else -1.0)
+        C = rng.uniform(-5.0, 5.0)
         g = 2.0 + C * (1.0 + m * m) ** -1.5
         if abs(g) < 1e-3:
             continue  # foot would sit (numerically) on a cusp
@@ -175,17 +172,17 @@ def suite_orthogonality(n_pairs: int = 1000):
         if [r.t for r in recs if _right_angle_defect(m, curve, r.t) <= 1e-9] != [-m]:
             unique_failures += 1
     return [
-        _result(
+        CheckResult(
             "foot incidence on the line (tol 1e-9)",
             worst_incidence <= 1e-9,
             f"max |y - (mx - 2m - m^3)| = {worst_incidence:.3e} over {n_pairs} pairs",
         ),
-        _result(
+        CheckResult(
             "curve tangent at the foot is normal to the line (tol 1e-9)",
             worst_cosine <= 1e-9,
             f"max |v . (1, m)| / (|v| sqrt(1 + m^2)) = {worst_cosine:.3e}",
         ),
-        _result(
+        CheckResult(
             "exactly one right-angle crossing per (m, C) on [-10, 10], at t = -m",
             unique_failures == 0,
             f"{unique_failures} pairs without exactly one crossing at a right angle (tol 1e-9)",
@@ -222,10 +219,10 @@ def suite_extra_crossing():
         ok_foot = ok_extra = False
         detail = f"expected 2 records, got {len(recs)}"
     checks.append(
-        _result("orthogonal crossing at t=-1, point (1, -2)", ok_count and ok_foot, detail)
+        CheckResult("orthogonal crossing at t=-1, point (1, -2)", ok_count and ok_foot, detail)
     )
     checks.append(
-        _result(
+        CheckResult(
             "non-orthogonal crossing at t=3, point (9, 6), product 1/3",
             ok_count and ok_extra,
             detail,
@@ -238,11 +235,11 @@ def suite_conic():
     """C = 0 is the parabola y^2 = 4x; every other member is non-conic."""
     checks = []
     parab = conic_fit(TrajectoryCurve(0.0))
-    target = np.array([0.0, 0.0, 1.0, -4.0, 0.0, 0.0])
-    target /= np.linalg.norm(target)
-    cosine = abs(float(np.dot(parab.coeffs, target)))
+    # The coefficients have unit norm; so has (0, 0, 1, -4, 0, 0) / sqrt(17).
+    _, _, c, d, _, _ = parab.coeffs
+    cosine = abs(c - 4.0 * d) / math.sqrt(17.0)
     checks.append(
-        _result(
+        CheckResult(
             "C=0 classifies as parabola with conic proportional to y^2 - 4x",
             parab.classify() == "parabola" and cosine >= 1.0 - 1e-8,
             f"residual = {parab.residual_rms:.3e}, cosine similarity = {cosine:.12f}",
@@ -260,7 +257,7 @@ def suite_conic():
         if fit.classify() != "non-conic":
             all_rejected = False
     checks.append(
-        _result(
+        CheckResult(
             "every tested C != 0 is non-conic with residual >= 1e-3",
             all_rejected,
             f"smallest residual {min_residual:.3e} at {worst_name}",
@@ -284,7 +281,7 @@ def suite_cusps():
                 abs(got[0] + 0.766421) <= 1e-6
                 and abs(got[1] - 0.766421) <= 1e-6
             )
-        checks.append(_result(f"cusp count for C={C:g} is {expected}", ok, detail))
+        checks.append(CheckResult(f"cusp count for C={C:g} is {expected}", ok, detail))
 
     # The census must agree with the velocity: both components vanish
     # exactly at the reported parameters and nowhere else on a fine grid.
@@ -292,7 +289,7 @@ def suite_cusps():
     cusps = cusp_parameters(curve)
     speeds = [math.hypot(*curve_velocity(curve, t)) for t in cusps]
     checks.append(
-        _result(
+        CheckResult(
             "velocity vanishes at reported cusps of C=-4",
             max(speeds) <= 1e-12,
             f"speeds {['%.3e' % s for s in speeds]}",
@@ -303,10 +300,10 @@ def suite_cusps():
     # and, for C < -2 alone, at t = +-sqrt(C^2/4 - 1), where x is even in
     # t, so both parameters land on (1 + C^2/4, 0).  The axis meetings are
     # counted as sign changes of y on a grid that skips t = 0.
-    grid = np.linspace(-10.0, 10.0, 400)
+    grid = linspace(-10.0, 10.0, 400)
 
     def axis_meetings(curve):
-        ys = [curve_point(curve, float(t)).y for t in grid]
+        ys = [curve_point(curve, t).y for t in grid]
         return sum((u > 0.0) != (v > 0.0) for u, v in zip(ys, ys[1:]))
 
     worst_gap = 0.0
@@ -320,7 +317,7 @@ def suite_cusps():
             worst_gap = max(worst_gap, math.hypot(pt.x - x_star, pt.y) / x_star)
         counts[C] = axis_meetings(curve)
     checks.append(
-        _result(
+        CheckResult(
             "C < -2 members cross themselves at (1 + C^2/4, 0), t = +-sqrt(C^2/4 - 1)",
             worst_gap <= 1e-12 and all(n == 3 for n in counts.values()),
             f"max gap / (1 + C^2/4) = {worst_gap:.3e}; axis meetings {counts}",
@@ -328,7 +325,7 @@ def suite_cusps():
     )
     counts = {C: axis_meetings(TrajectoryCurve(C)) for C in (-2.0, -1.0, 0.0, 4.0)}
     checks.append(
-        _result(
+        CheckResult(
             "C >= -2 members meet the axis only at t = 0",
             all(n == 1 for n in counts.values()),
             f"axis meetings {counts}",
@@ -366,14 +363,14 @@ def suite_tracer():
         worst_dev = max(worst_dev, trace_deviation(curve, res))
         worst_drift = max(worst_drift, res.potential_drift)
     checks.append(
-        _result(
+        CheckResult(
             "traces match closed-form curves (tol 1e-5)",
             worst_dev <= 1e-5,
             f"max deviation = {worst_dev:.3e} over C in {{-1, 0, 1, 3}}",
         )
     )
     checks.append(
-        _result(
+        CheckResult(
             "potential drift <= 10*tol along traces",
             worst_drift <= 10.0 * tol,
             f"max drift = {worst_drift:.3e} (bound {10.0 * tol:.1e})",
@@ -390,7 +387,7 @@ def suite_tracer():
         res = trace_classic(kind, TraceConfig(start=start, max_arc=30.0))
         worst = max(worst, res.potential_drift)
         checks.append(
-            _result(
+            CheckResult(
                 f"classic {kind} conserves its first integral (tol 1e-6)",
                 res.potential_drift <= 1e-6,
                 f"level {level:g}, drift = {res.potential_drift:.3e}",
@@ -433,7 +430,7 @@ def suite_figure():
         total_curves += n_curve
         total_dashed += n_dashed
         checks.append(
-            _result(
+            CheckResult(
                 f"{name}: deterministic well-formed SVG with 4 curves, "
                 f"one dashed, 3 lines",
                 deterministic
@@ -447,7 +444,7 @@ def suite_figure():
             )
         )
     checks.append(
-        _result(
+        CheckResult(
             "presets total 8 curve paths, one dashed each",
             total_curves == 8 and total_dashed == 2,
             f"total curves = {total_curves}, dashed = {total_dashed}",
@@ -469,17 +466,13 @@ SUITES = {
 }
 
 
-def suite_names():
-    return list(SUITES)
-
-
 def run_suites(names=None):
     """Run the named suites (all by default); returns (report, all_passed).
 
     ``report`` is a list of (suite_name, [CheckResult, ...]) pairs.
     """
     if names is None:
-        names = suite_names()
+        names = list(SUITES)
     report = []
     all_passed = True
     for name in names:

@@ -3,7 +3,8 @@
 Covers:
   - SVG well-formedness, element counts, dashed-curve bookkeeping
   - byte determinism of render_figure, and the preset figures' bytes
-  - plot spec validation with field-named errors
+  - plot spec validation with field-named errors, one validator for
+    specs built in Python and specs read from JSON
   - exit codes: 0 success, 1 verification/trace failure, 2 usage/config,
     malformed config or spec values, unwritable outputs, argument values
     outside the library's domain (DomainError)
@@ -14,6 +15,7 @@ Covers:
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -69,8 +71,8 @@ class TestRenderFigure:
     )
     def test_preset_bytes(self, name, digest):
         """The digests were taken when the curve nodes came from
-        np.linspace, so a match proves that the pure-Python nodes
-        t0 + j step (then t1) equal np.linspace's bit for bit."""
+        np.linspace, so a match proves that ``core_model.linspace``'s
+        nodes t0 + j step (then t1) equal np.linspace's bit for bit."""
         svg = render_figure(preset_spec(name))
         assert hashlib.sha256(svg.encode()).hexdigest() == digest
 
@@ -94,6 +96,15 @@ class TestRenderFigure:
             render_figure(PlotSpec(curves=(CurveSpec(C=0.0, t_range=(2.0, 1.0)),)))
         with pytest.raises(ConfigError, match="width_px"):
             render_figure(PlotSpec(width_px=0))
+        # The values the JSON path rejects are rejected in Python too.
+        with pytest.raises(ConfigError, match="samples_per_curve"):
+            render_figure(PlotSpec(samples_per_curve=2.5, curves=(CurveSpec(0.0),)))
+        with pytest.raises(ConfigError, match="width_px"):
+            render_figure(PlotSpec(width_px=math.inf))
+        with pytest.raises(ConfigError, match="x_window"):
+            render_figure(PlotSpec(x_window=(0.0, math.inf)))
+        with pytest.raises(ConfigError, match="t_range"):
+            render_figure(PlotSpec(curves=(CurveSpec(0.0, t_range=(0.0, math.inf)),)))
 
     def test_path_count_matches_declaration(self):
         # Total <path> elements equal declared curves + lines; axes and

@@ -12,6 +12,7 @@ Covers:
     degenerate (cusp) feet
   - cusp census and sign-change consistency of the velocity
   - exact mirror symmetry about the x-axis
+  - the grid nodes of ``linspace`` against numpy.linspace, bit for bit
 """
 
 import math
@@ -20,6 +21,8 @@ import random
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from orthotraj import (
     PARABOLA_NORMALS,
@@ -37,6 +40,7 @@ from orthotraj import (
     ode_o_residual,
     orthogonal_foot,
 )
+from orthotraj.core_model import linspace
 
 C_GRID = (-4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0)
 
@@ -315,3 +319,26 @@ class TestCusps:
             curve = TrajectoryCurve(C)
             for t in np.linspace(-6, 6, 241):
                 assert curve_velocity(curve, float(t))[1] > 0.0
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestLinspace:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(FINITE, FINITE, st.integers(2, 2000))
+    @example(-3.0, 3.0, 200)
+    @example(-0.0, -1.0, 2)
+    @example(1e308, -7e307, 2000)
+    def test_nodes_are_numpys_bit_for_bit(self, a, b, n):
+        """For finite a, b with b - a finite.  numpy takes a separate branch,
+        (j / (n - 1)) (b - a), when the step (b - a) / (n - 1) is 0 (b = a,
+        or a subnormal b - a); ``linspace`` does not, so that case is
+        excluded."""
+        assume(math.isfinite(b - a) and (b - a) / (n - 1) != 0.0)
+        ours = [v.hex() for v in linspace(a, b, n)]
+        # numpy also forms (n - 1) step, which may overflow; it then sets
+        # that last node to b.
+        with np.errstate(over="ignore"):
+            theirs = np.linspace(a, b, n).tolist()
+        assert ours == [v.hex() for v in theirs]

@@ -3,9 +3,10 @@
 ``orthotraj`` star-imports its modules and builds ``__all__`` from
 theirs, so this pins the exported set: no duplicates, every name
 resolves, and nothing leaks (a module without ``__all__`` would export
-``math``).  numpy loads only where the intersection scan, the conic fit
-and the verify suites use it: not on import, not for a trace and not
-for ``verify --help``.
+``math``).  numpy loads only where the intersection scan and the conic
+fit use it: not on import, not for a trace and not for ``verify
+--help``; with numpy unimportable, ``trace``, ``plot`` and the verify
+suites that neither scan nor fit still run.
 """
 
 import os
@@ -57,14 +58,40 @@ print(seen)
 """
 
 
-def test_numpy_loads_only_where_used():
-    # A fresh interpreter, importing the same package as this test.
+def _fresh_python(code: str, *argv: str) -> subprocess.CompletedProcess:
+    """Run ``code`` with ``argv`` in a fresh interpreter importing the same
+    package as this test."""
     src = os.path.dirname(os.path.dirname(orthotraj.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", _NUMPY_STEPS], capture_output=True, text=True, timeout=60, env=env
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=60, env=env
     )
+
+
+def test_numpy_loads_only_where_used():
+    proc = _fresh_python(_NUMPY_STEPS)
     assert proc.returncode == 0, proc.stderr
     # import, trace, verify --help: no numpy; the scan of intersections: numpy.
     assert proc.stdout.strip() == "[False, False, False, True]"
+
+
+_WITHOUT_NUMPY = """
+import contextlib, io, sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+from orthotraj import cli_plot
+codes = []
+with contextlib.redirect_stdout(io.StringIO()):
+    codes.append(cli_plot.run(["trace", "--x0", "1", "--y0", "2"]))
+    codes.append(cli_plot.run(["plot", "--preset", "fig1a", "-o", sys.argv[1]]))
+    for suite in ("exactness", "potential", "ode-identity", "cusps", "tracer", "figure"):
+        codes.append(cli_plot.run(["verify", "--suite", suite]))
+print(codes)
+"""
+
+
+def test_numpy_free_paths_run_without_numpy(tmp_path):
+    proc = _fresh_python(_WITHOUT_NUMPY, str(tmp_path / "f.svg"))
+    assert proc.returncode == 0, proc.stderr
+    # trace, plot, then the six suites that neither scan nor fit: all exit 0.
+    assert proc.stdout.strip() == str([0] * 8), proc.stderr
