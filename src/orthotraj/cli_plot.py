@@ -10,12 +10,15 @@ Subcommands expose each capability of the library::
 
 All subcommands accept ``--config file.json`` (defaults for the same
 parameter names; unknown keys are rejected) and ``--json-out file.json``
-(machine-readable report {command, inputs, results, pass}).  Exit codes:
-0 success, 1 verification or trace failure, 2 usage or configuration
-error, which includes unreadable or unwritable files, malformed config
-or spec values and argument values outside an operation's domain
-(``DomainError``).  Each subcommand and its flags are declared once,
-in ``_COMMANDS``.
+(machine-readable report {command, inputs, results, pass}; inputs hold
+every parameter, null where unset).  Exit codes: 0 success, 1
+verification or trace failure, 2 usage or configuration error, which
+includes unreadable or unwritable files, malformed config or spec values,
+specs that cannot be drawn in finite pixel coordinates and argument
+values outside an operation's domain (``DomainError``).  Each subcommand
+and each parameter with its default is declared once, in ``_COMMANDS``,
+and ``--help`` shows it.  Negative values may use exponent notation
+(``-m -2e-1``).
 
 The plot presets reconstruct the qualitative two-panel figure of the
 curve family: four members per panel (C = 0 dashed) plus the three
@@ -47,6 +50,7 @@ __all__ = [
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",
             "#8c564b", "#e377c2", "#17becf", "#bcbd22")
 _LINE_COLOR = "#888888"
+_REQUIRED = object()  # the default of a command parameter that must be set
 
 
 @dataclass(frozen=True)
@@ -164,12 +168,23 @@ def _clip_line_to_window(m: float, b: float, xw, yw):
     return ((lo, m * lo + b), (hi, m * hi + b))
 
 
+def _ticks(lo: float, hi: float) -> list:
+    """The nonzero tick values in [lo, hi]: multiples of 2, or of 2 * 10^k
+    for the least k at which the window spans at most 50 steps."""
+    step = 2.0
+    while hi - lo > 50.0 * step:
+        step *= 10.0
+    return [k * step for k in range(math.ceil(lo / step), math.floor(hi / step) + 1) if k]
+
+
 def render_figure(spec: PlotSpec) -> str:
     """Emit the figure as a deterministic SVG 1.1 document.
 
     One ``<path class="curve">`` per curve (dashed members get a
     stroke-dasharray), one ``<path class="family-line">`` per line
     clipped to the window, plus axes, ticks, and a legend of C values.
+    ConfigError names a window too narrow for a finite pixel scale, or a
+    curve with a point whose pixel coordinates are not finite.
     """
     spec = _validate_spec(spec)
     w, h = spec.width_px, spec.height_px
@@ -177,6 +192,9 @@ def render_figure(spec: PlotSpec) -> str:
     y0, y1 = spec.y_window
     sx = w / (x1 - x0)
     sy = h / (y1 - y0)
+    for what, scale in (("x_window", sx), ("y_window", sy)):
+        if math.isinf(scale):
+            raise ConfigError(f"{what} is too narrow: its pixel scale overflows")
 
     def px(x: float) -> float:
         return (x - x0) * sx
@@ -196,41 +214,25 @@ def render_figure(spec: PlotSpec) -> str:
     out.append(f'<defs><clipPath id="plot"><rect x="0" y="0" width="{w}" height="{h}"/></clipPath></defs>')
     out.append(f'<rect x="0" y="0" width="{w}" height="{h}" fill="white"/>')
 
-    # Axes and ticks (every 2 world units).
-    axis = []
-    if y0 <= 0.0 <= y1:
-        axis.append(
-            f'<line class="axis" x1="0" y1="{fmt(py(0.0))}" x2="{w}" y2="{fmt(py(0.0))}" '
-            f'stroke="#333333" stroke-width="1"/>'
-        )
-    if x0 <= 0.0 <= x1:
-        axis.append(
-            f'<line class="axis" x1="{fmt(px(0.0))}" y1="0" x2="{fmt(px(0.0))}" y2="{h}" '
-            f'stroke="#333333" stroke-width="1"/>'
-        )
-    for xv in range(math.ceil(x0 / 2) * 2, math.floor(x1 / 2) * 2 + 1, 2):
-        if xv == 0 or not (y0 <= 0.0 <= y1):
-            continue
-        axis.append(
-            f'<line class="tick" x1="{fmt(px(xv))}" y1="{fmt(py(0.0) - 3)}" '
-            f'x2="{fmt(px(xv))}" y2="{fmt(py(0.0) + 3)}" stroke="#333333" stroke-width="1"/>'
-        )
-        axis.append(
-            f'<text x="{fmt(px(xv))}" y="{fmt(py(0.0) + 14)}" font-size="10" '
-            f'text-anchor="middle" fill="#333333">{xv:g}</text>'
-        )
-    for yv in range(math.ceil(y0 / 2) * 2, math.floor(y1 / 2) * 2 + 1, 2):
-        if yv == 0 or not (x0 <= 0.0 <= x1):
-            continue
-        axis.append(
-            f'<line class="tick" x1="{fmt(px(0.0) - 3)}" y1="{fmt(py(yv))}" '
-            f'x2="{fmt(px(0.0) + 3)}" y2="{fmt(py(yv))}" stroke="#333333" stroke-width="1"/>'
-        )
-        axis.append(
-            f'<text x="{fmt(px(0.0) + 6)}" y="{fmt(py(yv) + 3)}" font-size="10" '
-            f'fill="#333333">{yv:g}</text>'
-        )
-    out.extend(axis)
+    # The axes through the origin, then each drawn axis's ticks from _ticks,
+    # per axis: (drawn, world range, pixel of the tick at v, tick half-length
+    # (dx, dy), label offset, label anchor).
+    line = '<line class="{}" x1="{}" y1="{}" x2="{}" y2="{}" stroke="#333333" stroke-width="1"/>'
+    ox, oy = px(0.0), py(0.0)
+    x_axis, y_axis = y0 <= 0.0 <= y1, x0 <= 0.0 <= x1
+    if x_axis:
+        out.append(line.format("axis", 0, fmt(oy), w, fmt(oy)))
+    if y_axis:
+        out.append(line.format("axis", fmt(ox), 0, fmt(ox), h))
+    for drawn, lo, hi, at, (dx, dy), (lx, ly), anchor in (
+        (x_axis, x0, x1, lambda v: (px(v), oy), (0, 3), (0, 14), ' text-anchor="middle"'),
+        (y_axis, y0, y1, lambda v: (ox, py(v)), (3, 0), (6, 3), ""),
+    ):
+        for v in _ticks(lo, hi) if drawn else ():
+            X, Y = at(v)
+            out.append(line.format("tick", fmt(X - dx), fmt(Y - dy), fmt(X + dx), fmt(Y + dy)))
+            out.append(f'<text x="{fmt(X + lx)}" y="{fmt(Y + ly)}" font-size="10"{anchor} '
+                       f'fill="#333333">{v:g}</text>')
 
     out.append('<g clip-path="url(#plot)">')
     for m in spec.lines:
@@ -251,11 +253,14 @@ def render_figure(spec: PlotSpec) -> str:
             pt = curve_point(curve, t)
             cmd = "M" if j == 0 else "L"
             pieces.append(f"{cmd} {fmt(px(pt.x))},{fmt(py(pt.y))}")
+        d = " ".join(pieces)
+        if "inf" in d or "nan" in d:  # the only letters besides M and L
+            raise ConfigError(f"curves: C = {cs.C!r} maps to a non-finite pixel coordinate")
         dash = ' stroke-dasharray="6 4"' if cs.dashed else ""
         color = _PALETTE[i % len(_PALETTE)]
         out.append(
             f'<path class="curve" fill="none" stroke="{color}" '
-            f'stroke-width="1.5"{dash} d="{" ".join(pieces)}"/>'
+            f'stroke-width="1.5"{dash} d="{d}"/>'
         )
     out.append("</g>")
 
@@ -316,25 +321,24 @@ def _typed(kind, value, what: str):
 
 
 def _params(args, flags) -> dict:
-    """Defaults < config file < explicit flags, in flag-declaration order;
-    unknown config keys and values of the wrong type are rejected."""
+    """Every declared parameter, in declaration order: its default < config
+    file < explicit flag, None where none is set, so a report's inputs can
+    serve as a config.  Unknown config keys, values of the wrong type and
+    missing required parameters are rejected."""
     config = _read_json(args.config, "config") if args.config else {}
-    unknown = set(config) - {dest for _names, dest, _kind, _help in flags}
+    unknown = set(config) - {dest for _names, dest, *_rest in flags}
     if unknown:
         raise ConfigError(f"unknown config keys for {args.command!r}: {sorted(unknown)}")
     params = {}
-    for _names, dest, kind, _help in flags:
-        if dest in config:
-            params[dest] = _typed(kind, config[dest], f"config key {dest!r}")
+    for _names, dest, kind, value, _help in flags:
+        if config.get(dest) is not None:  # null, as in a report's inputs, is unset
+            value = _typed(kind, config[dest], f"config key {dest!r}")
         if getattr(args, dest) is not None:
-            params[dest] = _typed(kind, getattr(args, dest), f"parameter {dest!r}")
+            value = _typed(kind, getattr(args, dest), f"parameter {dest!r}")
+        if value is _REQUIRED:
+            raise ConfigError(f"{args.command}: missing required parameter {dest!r}")
+        params[dest] = value
     return params
-
-
-def _require(params: dict, key: str, command: str):
-    if key not in params:
-        raise ConfigError(f"{command}: missing required parameter {key!r}")
-    return params[key]
 
 
 def _json_safe(value):
@@ -344,13 +348,13 @@ def _json_safe(value):
 
 
 # Each handler takes the merged parameters, prints its summary and
-# returns (exit code, report inputs, report results).
+# returns (exit code, report results); the parameters are the report's inputs.
 
 
 def _cmd_verify(params):
     from . import verification  # only verify needs the suites; the rest skip loading them
 
-    suite = params.get("suite", "all")
+    suite = params["suite"]
     names = list(verification.SUITES) if suite == "all" else [suite]
     if any(n not in verification.SUITES for n in names):
         raise ConfigError(
@@ -373,22 +377,17 @@ def _cmd_verify(params):
     n_checks = len(rows)
     n_passed = sum(r["passed"] for r in rows)
     print(f"{n_passed}/{n_checks} checks passed")
-    return (0 if all_passed else 1), {"suite": suite}, rows
+    return (0 if all_passed else 1), rows
 
 
 def _cmd_trace(params):
-    x0 = _require(params, "x0", "trace")
-    y0 = _require(params, "y0", "trace")
-    cfg = TraceConfig(
-        start=Point(x0, y0),
-        initial_slope_hint=params.get("p0"),
-        tol=params.get("tol", 1e-8),
-    )
+    x0, y0 = params["x0"], params["y0"]
+    cfg = TraceConfig(start=Point(x0, y0), initial_slope_hint=params["p0"], tol=params["tol"])
     try:
         result = trace_orthogonal(cfg)
     except NoBranchError as exc:
         print(f"trace failed: {exc}", file=sys.stderr)
-        return 1, params, {"error": str(exc)}
+        return 1, {"error": str(exc)}
     first = result.samples[0][0]
     last = result.samples[-1][0]
     print(f"traced {len(result.samples)} samples from ({x0:g}, {y0:g})")
@@ -405,14 +404,11 @@ def _cmd_trace(params):
             {"x": pt.x, "y": pt.y, "p": _json_safe(p)} for pt, p in result.samples
         ],
     }
-    return 0, params, results
+    return 0, results
 
 
 def _cmd_intersect(params):
-    m = _require(params, "m", "intersect")
-    C = _require(params, "C", "intersect")
-    t_min = params.get("t_min", -10.0)
-    t_max = params.get("t_max", 10.0)
+    m, C, t_min, t_max = params["m"], params["C"], params["t_min"], params["t_max"]
     records = intersections(m, TrajectoryCurve(C), t_min, t_max)
     print(f"{len(records)} intersection(s) of line m={m:g} with curve C={C:g} "
           f"for t in [{t_min:g}, {t_max:g}]")
@@ -433,11 +429,11 @@ def _cmd_intersect(params):
         }
         for rec in records
     ]
-    return 0, {"m": m, "C": C, "t_min": t_min, "t_max": t_max}, results
+    return 0, results
 
 
 def _cmd_classify(params):
-    C = _require(params, "C", "classify")
+    C = params["C"]
     curve = TrajectoryCurve(C)
     fit = conic_fit(curve)
     verdict = fit.classify()
@@ -454,19 +450,17 @@ def _cmd_classify(params):
         "conic_coeffs": list(fit.coeffs),
         "cusp_parameters": cusps,
     }
-    return 0, {"C": C}, results
+    return 0, results
 
 
 def _cmd_plot(params):
-    preset = params.get("preset")
-    spec_path = params.get("spec")
+    preset, spec_path, out = params["preset"], params["spec"], params["out"]
     if (preset is None) == (spec_path is None):
         raise ConfigError("plot: exactly one of --preset or --spec is required")
     if preset is not None:
         spec = preset_spec(preset)
     else:
         spec = _spec_from_document(_read_json(spec_path, "spec"))
-    out = _require(params, "out", "plot")
     svg = render_figure(spec)
     _write_text(out, svg)
     print(f"wrote {out} ({len(spec.curves)} curves, {len(spec.lines)} lines)")
@@ -476,35 +470,36 @@ def _cmd_plot(params):
         "n_lines": len(spec.lines),
         "bytes": len(svg.encode("utf-8")),
     }
-    return 0, {"preset": preset, "spec": spec_path, "out": out}, results
+    return 0, results
 
 
-# Every subcommand, declared once: handler, help, and its flags as
-# (names, dest, type, help).  The parser, the config keys each command
-# accepts and their types, and the dispatch all come from this table.
+# Every subcommand, declared once: handler, help, and its parameters as
+# (names, dest, type, default or _REQUIRED, help).  The parser and --help,
+# the config keys and their types, the defaults, the report's inputs and
+# the dispatch all come from this table.
 _COMMANDS = {
     "verify": (_cmd_verify, "run verification suites", (
-        (("--suite",), "suite", str, "suite name or 'all' (default all)"),
+        (("--suite",), "suite", str, "all", "suite name or 'all'"),
     )),
     "trace": (_cmd_trace, "trace the trajectory through a point", (
-        (("--x0",), "x0", float, "start x"),
-        (("--y0",), "y0", float, "start y"),
-        (("--p0",), "p0", float, "initial slope hint"),
-        (("--tol",), "tol", float, "error of x and y summed over the arc budget (default 1e-8)"),
+        (("--x0",), "x0", float, _REQUIRED, "start x"),
+        (("--y0",), "y0", float, _REQUIRED, "start y"),
+        (("--p0",), "p0", float, None, "initial slope hint"),
+        (("--tol",), "tol", float, TraceConfig.tol, "error of x and y summed over the arc budget"),
     )),
     "intersect": (_cmd_intersect, "line-curve intersection report", (
-        (("-m",), "m", float, "line slope"),
-        (("-C",), "C", float, "curve constant"),
-        (("--t-min",), "t_min", float, "window start (default -10)"),
-        (("--t-max",), "t_max", float, "window end (default 10)"),
+        (("-m",), "m", float, _REQUIRED, "line slope"),
+        (("-C",), "C", float, _REQUIRED, "curve constant"),
+        (("--t-min",), "t_min", float, -10.0, "window start"),
+        (("--t-max",), "t_max", float, 10.0, "window end"),
     )),
     "classify": (_cmd_classify, "conic classification of one curve", (
-        (("-C",), "C", float, "curve constant"),
+        (("-C",), "C", float, _REQUIRED, "curve constant"),
     )),
     "plot": (_cmd_plot, "render a figure to SVG", (
-        (("--preset",), "preset", str, "fig1a or fig1b"),
-        (("--spec",), "spec", str, "JSON plot spec file"),
-        (("-o", "--out"), "out", str, "output SVG path"),
+        (("--preset",), "preset", str, None, "fig1a or fig1b"),
+        (("--spec",), "spec", str, None, "JSON plot spec file"),
+        (("-o", "--out"), "out", str, _REQUIRED, "output SVG path"),
     )),
 }
 
@@ -519,26 +514,52 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (_handler, help_text, flags) in _COMMANDS.items():
         sp = sub.add_parser(command, help=help_text)
-        for names, dest, kind, flag_help in flags:
+        for names, dest, kind, default, flag_help in flags:
+            if default is _REQUIRED:
+                flag_help += " (required)"
+            elif default is not None:
+                flag_help += f" (default {default})"
             sp.add_argument(*names, dest=dest, type=kind, help=flag_help)
         sp.add_argument("--config", help="JSON file with parameter defaults")
         sp.add_argument("--json-out", help="write a JSON report to this path")
     return parser
 
 
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_numbers(argv) -> list:
+    """``argv`` with each negative number joined to the flag before it as
+    ``flag=value``: argparse up to Python 3.12 takes -2e-1 for an option,
+    and no flag of this CLI is a number."""
+    out = []
+    for token in argv:
+        if out and out[-1].startswith("-") and token.startswith("-") and _is_number(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def run(argv) -> int:
     """Parse argv and execute; returns the process exit code."""
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser().parse_args(_join_numbers(argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     handler, _help, flags = _COMMANDS[args.command]
     try:
-        code, inputs, results = handler(_params(args, flags))
+        params = _params(args, flags)
+        code, results = handler(params)
         if args.json_out:
             report = {
                 "command": args.command,
-                "inputs": {k: _json_safe(v) for k, v in inputs.items()},
+                "inputs": params,
                 "results": results,
                 "pass": code == 0,
             }

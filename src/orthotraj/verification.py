@@ -27,7 +27,8 @@ from .core_model import (
     ode_o_residual,
     orthogonal_foot,
 )
-from .exact_ode import exactness_defect, potential, raw_form, scaled_form, solve_for_xy
+from .exact_ode import (exactness_defect, integrating_factor, potential, raw_form,
+                        scaled_form, solve_for_xy)
 from .geometry_analysis import conic_fit, intersections
 from .tracer import TraceConfig, trace_classic, trace_orthogonal
 
@@ -48,11 +49,13 @@ def _grid_yp():
 
 
 def suite_exactness():
-    """Defect of the raw form equals 2p^2 + 1; the scaled form is exact."""
+    """Defect of the raw form equals 2p^2 + 1; the scaled form is exact and
+    is mu(p) times the raw form."""
     raw = raw_form()
     scaled = scaled_form()
     worst_raw = 0.0
     worst_scaled = 0.0
+    worst_M = worst_N = 0.0
     # Step 5e-5 balances h^2 truncation against eps*|M|/h rounding
     # (|M|, |N| reach ~10^3 at the grid corners); the default 1e-6 step
     # is rounding-dominated there and cannot reach the 1e-8 tolerance.
@@ -62,6 +65,12 @@ def suite_exactness():
             worst_raw, abs(exactness_defect(raw, y, p, h) - (2.0 * p * p + 1.0))
         )
         worst_scaled = max(worst_scaled, abs(exactness_defect(scaled, y, p, h)))
+        # Each gap relative to its term's scale: M~ = sqrt(1+p^2) and
+        # (|p y| + 2/p^2) / sqrt(1+p^2), the sum of N~'s two terms.
+        mu, s = integrating_factor(p), math.sqrt(1.0 + p * p)
+        worst_M = max(worst_M, abs(scaled.M(y, p) - mu * raw.M(y, p)) / s)
+        worst_N = max(worst_N, abs(scaled.N(y, p) - mu * raw.N(y, p))
+                      * s / (abs(p * y) + 2.0 / (p * p)))
     return [
         CheckResult(
             "raw form defect equals 2p^2+1 (tol 1e-8)",
@@ -72,6 +81,11 @@ def suite_exactness():
             "scaled form is exact (tol 1e-8)",
             worst_scaled <= 1e-8,
             f"max |defect| = {worst_scaled:.3e}",
+        ),
+        CheckResult(
+            "scaled form = mu(p) * raw form (rel tol 1e-14)",
+            max(worst_M, worst_N) <= 1e-14,
+            f"max relative gap M = {worst_M:.3e}, N = {worst_N:.3e}",
         ),
     ]
 

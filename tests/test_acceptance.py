@@ -5,7 +5,8 @@ a single PASS/FAIL line (run with ``pytest tests/test_acceptance.py -v -s``
 to see them).  Tolerances live in the suites; nothing is loosened here.
 
   1. exactness pipeline: raw-form defect 2p^2+1 and exact scaled form,
-     both to 1e-8 on the (y, p) grid
+     both to 1e-8 on the (y, p) grid, and the scaled form equal to
+     mu(p) = 1/(p sqrt(1+p^2)) times the raw form to 1e-14 relative
   2. potential/parametrization consistency (1e-9 / 1e-12)
   3. on-curve identity of the implicit slope equation (1e-9 relative)
   4. orthogonality at scale: 1000 random (m, C) feet (incidence, and

@@ -3,13 +3,18 @@
 Covers:
   - SVG well-formedness, element counts, dashed-curve bookkeeping
   - byte determinism of render_figure, and the preset figures' bytes
+  - tick spacing that coarsens with the window, and curves that cannot
+    be drawn in finite pixel coordinates
   - plot spec validation with field-named errors, one validator for
     specs built in Python and specs read from JSON
   - exit codes: 0 success, 1 verification/trace failure, 2 usage/config,
     malformed config or spec values, unwritable outputs, argument values
     outside the library's domain (DomainError)
   - config-file merging, unknown-key rejection, flag precedence
-  - exact numeric round-trip of flags through the JSON report
+  - --help showing every default and required parameter, and a report's
+    inputs listing every parameter
+  - exact numeric round-trip of flags through the JSON report, negative
+    numbers in exponent notation included
   - the module entry point via a subprocess
 """
 
@@ -105,6 +110,30 @@ class TestRenderFigure:
             render_figure(PlotSpec(x_window=(0.0, math.inf)))
         with pytest.raises(ConfigError, match="t_range"):
             render_figure(PlotSpec(curves=(CurveSpec(0.0, t_range=(0.0, math.inf)),)))
+        # Curves whose pixel coordinates overflow: a huge C, or an ordinary
+        # curve in a window whose pixel scale is finite but near the limit.
+        with pytest.raises(ConfigError, match="curves: C"):
+            render_figure(PlotSpec(curves=(CurveSpec(C=1e308),)))
+        with pytest.raises(ConfigError, match="curves: C"):
+            render_figure(PlotSpec(curves=(CurveSpec(C=0.0),), x_window=(0.0, 4e-306)))
+        with pytest.raises(ConfigError, match="x_window"):
+            render_figure(PlotSpec(x_window=(-1e-307, 1e-307)))
+
+    @staticmethod
+    def axis_ticks(svg):
+        """Tick marks on the x axis (vertical marks) and on the y axis."""
+        marks = svg_elements(svg, "tick")
+        return ([t for t in marks if t.get("x1") == t.get("x2")],
+                [t for t in marks if t.get("y1") == t.get("y2")])
+
+    @pytest.mark.parametrize("half, count", [(50.0, 50), (1e12, 10)])
+    def test_ticks_coarsen_past_100_units(self, half, count):
+        # Every 2 units while the window is at most 100 wide (-50 .. 50
+        # without 0), then every 2e11 on +-1e12 (1e12 ticks at the old step).
+        window = (-half, half)
+        x_ticks, y_ticks = self.axis_ticks(render_figure(PlotSpec(x_window=window,
+                                                                  y_window=window)))
+        assert len(x_ticks) == len(y_ticks) == count
 
     def test_path_count_matches_declaration(self):
         # Total <path> elements equal declared curves + lines; axes and
@@ -233,9 +262,10 @@ class TestPlotCommand:
             ('{"lines": 1}', "lines"),
             ('{"lines": [1' + "0" * 400 + "]}", "lines"),
             ('{"curves": [{"C": 0, "dashed": "no"}]}', "dashed"),
+            ('{"curves": [{"C": 1e308}]}', "curves: C"),
         ],
         ids=["unknown-key", "width-str", "width-frac", "C-str", "t_range-int", "t_range-3",
-             "x_window-str", "lines-int", "lines-huge-int", "dashed-str"],
+             "x_window-str", "lines-int", "lines-huge-int", "dashed-str", "C-overflow"],
     )
     def test_spec_document_unknown_key(self, tmp_path, capsys, doc, field):
         spec_path = tmp_path / "spec.json"
@@ -310,6 +340,44 @@ class TestConfigMerging:
 
     def test_missing_required_parameter(self, capsys):
         assert run(["intersect", "-m", "1"]) == 2
+        assert "missing required parameter 'C'" in capsys.readouterr().err
+
+    def test_required_parameters_from_config(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"x0": 1.0, "y0": 2.0}')
+        assert run(["trace", "--config", str(cfg)]) == 0
+        assert "traced" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "command, shown",
+        [
+            ("verify", ["suite name or 'all' (default all)"]),
+            ("trace", ["start x (required)", "start y (required)", "(default 1e-08)"]),
+            ("intersect", ["line slope (required)", "curve constant (required)",
+                           "window start (default -10.0)", "window end (default 10.0)"]),
+            ("classify", ["curve constant (required)"]),
+            ("plot", ["output SVG path (required)"]),
+        ],
+    )
+    def test_help_shows_defaults_and_required(self, command, shown, capsys):
+        assert run([command, "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())  # undo argparse's wrapping
+        for phrase in shown:
+            assert phrase in text
+
+    @pytest.mark.parametrize("value", ["-2e-1", "-1.5E+2", "-1e-300"])
+    def test_negative_exponent_values(self, tmp_path, capsys, value):
+        # argparse up to Python 3.12 reads these as options unless joined.
+        report_path = tmp_path / "report.json"
+        argv = ["intersect", "-m", value, "-C", value, "--t-min", value,
+                "--json-out", str(report_path)]
+        assert run(argv) == 0
+        inputs = json.loads(report_path.read_text())["inputs"]
+        assert inputs["m"] == inputs["C"] == inputs["t_min"] == float(value)
+
+    def test_negative_infinity_is_rejected(self, capsys):
+        assert run(["intersect", "-m", "-inf", "-C", "0"]) == 2
+        assert "parameter 'm' must be a finite number" in capsys.readouterr().err
 
     def test_numeric_flags_roundtrip_exactly(self, tmp_path, capsys):
         # Awkward decimal values must echo through the JSON report
@@ -368,6 +436,17 @@ class TestConfigMerging:
         assert report["results"]["n_samples"] == len(report["results"]["samples"])
         drift = report["results"]["potential_drift"]
         assert isinstance(drift, float) and drift <= 1e-6
+
+    def test_trace_report_lists_unset_parameters(self, tmp_path, capsys):
+        report_path = tmp_path / "r.json"
+        assert run(["trace", "--x0", "1", "--y0", "2", "--json-out", str(report_path)]) == 0
+        report = json.loads(report_path.read_text())
+        assert report["inputs"] == {"x0": 1.0, "y0": 2.0, "p0": None, "tol": 1e-08}
+        # The inputs, nulls included, serve as a config for the same run.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(report["inputs"]))
+        assert run(["trace", "--config", str(cfg), "--json-out", str(report_path)]) == 0
+        assert json.loads(report_path.read_text())["inputs"] == report["inputs"]
 
     def test_verify_report(self, tmp_path, capsys):
         report_path = tmp_path / "verify.json"
