@@ -31,7 +31,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from .core_model import PARABOLA_NORMALS, Point, TrajectoryCurve, curve_point, cusp_parameters, linspace
 from .errors import ConfigError, DomainError, NoBranchError, OrthoTrajError
@@ -53,15 +53,13 @@ _LINE_COLOR = "#888888"
 _REQUIRED = object()  # the default of a command parameter that must be set
 
 
-@dataclass(frozen=True)
-class CurveSpec:
+class CurveSpec(NamedTuple):
     C: float
     t_range: tuple = (-3.5, 3.5)
     dashed: bool = False
 
 
-@dataclass(frozen=True)
-class PlotSpec:
+class PlotSpec(NamedTuple):
     """Everything needed to render one figure."""
 
     curves: tuple = ()
@@ -137,14 +135,14 @@ def _list(doc: dict, key: str) -> list:
 def _spec_from_document(doc: dict) -> PlotSpec:
     """The PlotSpec of a JSON spec document.  Only its shape and keys are
     checked here; ``render_figure`` checks the values."""
-    unknown = set(doc) - {f.name for f in fields(PlotSpec)}
+    unknown = set(doc) - set(PlotSpec._fields)
     if unknown:
         raise ConfigError(f"unknown plot spec keys: {sorted(unknown)}")
     curves = []
     for entry in _list(doc, "curves"):
         if not isinstance(entry, dict):
             raise ConfigError(f"curves entries must be objects, got {entry!r}")
-        extra = set(entry) - {f.name for f in fields(CurveSpec)}
+        extra = set(entry) - set(CurveSpec._fields)
         if extra:
             raise ConfigError(f"unknown curve keys: {sorted(extra)}")
         if "C" not in entry:
@@ -485,7 +483,7 @@ _COMMANDS = {
         (("--x0",), "x0", float, _REQUIRED, "start x"),
         (("--y0",), "y0", float, _REQUIRED, "start y"),
         (("--p0",), "p0", float, None, "initial slope hint"),
-        (("--tol",), "tol", float, TraceConfig.tol, "error of x and y summed over the arc budget"),
+        (("--tol",), "tol", float, TraceConfig().tol, "error of x and y summed over the arc budget"),
     )),
     "intersect": (_cmd_intersect, "line-curve intersection report", (
         (("-m",), "m", float, _REQUIRED, "line slope"),

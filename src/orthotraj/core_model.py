@@ -26,7 +26,6 @@ Everything here is a pure scalar function of its inputs.
 """
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import DegenerateFootError, DegeneratePointError, DomainError
@@ -54,8 +53,7 @@ class Point(NamedTuple):
     y: float
 
 
-@dataclass(frozen=True)
-class Line:
+class Line(NamedTuple):
     """A straight line y = slope * x + intercept."""
 
     slope: float
@@ -65,8 +63,7 @@ class Line:
         return self.slope * x + self.intercept
 
 
-@dataclass(frozen=True)
-class LineFamily:
+class LineFamily(NamedTuple):
     """The line family y = m x + f(m) with f(m) = -2m - m^3."""
 
     def f(self, m: float) -> float:
@@ -78,19 +75,19 @@ class LineFamily:
 PARABOLA_NORMALS = LineFamily()
 
 
-@dataclass(frozen=True)
-class TrajectoryCurve:
+class TrajectoryCurve(NamedTuple("TrajectoryCurve", [("C", float)])):
     """One member of the orthogonal family, identified by its constant C."""
 
-    C: float
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
-    def __post_init__(self):
-        if not math.isfinite(self.C):
+    def __new__(cls, C: float):
+        if not math.isfinite(C):
             raise DomainError("curve constant C must be finite")
+        return super().__new__(cls, C)
 
 
-@dataclass(frozen=True)
-class CurveSample:
+class CurveSample(NamedTuple):
     """Curve evaluation at one parameter value.
 
     ``regular`` is False exactly at a cusp, where no tangent exists: where

@@ -28,8 +28,7 @@ p = 0, where mu and F blow up (the curves cross the x-axis vertically).
 """
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .core_model import Point
 from .errors import DomainError
@@ -45,8 +44,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DifferentialForm:
+class DifferentialForm(NamedTuple):
     """A form M(y, p) dy + N(y, p) dp = 0 on the domain p != 0."""
 
     M: Callable[[float, float], float]

@@ -11,7 +11,7 @@ magnitude above it.
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core_model import Point, TrajectoryCurve, curve_point, linspace, sample
 from .errors import DegenerateInputError, DomainError
@@ -34,8 +34,7 @@ _CONIC_REJECT = 1e-3        # residual at or above: definitely not a conic
 _PARABOLA_DISC_TOL = 1e-6   # |b^2 - 4ac| tolerance relative to |(a,b,c)|^2
 
 
-@dataclass(frozen=True)
-class IntersectionRecord:
+class IntersectionRecord(NamedTuple):
     """One line-curve crossing.
 
     ``slope_product`` is m times the curve slope 1/t: ``math.inf`` at
@@ -122,8 +121,7 @@ def intersections(m: float, curve: TrajectoryCurve, t_min: float, t_max: float):
     return records
 
 
-@dataclass(frozen=True)
-class ConicFit:
+class ConicFit(NamedTuple):
     """Least-squares quadratic form a x^2 + b xy + c y^2 + d x + e y + f.
 
     ``coeffs`` is the unit-norm coefficient vector in the original

@@ -15,7 +15,6 @@ double root near 0 at (3, 1e-6) (ROADMAP item 1).
 """
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError, NoBracketError
 
@@ -29,12 +28,32 @@ _MULTIPLE_EPS = 1e-10
 _CLUSTER_EPS = 1e-8
 
 
-@dataclass(frozen=True)
 class RootSet:
-    """Real roots in ascending order with matching multiplicities."""
+    """Real roots in ascending order with matching multiplicities; equal,
+    hashable and immutable by value, and sized and iterated by its roots."""
 
-    roots: tuple
-    multiplicities: tuple
+    __slots__ = ("roots", "multiplicities")
+
+    def __init__(self, roots: tuple, multiplicities: tuple):
+        object.__setattr__(self, "roots", roots)
+        object.__setattr__(self, "multiplicities", multiplicities)
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"RootSet is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__; also the value key
+        return RootSet, (self.roots, self.multiplicities)
+
+    def __eq__(self, other):
+        return type(other) is RootSet and self.__reduce__() == other.__reduce__()
+
+    def __hash__(self):
+        return hash(self.__reduce__())
+
+    def __repr__(self):
+        return f"RootSet(roots={self.roots!r}, multiplicities={self.multiplicities!r})"
 
     def __len__(self):
         return len(self.roots)

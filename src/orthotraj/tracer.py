@@ -51,8 +51,7 @@ Termination reasons:
 
 import math
 import sys
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core_model import Point, TrajectoryCurve, cusp_parameters
 from .errors import DomainError, NoBranchError
@@ -90,8 +89,16 @@ _MAX_STEPS = 300_000
 _SEVERITY = {"arc-limit": 0, "domain-exit": 1, "step-limit": 2, "singularity": 3}
 
 
-@dataclass(frozen=True)
-class TraceConfig:
+class _TraceFields(NamedTuple):
+    start: Optional[Point] = None
+    initial_slope_hint: Optional[float] = None
+    step: float = 1e-2
+    max_arc: float = 50.0
+    tol: float = 1e-8
+    domain: Optional[tuple] = None
+
+
+class TraceConfig(_TraceFields):
     """Integration parameters for one trace.
 
     ``step`` is the arc of the first step and half the sample spacing:
@@ -106,14 +113,11 @@ class TraceConfig:
     the box is returned alone, both ends ``domain-exit``.
     """
 
-    start: Optional[Point] = None
-    initial_slope_hint: Optional[float] = None
-    step: float = 1e-2
-    max_arc: float = 50.0
-    tol: float = 1e-8
-    domain: Optional[tuple] = None
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for name in ("step", "max_arc", "tol"):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
@@ -126,13 +130,13 @@ class TraceConfig:
             len(box) == 4 and all(map(math.isfinite, box)) and box[0] < box[1] and box[2] < box[3]
         ):
             raise DomainError(f"domain must be a finite (xmin, xmax, ymin, ymax) box, got {box!r}")
+        return self
 
     def bounds(self) -> tuple:
         return self.domain if self.domain is not None else (-1e6, 1e6, -1e6, 1e6)
 
 
-@dataclass
-class TraceResult:
+class TraceResult(NamedTuple):
     """Ordered samples of one traced trajectory.
 
     ``samples`` holds (Point, p) pairs in geometric order along the
@@ -145,7 +149,7 @@ class TraceResult:
     q = 1/p, for the main family, the first integral for classic traces.
     """
 
-    samples: list = field(default_factory=list)
+    samples: list
     terminated_by: str = "arc-limit"
     potential_drift: float = 0.0
     end_reasons: tuple = ("arc-limit", "arc-limit")
@@ -238,6 +242,8 @@ def _march(cfg: TraceConfig, x, y, rhs, t, sigma, emit, cuts=()):
     start outside the box is returned alone.
     """
     xmin, xmax, ymin, ymax = cfg.bounds()
+    # Locals: the step loop reads them often, and a local is cheaper than a tuple field.
+    step, max_arc, tol = cfg.step, cfg.max_arc, cfg.tol
 
     def inside(u):  # the current step's continuous extension at u is in the box
         return xmin <= _at(xp, u) <= xmax and ymin <= _at(yp, u) <= ymax
@@ -249,7 +255,7 @@ def _march(cfg: TraceConfig, x, y, rhs, t, sigma, emit, cuts=()):
         return out, "domain-exit", drift
     k0 = rhs(t, x, y)
     # At a cusp start the speed k0[2] is 0: try one step of t.
-    h = sigma * (cfg.step / abs(k0[2]) if k0[2] else cfg.step)
+    h = sigma * (step / abs(k0[2]) if k0[2] else step)
     ahead = sorted((c for c in cuts if sigma * (c - t) > 0.0), key=lambda c: sigma * c)
     for _ in range(_MAX_STEPS):
         tn = t + h
@@ -259,8 +265,8 @@ def _march(cfg: TraceConfig, x, y, rhs, t, sigma, emit, cuts=()):
         _, xr1, xr2, xr3, xr4 = xp = _dense(x, xn, h, us)
         _, yr1, yr2, yr3, yr4 = yp = _dense(y, yn, h, vs)
         da = abs(ds)
-        left = cfg.max_arc - arc
-        bound = cfg.tol * min(da, left) / cfg.max_arc
+        left = max_arc - arc
+        bound = tol * min(da, left) / max_arc
         if not err <= bound:  # nan fails too
             # No step size takes the error below the rounding of x and y.
             bound = max(bound, sys.float_info.epsilon * (abs(xn) + abs(yn)))
@@ -270,11 +276,11 @@ def _march(cfg: TraceConfig, x, y, rhs, t, sigma, emit, cuts=()):
                 h *= 0.5
                 continue
         end = 1.0
-        if arc + da >= cfg.max_arc:
+        if arc + da >= max_arc:
             # Land on the budget: where the arc of the dense s reaches left.
             sp = _dense(0.0, ds, h, ws)
             end = _locate(lambda u: abs(_at(sp, u)) < left)
-        n = max(1, math.ceil(max(map(abs, ws)) * end * abs(h) / (2.0 * cfg.step)))
+        n = max(1, math.ceil(max(map(abs, ws)) * end * abs(h) / (2.0 * step)))
         for i in range(1, n + 1):
             th = end * i / n
             th1 = 1.0 - th
@@ -297,7 +303,7 @@ def _march(cfg: TraceConfig, x, y, rhs, t, sigma, emit, cuts=()):
         k0 = us[6], vs[6], ws[6]
         h *= min(5.0, max(0.2, 0.9 * (bound / err) ** 0.2)) if err > 0.0 else 5.0
         if k0[2]:
-            h = math.copysign(min(abs(h), 1.1 * (cfg.max_arc - arc) / abs(k0[2])), h)
+            h = math.copysign(min(abs(h), 1.1 * (max_arc - arc) / abs(k0[2])), h)
     return out, "step-limit", drift
 
 

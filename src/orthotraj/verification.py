@@ -16,7 +16,7 @@ inside ``geometry_analysis``'s scan and conic fit.
 
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core_model import (
     PARABOLA_NORMALS,
@@ -32,14 +32,13 @@ from .core_model import (
 )
 from .exact_ode import (exactness_defect, integrating_factor, potential, raw_form,
                         scaled_form, solve_for_xy)
-from .geometry_analysis import conic_fit, intersections
+from .geometry_analysis import _CONIC_REJECT, conic_fit, intersections
 from .tracer import TraceConfig, trace_classic, trace_orthogonal
 
 __all__ = ["CheckResult", "SUITES", "run_suites"]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str
@@ -60,10 +59,13 @@ def _bound(claim, tol, measured, residuals, note="", rel=False) -> CheckResult:
     return CheckResult(f"{claim} ({bound})", worst <= tol, f"{measured} = {worst:.3e}{note}")
 
 
+# The p values of the verification grid: +-[0.1, 10], 25 of each sign.
+_GRID_P = linspace(0.1, 10.0, 25) + linspace(-10.0, -0.1, 25)
+
+
 def _grid_yp():
-    """The shared verification grid: y in [-10, 10], p in +-[0.1, 10]."""
-    ps = linspace(0.1, 10.0, 25) + linspace(-10.0, -0.1, 25)
-    return [(y, p) for y in linspace(-10.0, 10.0, 20) for p in ps]
+    """The shared verification grid: y in [-10, 10], p in ``_GRID_P``."""
+    return [(y, p) for y in linspace(-10.0, 10.0, 20) for p in _GRID_P]
 
 
 def suite_exactness():
@@ -77,9 +79,10 @@ def suite_exactness():
     # is rounding-dominated there and cannot reach the 1e-8 tolerance.
     h = 5e-5
     # Each gap relative to its term's scale: M~ = sqrt(1+p^2) and
-    # (|p y| + 2/p^2) / sqrt(1+p^2), the sum of N~'s two terms.
-    gap_M = _worst(abs(scaled.M(y, p) - integrating_factor(p) * raw.M(y, p))
-                   / math.sqrt(1.0 + p * p) for y, p in grid)
+    # (|p y| + 2/p^2) / sqrt(1+p^2), the sum of N~'s two terms.  Both
+    # M read p alone, so the M gap runs over the grid's distinct p.
+    gap_M = _worst(abs(scaled.M(0.0, p) - integrating_factor(p) * raw.M(0.0, p))
+                   / math.sqrt(1.0 + p * p) for p in _GRID_P)
     gap_N = _worst(abs(scaled.N(y, p) - integrating_factor(p) * raw.N(y, p))
                    * math.sqrt(1.0 + p * p) / (abs(p * y) + 2.0 / (p * p)) for y, p in grid)
     tol_mu = 1e-14
@@ -97,11 +100,12 @@ def suite_exactness():
 
 
 def suite_potential():
-    """Level-set and parametrization consistency of the first integral."""
+    """Level-set and parametrization consistency of the first integral.
+    The level check reads p alone, so it runs over the grid's distinct p."""
     return [
         _bound("potential(solve_for_xy(p, C)) = C", 1e-9, "max |F - C|",
                (abs(potential(solve_for_xy(p, float(C)).y, p) - C)
-                for C in range(-4, 5) for _, p in _grid_yp())),
+                for C in range(-4, 5) for p in _GRID_P)),
         _bound("solve_for_xy(p, C) = curve_point(C, 1/p) for p > 0", 1e-12, "max coordinate gap",
                (gap for C in map(float, range(-4, 5)) for p in linspace(0.1, 10.0, 50)
                 for a in [solve_for_xy(p, C)] for b in [curve_point(TrajectoryCurve(C), 1.0 / p)]
@@ -195,22 +199,15 @@ def suite_extra_crossing():
     """The m=1 line cuts the parabola a second, non-orthogonal time."""
     recs = intersections(1.0, TrajectoryCurve(0.0), -5.0, 5.0)
     ok_count = len(recs) == 2
+    tol = 1e-8  # on every coordinate and on the slope product
     checks = []
     if ok_count:
         first, second = recs
-        ok_foot = (
-            abs(first.t + 1.0) <= 1e-8
-            and abs(first.point.x - 1.0) <= 1e-8
-            and abs(first.point.y + 2.0) <= 1e-8
-            and first.orthogonal
-        )
-        ok_extra = (
-            abs(second.t - 3.0) <= 1e-8
-            and abs(second.point.x - 9.0) <= 1e-8
-            and abs(second.point.y - 6.0) <= 1e-8
-            and abs(second.slope_product - 1.0 / 3.0) <= 1e-8
-            and not second.orthogonal
-        )
+        ok_foot = first.orthogonal and _worst(
+            map(abs, (first.t + 1.0, first.point.x - 1.0, first.point.y + 2.0))) <= tol
+        ok_extra = not second.orthogonal and _worst(map(abs, (
+            second.t - 3.0, second.point.x - 9.0, second.point.y - 6.0,
+            second.slope_product - 1.0 / 3.0))) <= tol
         detail = (
             f"t = {first.t:.9f} (orthogonal={first.orthogonal}), "
             f"t = {second.t:.9f} at ({second.point.x:.6f}, {second.point.y:.6f}), "
@@ -249,9 +246,10 @@ def suite_conic():
 
     fits = [(conic_fit(TrajectoryCurve(C)), C) for C in (-4.0, -2.0, -1.0, 1.0, 2.0, 4.0)]
     closest, C_closest = min(fits, key=lambda fit_C: fit_C[0].residual_rms)
+    reject = f"{_CONIC_REJECT:.0e}".replace("e-0", "e-")  # :g would render 1e-3 as 0.001
     checks.append(
         CheckResult(
-            "every tested C != 0 is non-conic with residual >= 1e-3",
+            f"every tested C != 0 is non-conic with residual >= {reject}",
             all(fit.classify() == "non-conic" for fit, _ in fits),
             f"smallest residual {closest.residual_rms:.3e} at C={C_closest:g}",
         )

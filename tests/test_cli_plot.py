@@ -10,7 +10,8 @@ Covers:
   - exit codes: 0 success, 1 verification/trace failure, 2 usage/config,
     malformed config or spec values, unwritable outputs, argument values
     outside the library's domain (DomainError)
-  - config-file merging, unknown-key rejection, flag precedence
+  - config-file merging, unknown-key rejection, flag precedence, and
+    trace's --tol default taken from TraceConfig
   - --help showing every default and required parameter, and a report's
     inputs listing every parameter
   - exact numeric round-trip of flags through the JSON report, negative
@@ -37,6 +38,7 @@ from orthotraj.cli_plot import (
     run,
 )
 from orthotraj.errors import ConfigError
+from orthotraj.tracer import TraceConfig
 
 
 def svg_elements(svg, cls):
@@ -310,6 +312,11 @@ class TestConfigMerging:
         report = json.loads(report_path.read_text())
         assert report["inputs"]["m"] == 2.0  # from config
         assert report["inputs"]["C"] == 0.0  # flag wins
+
+    def test_trace_tol_default_is_trace_config_default(self, tmp_path, capsys):
+        report_path = tmp_path / "report.json"
+        assert run(["trace", "--x0", "1", "--y0", "2", "--json-out", str(report_path)]) == 0
+        assert json.loads(report_path.read_text())["inputs"]["tol"] == TraceConfig().tol
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -1,4 +1,4 @@
-"""The package's public names and what importing it loads.
+"""The package's public names, what importing it loads, and its records.
 
 ``orthotraj`` star-imports its modules and builds ``__all__`` from
 theirs, so this pins the exported set: no duplicates, every name
@@ -6,14 +6,39 @@ resolves, and nothing leaks (a module without ``__all__`` would export
 ``math``).  numpy loads only where the intersection scan and the conic
 fit use it: not on import, not for a trace and not for ``verify
 --help``; with numpy unimportable, ``trace``, ``plot`` and the verify
-suites that neither scan nor fit still run.
+suites that neither scan nor fit still run.  No command loads
+``dataclasses``: every record is a NamedTuple, except ``RootSet``, a
+``__slots__`` class.  The records are immutable, the checked ones
+(``TrajectoryCurve``, ``TraceConfig``) check on every construction, and
+``RootSet`` is sized and iterated by its roots.
 """
 
+import math
 import os
+import pickle
 import subprocess
 import sys
 
+import pytest
+
 import orthotraj
+from orthotraj import (
+    PARABOLA_NORMALS,
+    DomainError,
+    Point,
+    RootSet,
+    TraceConfig,
+    TrajectoryCurve,
+    conic_fit,
+    intersections,
+    line_at,
+    orthogonal_foot,
+    raw_form,
+    slopes_at,
+    trace_orthogonal,
+)
+from orthotraj.cli_plot import CurveSpec, PlotSpec
+from orthotraj.verification import CheckResult
 
 EXPORTS = {
     "PARABOLA_NORMALS", "CurveSample", "Line", "LineFamily", "Point",
@@ -95,3 +120,111 @@ def test_numpy_free_paths_run_without_numpy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     # trace, plot, then the six suites that neither scan nor fit: all exit 0.
     assert proc.stdout.strip() == str([0] * 8), proc.stderr
+
+
+# The first two lines run before anything sets sys.modules["dataclasses"],
+# which would itself put the name in sys.modules.
+_WITHOUT_DATACLASSES = """
+import contextlib, io, sys
+import orthotraj
+seen = ["dataclasses" in sys.modules]
+import orthotraj.cli_plot
+seen.append("dataclasses" in sys.modules)
+sys.modules["dataclasses"] = None  # any import of dataclasses now raises ImportError
+codes = []
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["trace", "--x0", "1", "--y0", "2"], ["intersect", "-m", "1", "-C", "0"],
+                 ["classify", "-C", "1"], ["plot", "--preset", "fig1a", "-o", sys.argv[1]],
+                 ["verify", "--suite", "all"]):
+        codes.append(orthotraj.cli_plot.run(argv))
+print(seen, codes)
+"""
+
+
+def test_no_command_loads_dataclasses(tmp_path):
+    # A fresh interpreter: pytest itself has loaded dataclasses here.
+    proc = _fresh_python(_WITHOUT_DATACLASSES, str(tmp_path / "f.svg"))
+    assert proc.returncode == 0, proc.stderr
+    # Neither import loads it; trace, intersect, classify, plot, verify all exit 0.
+    assert proc.stdout.strip() == "[False, False] [0, 0, 0, 0, 0]", proc.stderr
+
+
+_CURVE = TrajectoryCurve(0.0)
+# One instance of every record type, with one of its fields.
+RECORDS = [
+    (Point(1.0, 2.0), "x"),
+    (line_at(PARABOLA_NORMALS, 1.0), "slope"),
+    (_CURVE, "C"),
+    (orthogonal_foot(PARABOLA_NORMALS, 1.0, _CURVE), "point"),
+    (slopes_at(3.0, 1.0), "roots"),
+    (raw_form(), "M"),
+    (TraceConfig(), "tol"),
+    (trace_orthogonal(TraceConfig(start=Point(1.0, 2.0), max_arc=0.05)), "samples"),
+    (intersections(1.0, _CURVE, -5.0, 5.0)[0], "t"),
+    (conic_fit(_CURVE), "residual_rms"),
+    (CheckResult("claim", True, "detail"), "passed"),
+    (CurveSpec(0.0), "C"),
+    (PlotSpec(), "lines"),
+]
+RECORD_IDS = [type(rec).__name__ for rec, _ in RECORDS]
+
+
+@pytest.mark.parametrize("record, field", RECORDS, ids=RECORD_IDS)
+def test_records_are_immutable(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
+    with pytest.raises(AttributeError):  # no instance __dict__ to take a new name
+        record.undeclared = 0.0
+
+
+def test_records_are_tuples_of_their_values():
+    assert line_at(PARABOLA_NORMALS, 1.0) == (1.0, -3.0)
+    assert TrajectoryCurve(2.0) == (2.0,)
+    (C,) = TrajectoryCurve(2.0)
+    assert C == 2.0
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: TrajectoryCurve(math.inf),
+        lambda: TrajectoryCurve(math.nan),
+        lambda: TraceConfig(step=0.0),
+        lambda: TraceConfig(1.0, 2.0, 1.0, -1.0),  # positional max_arc
+        lambda: TrajectoryCurve(1.0)._replace(C=math.inf),
+        lambda: TraceConfig()._replace(tol=math.nan),
+    ],
+    ids=["curve-inf", "curve-nan", "step-0", "max-arc-negative", "curve-replace", "config-replace"],
+)
+def test_checked_records_reject_bad_values(make):
+    with pytest.raises(DomainError):
+        make()
+
+
+@pytest.mark.parametrize(
+    "record",
+    [TrajectoryCurve(-4.0), TraceConfig(start=Point(1.0, 2.0), step=0.5, domain=(0, 1, 0, 1)),
+     slopes_at(3.0, -1.0)],
+    ids=["TrajectoryCurve", "TraceConfig", "RootSet"],
+)
+def test_records_survive_pickle(record):
+    copy = pickle.loads(pickle.dumps(record))
+    assert type(copy) is type(record)
+    assert copy == record
+
+
+def test_rootset_is_sized_and_iterated_by_its_roots():
+    rs = slopes_at(3.0, 1.0)  # p^3 + p^2 - 1 has one real root
+    assert len(rs) == len(rs.roots) == 1
+    assert list(rs) == list(rs.roots)
+    three = slopes_at(3.0, -0.1)
+    assert len(three) == 3 and tuple(three) == three.roots
+
+
+def test_rootset_equal_and_hashed_by_value():
+    a, b = slopes_at(3.0, 1.0), slopes_at(3.0, 1.0)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != slopes_at(3.0, 2.0)
+    assert a != (a.roots, a.multiplicities)
+    assert RootSet((), ()) == RootSet(roots=(), multiplicities=())
