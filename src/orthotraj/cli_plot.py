@@ -12,7 +12,9 @@ All subcommands accept ``--config file.json`` (defaults for the same
 parameter names; unknown keys are rejected) and ``--json-out file.json``
 (machine-readable report {command, inputs, results, pass}; inputs hold
 every parameter, null where unset).  Exit codes: 0 success, 1
-verification or trace failure, 2 usage or configuration error, which
+verification or trace failure, 2 usage or configuration error, and 141
+(128 + SIGPIPE, as a shell reports it) when stdout closes before the
+output is written, as in ``ortho-traj verify | head -n 1``.  Code 2
 includes unreadable or unwritable files, malformed config or spec values,
 specs that cannot be drawn in finite pixel coordinates and argument
 values outside an operation's domain (``DomainError``).  Each subcommand
@@ -30,12 +32,13 @@ fig1b = {0, -1, -2, -4} (C = -4 being the innermost, cusped member).
 import argparse
 import json
 import math
+import os
 import sys
 from typing import NamedTuple
 
 from .core_model import PARABOLA_NORMALS, Point, TrajectoryCurve, curve_point, cusp_parameters, linspace
 from .errors import ConfigError, DomainError, NoBranchError, OrthoTrajError
-from .geometry_analysis import conic_fit, intersections
+from .geometry_analysis import classify_conic, conic_fit, intersections
 from .tracer import TraceConfig, trace_orthogonal
 
 __all__ = [
@@ -433,8 +436,8 @@ def _cmd_intersect(params):
 def _cmd_classify(params):
     C = params["C"]
     curve = TrajectoryCurve(C)
-    fit = conic_fit(curve)
-    verdict = fit.classify()
+    verdict = classify_conic(curve)
+    fit = conic_fit(curve)  # evidence only; it overflows (exit 2) past |C| ~ 1e154
     cusps = cusp_parameters(curve)
     print(f"curve C={C:g}: {verdict}")
     print(f"  conic residual (scaled coords): {fit.residual_rms:.3e}")
@@ -569,7 +572,15 @@ def run(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # The reader left early (``| head``).  As Python's SIGPIPE note advises,
+        # point stdout at devnull, so that the flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -3,10 +3,11 @@
 Two families of checks live here.  ``intersections`` locates every
 crossing of a family line with a trajectory curve in a parameter window
 and flags the orthogonal one, the foot t = -m unless it is a cusp.
-``fit_conic``/``is_parabola`` quantify the degeneration claim: the C = 0
-member is the parabola y^2 = 4x and fits a quadratic form to machine
-precision, while every C != 0 member leaves a conic residual orders of
-magnitude above it.
+``classify_conic``/``is_parabola`` answer the degeneration claim from C:
+the C = 0 member is the parabola y^2 = 4x, and every other is an
+irreducible sextic (Farouki & Neff, CAGD 7, 1990).  ``conic_fit`` is the
+evidence: a quadratic form fits C = 0 to machine precision, and leaves
+every C != 0 member a residual orders of magnitude above that.
 """
 
 import functools
@@ -29,9 +30,6 @@ __all__ = [
 
 _SCAN_POINTS = 10_000       # sign-scan resolution over the t-window
 _DEDUPE_TOL = 1e-8          # crossings closer than this merge into one
-_CONIC_ACCEPT = 1e-8        # residual at or below: the samples lie on a conic
-_CONIC_REJECT = 1e-3        # residual at or above: definitely not a conic
-_PARABOLA_DISC_TOL = 1e-6   # |b^2 - 4ac| tolerance relative to |(a,b,c)|^2
 
 
 class IntersectionRecord(NamedTuple):
@@ -126,8 +124,8 @@ class ConicFit(NamedTuple):
 
     ``coeffs`` is the unit-norm coefficient vector in the original
     coordinates; ``residual_rms`` is the fit residual in the internally
-    scaled coordinates (zero mean, unit RMS radius), which is what the
-    accept/reject thresholds refer to.
+    scaled coordinates (zero mean, unit RMS radius).  The fit is evidence
+    only: no verdict is read from it.
     """
 
     coeffs: tuple
@@ -136,27 +134,6 @@ class ConicFit(NamedTuple):
     def discriminant(self) -> float:
         a, b, c, _, _, _ = self.coeffs
         return b * b - 4.0 * a * c
-
-    def classify(self) -> str:
-        """'parabola', 'other-conic', 'non-conic' or 'inconclusive'.
-
-        The residual thresholds are two-sided (accept <= 1e-8, reject >=
-        1e-3); residuals in between are reported as inconclusive rather
-        than coerced to either side.
-        """
-        if self.residual_rms <= _CONIC_ACCEPT:
-            # Scaled to a largest magnitude of 1, so that tiny quadratic
-            # coefficients (huge curves) neither underflow nor vanish.
-            k = max(abs(v) for v in self.coeffs[:3])
-            if k == 0.0:
-                return "other-conic"  # no quadratic part: a line
-            a, b, c = (v / k for v in self.coeffs[:3])
-            if abs(b * b - 4.0 * a * c) <= _PARABOLA_DISC_TOL * (a * a + b * b + c * c):
-                return "parabola"
-            return "other-conic"
-        if self.residual_rms >= _CONIC_REJECT:
-            return "non-conic"
-        return "inconclusive"
 
 
 def fit_conic(points) -> ConicFit:
@@ -221,15 +198,16 @@ def fit_conic(points) -> ConicFit:
 
 def conic_fit(curve: TrajectoryCurve) -> ConicFit:
     """``fit_conic`` of 200 samples of the curve over t in [-3, 3], the
-    one sampling behind every conic verdict on a family member."""
+    evidence printed beside each conic verdict on a family member."""
     return fit_conic([curve_point(curve, t) for t in linspace(-3.0, 3.0, 200)])
 
 
 def classify_conic(curve: TrajectoryCurve) -> str:
-    """``ConicFit.classify`` of ``conic_fit(curve)``."""
-    return conic_fit(curve).classify()
+    """'parabola' for C = 0 (-0.0 too), 'non-conic' for every other C:
+    member C != 0 is an irreducible sextic, whatever arc of it a fit sees."""
+    return "parabola" if is_parabola(curve) else "non-conic"
 
 
 def is_parabola(curve: TrajectoryCurve) -> bool:
-    """True iff 200 default samples of the curve fit a parabola."""
-    return classify_conic(curve) == "parabola"
+    """True iff C = 0: only that member is the parabola y^2 = 4x."""
+    return curve.C == 0.0

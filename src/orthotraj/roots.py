@@ -187,17 +187,12 @@ def bracketed_root(f, lo: float, hi: float, tol: float = 1e-12) -> float:
         mid = 0.5 * (a + b)
         if b - a <= tol or not a < mid < b:
             break
-        # Secant candidate; fall back to bisection when it leaves the
-        # bracket interior or the denominator degenerates.
-        denom = wb - wa
-        if denom != 0.0:
-            cand = b - wb * (b - a) / denom
-            if not (a < cand < b):
-                cand = mid
-        else:
-            cand = mid
-        # Guard against stagnation at an endpoint.
-        if cand in (a, b):
+        # Secant candidate, or bisection where it is not strictly inside
+        # the bracket.  wb - wa is never 0: the end replaced last weighs
+        # f(cand) != 0, and the other end's weight has the opposite sign
+        # or has underflowed to 0.  Where it overflows, cand is b or nan.
+        cand = b - wb * (b - a) / (wb - wa)
+        if not a < cand < b:
             cand = mid
         fc = f(cand)
         if fc == 0.0:

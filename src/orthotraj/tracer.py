@@ -107,10 +107,10 @@ class TraceConfig(_TraceFields):
     summed over one direction's arc budget, and alone sets the step
     sizes, down to the rounding of x and y.  All three are finite and
     positive.
-    ``domain`` is an optional (xmin, xmax, ymin, ymax) box; None uses a
-    very large default box.  A trace that leaves the box ends
-    ``domain-exit`` with its last sample on the box edge; a start outside
-    the box is returned alone, both ends ``domain-exit``.
+    ``domain`` is an optional finite (xmin, xmax, ymin, ymax) box; None
+    means no box, (-inf, inf, -inf, inf).  A trace that leaves the box
+    ends ``domain-exit`` with its last sample on the box edge; a start
+    outside the box is returned alone, both ends ``domain-exit``.
     """
 
     __slots__ = ()
@@ -133,7 +133,7 @@ class TraceConfig(_TraceFields):
         return self
 
     def bounds(self) -> tuple:
-        return self.domain if self.domain is not None else (-1e6, 1e6, -1e6, 1e6)
+        return self.domain if self.domain is not None else (-math.inf, math.inf) * 2
 
 
 class TraceResult(NamedTuple):

@@ -32,7 +32,7 @@ from .core_model import (
 )
 from .exact_ode import (exactness_defect, integrating_factor, potential, raw_form,
                         scaled_form, solve_for_xy)
-from .geometry_analysis import _CONIC_REJECT, conic_fit, intersections
+from .geometry_analysis import classify_conic, conic_fit, intersections
 from .tracer import TraceConfig, trace_classic, trace_orthogonal
 
 __all__ = ["CheckResult", "SUITES", "run_suites"]
@@ -229,32 +229,47 @@ def suite_extra_crossing():
     return checks
 
 
+def _sextic(C, x, y):
+    """F_C(x, y), the resultant in t of member C's equations (x - t^2)^2
+    (1 + t^2) = C^2 and y - 2t + t (x - t^2) = 0, and the sum of its 23
+    terms' magnitudes.  Plain arithmetic, so it runs exactly on ``Fraction``."""
+    c2, x2, y2 = C * C, x * x, y * y
+    c4, x3, y4 = c2 * c2, x2 * x, y2 * y2
+    terms = (y4 * y2, x2 * y4, -10 * x * y4, y4, -8 * x3 * y2, 32 * x2 * y2, -8 * x * y2,
+             16 * x2 * x2, -32 * x3, 16 * x2,
+             -3 * c2 * y4, -2 * c2 * x2 * y2, 2 * c2 * x * y2, -20 * c2 * y2, -8 * c2 * x3,
+             -8 * c2 * x2, 32 * c2 * x, -16 * c2,
+             c4 * x2, 8 * c4 * x, 3 * c4 * y2, -8 * c4, -c4 * c2)
+    return sum(terms), sum(map(abs, terms))
+
+
 def suite_conic():
-    """C = 0 is the parabola y^2 = 4x; every other member is non-conic."""
-    checks = []
+    """C = 0 is the parabola y^2 = 4x; every other member is non-conic, a
+    sextic F_C = 0 on which its points lie.  The verdict comes from
+    ``classify_conic``, and the conic fit is the evidence that agrees."""
     parab = conic_fit(TrajectoryCurve(0.0))
     # The coefficients have unit norm; so has (0, 0, 1, -4, 0, 0) / sqrt(17).
     _, _, c, d, _, _ = parab.coeffs
     cosine = abs(c - 4.0 * d) / math.sqrt(17.0)
-    checks.append(
-        CheckResult(
-            "C=0 classifies as parabola with conic proportional to y^2 - 4x",
-            parab.classify() == "parabola" and cosine >= 1.0 - 1e-8,
-            f"residual = {parab.residual_rms:.3e}, cosine similarity = {cosine:.12f}",
-        )
-    )
-
-    fits = [(conic_fit(TrajectoryCurve(C)), C) for C in (-4.0, -2.0, -1.0, 1.0, 2.0, 4.0)]
+    members = (-4.0, -2.0, -1.0, 1.0, 2.0, 4.0)
+    fits = [(conic_fit(TrajectoryCurve(C)), C) for C in members]
     closest, C_closest = min(fits, key=lambda fit_C: fit_C[0].residual_rms)
-    reject = f"{_CONIC_REJECT:.0e}".replace("e-0", "e-")  # :g would render 1e-3 as 0.001
-    checks.append(
-        CheckResult(
-            f"every tested C != 0 is non-conic with residual >= {reject}",
-            all(fit.classify() == "non-conic" for fit, _ in fits),
-            f"smallest residual {closest.residual_rms:.3e} at C={C_closest:g}",
-        )
-    )
-    return checks
+    reject = 1e-3
+    return [
+        CheckResult("C=0 classifies as parabola with conic proportional to y^2 - 4x",
+                    classify_conic(TrajectoryCurve(0.0)) == "parabola" and cosine >= 1.0 - 1e-8,
+                    f"residual = {parab.residual_rms:.3e}, cosine similarity = {cosine:.12f}"),
+        CheckResult("every tested C != 0 is non-conic with residual >= "
+                    + f"{reject:.0e}".replace("e-0", "e-"),  # :g would read 0.001
+                    all(classify_conic(TrajectoryCurve(C)) == "non-conic"
+                        and fit.residual_rms >= reject for fit, C in fits),
+                    f"smallest residual {closest.residual_rms:.3e} at C={C_closest:g}"),
+        _bound("members lie on their sextic F_C(x, y) = 0", 1e-14, "max |F_C| / sum |terms|",
+               (abs(F) / scale for C in (0.0, *members) for curve in [TrajectoryCurve(C)]
+                for t in linspace(-3.0, 3.0, 50)
+                for F, scale in [_sextic(C, *curve_point(curve, t))]),
+               " over C in {-4, -2, -1, 0, 1, 2, 4}", rel=True),
+    ]
 
 
 def suite_cusps():

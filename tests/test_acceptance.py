@@ -15,8 +15,9 @@ to see them).  Tolerances live in the suites; nothing is loosened here.
      angle each (on the velocity), at t = -m
   5. the non-orthogonal second crossing of (m=1, C=0) at t=3, (9, 6),
      slope product 1/3 (1e-8)
-  6. parabola degeneration: conic ~ y^2 - 4x iff C = 0, residual >= 1e-3
-     for C != 0
+  6. parabola degeneration: the verdict is parabola iff C = 0, with
+     conic ~ y^2 - 4x at C = 0 and residual >= 1e-3 for C != 0, and each
+     member on its sextic F_C = 0 (1e-14 relative to its terms)
   7. cusp census: 0/1/2 cusps for C > -2 / = -2 / < -2, with
      t = +-0.766421 (1e-6) at C = -4
   8. tracer fidelity: closed-form agreement 1e-5, potential drift
@@ -24,7 +25,7 @@ to see them).  Tolerances live in the suites; nothing is loosened here.
   9. figure reproduction: deterministic well-formed SVG, 8 curve paths
      across the presets, one dashed per panel, lines m = 1, 2, -3
 
-The names of the 29 checks are pinned, so a changed tolerance or a
+The names of the 30 checks are pinned, so a changed tolerance or a
 dropped check shows in the diff.  The checks must also fail when their
 property does: a nan residual fails and reads nan, and a curve whose
 points are tilted off the foot's right angle fails the tangent check.
@@ -61,6 +62,7 @@ CHECK_NAMES = {
     "conic": [
         "C=0 classifies as parabola with conic proportional to y^2 - 4x",
         "every tested C != 0 is non-conic with residual >= 1e-3",
+        "members lie on their sextic F_C(x, y) = 0 (rel tol 1e-14)",
     ],
     "cusps": [
         "cusp count for C=0 is 0",
@@ -114,7 +116,7 @@ def test_acceptance_criterion(label, suite):
 
 def test_every_check_name_is_pinned():
     assert list(CHECK_NAMES) == list(SUITES)
-    assert sum(map(len, CHECK_NAMES.values())) == 29
+    assert sum(map(len, CHECK_NAMES.values())) == 30
 
 
 def _check(results, name):

@@ -16,7 +16,8 @@ Covers:
     inputs listing every parameter
   - exact numeric round-trip of flags through the JSON report, negative
     numbers in exponent notation included
-  - the module entry point via a subprocess
+  - the module entry point via a subprocess, and a closed stdout that
+    exits 141 with nothing on stderr
 """
 
 import hashlib
@@ -137,6 +138,15 @@ class TestRenderFigure:
                                                                   y_window=window)))
         assert len(x_ticks) == len(y_ticks) == count
 
+    def test_horizontal_and_off_window_lines(self):
+        # m = 0 is the axis y = 0, drawn across the window; m = 10 is
+        # y = 10x - 1020, which misses it and draws an empty path.
+        svg = render_figure(PlotSpec(lines=(0.0, 10.0)))
+        assert [el.get("d") for el in svg_elements(svg, "family-line")] == [
+            "M 0.00,360.00 L 640.00,360.00", ""]
+        svg = render_figure(PlotSpec(lines=(0.0,), y_window=(1.0, 9.0)))
+        assert [el.get("d") for el in svg_elements(svg, "family-line")] == [""]
+
     def test_path_count_matches_declaration(self):
         # Total <path> elements equal declared curves + lines; axes and
         # ticks are <line> elements and never inflate the count.
@@ -171,10 +181,11 @@ class TestRunExitCodes:
         assert run(["trace", "--x0", "0", f"--y0={y0}"]) == 1
         assert capsys.readouterr().err.startswith("trace failed: ")
 
-    def test_trace_far_start_leaves_the_box(self, capsys):
-        # The one slope at (2, 1e10) is about 4.6e-4, never 0.
+    def test_trace_far_start_runs_to_its_arc_budget(self, capsys):
+        # The one slope at (2, 1e10) is about 4.6e-4, never 0; with no
+        # box by default, both legs spend their arc budget.
         assert run(["trace", "--x0", "2", "--y0", "1e10"]) == 0
-        assert "terminated_by: domain-exit" in capsys.readouterr().out
+        assert "end reasons: backward=arc-limit, forward=arc-limit" in capsys.readouterr().out
 
     def test_usage_error(self, capsys):
         assert run(["frobnicate"]) == 2
@@ -265,9 +276,13 @@ class TestPlotCommand:
             ('{"lines": [1' + "0" * 400 + "]}", "lines"),
             ('{"curves": [{"C": 0, "dashed": "no"}]}', "dashed"),
             ('{"curves": [{"C": 1e308}]}', "curves: C"),
+            ('{"curves": [0]}', "curves entries must be objects"),
+            ('{"curves": [{"C": 0, "colour": "red"}]}', "unknown curve keys: ['colour']"),
+            ('{"curves": [{"dashed": true}]}', "missing required key 'C'"),
         ],
         ids=["unknown-key", "width-str", "width-frac", "C-str", "t_range-int", "t_range-3",
-             "x_window-str", "lines-int", "lines-huge-int", "dashed-str", "C-overflow"],
+             "x_window-str", "lines-int", "lines-huge-int", "dashed-str", "C-overflow",
+             "curve-not-object", "curve-unknown-key", "curve-without-C"],
     )
     def test_spec_document_unknown_key(self, tmp_path, capsys, doc, field):
         spec_path = tmp_path / "spec.json"
@@ -344,6 +359,12 @@ class TestConfigMerging:
             cfg.write_bytes(content)
         assert run(["intersect", "-m", "1", "-C", "0", "--config", str(cfg)]) == 2
         assert "cfg.json" in capsys.readouterr().err
+
+    def test_config_array_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1, 2]")
+        assert run(["intersect", "-m", "1", "-C", "0", "--config", str(cfg)]) == 2
+        assert "config document must be a JSON object" in capsys.readouterr().err
 
     def test_missing_required_parameter(self, capsys):
         assert run(["intersect", "-m", "1"]) == 2
@@ -455,6 +476,13 @@ class TestConfigMerging:
         assert run(["trace", "--config", str(cfg), "--json-out", str(report_path)]) == 0
         assert json.loads(report_path.read_text())["inputs"] == report["inputs"]
 
+    def test_intersect_report_writes_an_infinite_slope_product(self, tmp_path, capsys):
+        # The foot of m = 0 is t = 0, a vertical tangent: m / t is inf.
+        report_path = tmp_path / "r.json"
+        assert run(["intersect", "-m", "0", "-C", "0", "--json-out", str(report_path)]) == 0
+        (record,) = json.loads(report_path.read_text())["results"]
+        assert record == {"t": 0.0, "x": 0.0, "y": 0.0, "slope_product": "inf", "orthogonal": True}
+
     def test_verify_report(self, tmp_path, capsys):
         report_path = tmp_path / "verify.json"
         assert run(["verify", "--suite", "cusps", "--json-out", str(report_path)]) == 0
@@ -463,17 +491,41 @@ class TestConfigMerging:
         assert all(row["passed"] for row in report["results"])
 
 
-def test_module_entry_point():
-    # The child imports the same package as this test, however pytest found it.
+def child_env():
+    """The environment of a child that imports the same package as this
+    test, however pytest found it."""
     src = os.path.dirname(os.path.dirname(orthotraj.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "orthotraj.cli_plot", "verify", "--suite", "extra-crossing"],
         capture_output=True,
         text=True,
         timeout=120,
-        env=env,
+        env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert "[PASS]" in proc.stdout
+
+
+@pytest.mark.parametrize("argv", [["verify", "--suite", "all"], ["classify", "-C", "1"]],
+                         ids=["verify", "classify"])
+def test_closed_stdout_exits_quietly(argv):
+    # As in `ortho-traj verify | head -n 1` where head has gone: the child
+    # writes its whole output in one block at exit, so a reader that takes
+    # one line and then closes races that write; closing the read end
+    # before the child starts makes the broken pipe certain.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "orthotraj.cli_plot", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True,
+                              timeout=120, env=child_env())
+    finally:
+        os.close(write_end)
+    assert proc.stderr == ""
+    assert proc.returncode == 141

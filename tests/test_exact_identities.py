@@ -1,0 +1,87 @@
+"""The paper's identities, exactly, at rational points.
+
+Put t = 2u/(1 - u^2).  Then s = sqrt(1 + t^2) = (1 + u^2)/(1 - u^2) is
+rational for rational u, and |u| < 1 keeps s > 0, so every point of
+member C is rational for rational (u, C) and ``Fraction`` evaluates each
+identity with no rounding.  A nonzero polynomial vanishes at a random
+point of a large set with small probability (Schwartz, J. ACM 27, 1980;
+Zippel, EUROSAM 1979), so an identity that reads exactly 0 at 50 random
+points holds everywhere, not just on a grid.
+
+Covers, each exactly 0 at 50 seeded rational (u, C, m):
+  - the member's sextic F_C(x, y), ``verification._sextic``
+  - the crossing factorisation y - (m x - 2m - m^3) = (t + m) h(t),
+    h(t) = 2 + m^2 - m t + C/s
+  - the squared normal offset (q (y - q) - x)^2 / (1 + q^2) = C^2 at q = t
+  - the orthogonal-family equation y p^3 - p^2 (2 - x) - 1 = 0 at p = 1/t
+and F_0 = (y^2 - 4x)^2 ((x - 1)^2 + y^2) at 50 random rational (x, y).
+"""
+
+import random
+from fractions import Fraction
+
+from orthotraj.verification import _sextic
+
+N_POINTS = 50
+
+
+def _rational(rng, bound):
+    """A random rational in (-bound, bound), denominator up to 10^6."""
+    d = rng.randint(2, 10**6)
+    n = bound * d
+    return Fraction(rng.randint(1 - n, n - 1), d)
+
+
+def _member_points():
+    """(C, m, t, s, x, y) at seeded rational u != 0 with |u| < 1, and
+    rational C and m."""
+    rng = random.Random(21)
+    points = []
+    while len(points) < N_POINTS:
+        u = _rational(rng, 1)
+        if not u:
+            continue  # t = 0 has no slope p = 1/t
+        C, m = _rational(rng, 5), _rational(rng, 3)
+        t = 2 * u / (1 - u * u)
+        s = (1 + u * u) / (1 - u * u)
+        points.append((C, m, t, s, t * t - C / s, 2 * t + C * t / s))
+    return points
+
+
+POINTS = _member_points()
+
+
+def test_s_is_the_square_root():
+    for _C, _m, t, s, _x, _y in POINTS:
+        assert s > 0 and s * s == 1 + t * t
+
+
+def test_sextic_vanishes_on_each_member():
+    for C, _m, _t, _s, x, y in POINTS:
+        F, scale = _sextic(C, x, y)
+        assert F == 0 and scale > 0
+
+
+def test_crossing_factorisation():
+    for C, m, t, s, x, y in POINTS:
+        h = 2 + m * m - m * t + C / s
+        assert y - (m * x - 2 * m - m**3) - (t + m) * h == 0
+
+
+def test_squared_normal_offset_is_C_squared():
+    for C, _m, q, _s, x, y in POINTS:
+        assert (q * (y - q) - x) ** 2 / (1 + q * q) - C * C == 0
+
+
+def test_orthogonal_family_equation():
+    for _C, _m, t, _s, x, y in POINTS:
+        p = 1 / t
+        assert y * p**3 - p * p * (2 - x) - 1 == 0
+
+
+def test_sextic_at_C_0_is_the_doubled_parabola_and_the_focus():
+    rng = random.Random(19)
+    for _ in range(N_POINTS):
+        x, y = _rational(rng, 10), _rational(rng, 10)
+        F, _scale = _sextic(Fraction(0), x, y)
+        assert F == (y * y - 4 * x) ** 2 * ((x - 1) ** 2 + y * y)

@@ -17,20 +17,20 @@ Covers:
     no refinement of the cells beside it
   - finite records on a member with C = 1e308
   - conic fits: parabola and circle to machine residual, C != 0 members
-    rejected, permutation invariance, degenerate inputs, coordinates so
-    large that the fit overflows (its mean too, with no warning), and
-    huge circles with tiny quadratic coefficients
-  - the parabola-iff-C=0 dichotomy
+    leave a large residual, permutation invariance, degenerate inputs,
+    and coordinates so large that the fit overflows (its mean too, with
+    no warning)
+  - the parabola-iff-C=0 verdict, read from C, over the double range
 """
 
 import math
+import random
 import warnings
 
 import numpy as np
 import pytest
 
 from orthotraj import (
-    ConicFit,
     DegenerateInputError,
     DomainError,
     IntersectionRecord,
@@ -247,7 +247,6 @@ class TestFitConic:
         fit = fit_conic(pts)
         assert fit.residual_rms <= 1e-10
         assert fit.discriminant() < 0.0  # ellipse-type
-        assert fit.classify() == "other-conic"
 
     def test_c4_samples_not_conic(self):
         pts = [curve_point(TrajectoryCurve(4.0), t) for t in np.linspace(-3, 3, 50)]
@@ -298,17 +297,6 @@ class TestFitConic:
                 with pytest.raises(DomainError):
                     conic_fit(TrajectoryCurve(C))
 
-    def test_discriminant_test_is_scale_free(self):
-        # Far from its small features the curve is a circle of radius
-        # ~|C|: the quadratic coefficients are ~1/C^2, far below any
-        # absolute floor, and must still read as an ellipse.
-        for C in (1e78, 1e100, 1e150):
-            assert classify_conic(TrajectoryCurve(C)) == "other-conic"
-        assert ConicFit((-1e-156, 0.0, -1e-156, 0.0, 0.0, 1.0), 0.0).classify() == "other-conic"
-        # With no quadratic part the form is a line, not a parabola,
-        # although b^2 - 4ac = 0.
-        assert ConicFit((0.0, 0.0, 0.0, 0.6, 0.8, 0.0), 0.0).classify() == "other-conic"
-
 
 class TestClassification:
     def test_dichotomy(self):
@@ -321,3 +309,16 @@ class TestClassification:
     def test_non_conic_class(self):
         for C in (-4.0, 1.0, 4.0):
             assert classify_conic(TrajectoryCurve(C)) == "non-conic"
+
+    def test_verdict_reads_C_over_the_double_range(self):
+        # A fit of 200 samples on t in [-3, 3] called the members 1e-6 and
+        # -1e-300 parabolas, 1e-3 and 1e3 inconclusive, and 1e9 and 1e78
+        # other conics (near circles of radius C): each is a sextic.
+        for C in (0.0, -0.0):
+            assert classify_conic(TrajectoryCurve(C)) == "parabola"
+            assert is_parabola(TrajectoryCurve(C))
+        rng = random.Random(26)
+        drawn = [rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-300.0, 300.0) for _ in range(200)]
+        for C in [1e-6, -1e-300, 1e-3, 1e3, 1e9, 1e78] + drawn:
+            assert classify_conic(TrajectoryCurve(C)) == "non-conic"
+            assert not is_parabola(TrajectoryCurve(C))

@@ -222,6 +222,21 @@ class TestBracketedRoot:
         # be asked no closer than an |h| of one ulp of those terms.
         assert error * slope <= math.ulp(a)
 
+    def test_subnormal_values_underflow_the_weights(self):
+        # f takes only the subnormals -5e-324 and 1.5e-323, so halving a
+        # kept end's weight soon underflows it to 0: the secant point is
+        # then the other end, and bisection takes over, strictly inside.
+        root = 0.3
+        calls = []
+
+        def f(t):
+            calls.append(t)
+            return -5e-324 if t < root else 1.5e-323
+
+        r = bracketed_root(f, 0.0, 1.0, tol=1e-12)
+        assert abs(r - root) <= 1e-12
+        assert all(0.0 < t < 1.0 for t in calls[2:]) and len(calls) <= 60
+
     def test_steep_function(self):
         r = bracketed_root(lambda t: math.tanh(50.0 * (t - 0.3)), -1.0, 1.0, tol=1e-13)
         assert r == pytest.approx(0.3, abs=1e-10)
