@@ -14,7 +14,8 @@ parameter names; unknown keys are rejected) and ``--json-out file.json``
 every parameter, null where unset).  Exit codes: 0 success, 1
 verification or trace failure, 2 usage or configuration error, and 141
 (128 + SIGPIPE, as a shell reports it) when stdout closes before the
-output is written, as in ``ortho-traj verify | head -n 1``.  Code 2
+output is written, as in ``ortho-traj verify | head -n 1``; the
+``--json-out`` report is written before stdout, so it is kept.  Code 2
 includes unreadable or unwritable files, malformed config or spec values,
 specs that cannot be drawn in finite pixel coordinates and argument
 values outside an operation's domain (``DomainError``).  Each subcommand
@@ -30,6 +31,8 @@ fig1b = {0, -1, -2, -4} (C = -4 being the innermost, cusped member).
 """
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -554,9 +557,13 @@ def run(argv) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     handler, _help, flags = _COMMANDS[args.command]
+    # The handler's stdout is held until the report is written, so that a
+    # stdout that closes early cannot lose the report.
+    out = io.StringIO()
     try:
         params = _params(args, flags)
-        code, results = handler(params)
+        with contextlib.redirect_stdout(out):
+            code, results = handler(params)
         if args.json_out:
             report = {
                 "command": args.command,
@@ -566,8 +573,10 @@ def run(argv) -> int:
             }
             _write_text(args.json_out, json.dumps(report, indent=2, allow_nan=False) + "\n")
     except OrthoTrajError as exc:
+        sys.stdout.write(out.getvalue())
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, (ConfigError, DomainError)) else 1
+    sys.stdout.write(out.getvalue())
     return code
 
 

@@ -24,7 +24,9 @@ For p < 0 the same point lies on the curve with constant -C: the t-form
 of the family merges the two sign branches of the level sets.
 
 Everything is a pure scalar function; the whole (y, p) domain excludes
-p = 0, where mu and F blow up (the curves cross the x-axis vertically).
+p = 0, where mu and F blow up (the curves cross the x-axis vertically),
+and a non-finite y or p, which raise ``DomainError`` rather than return
+nan or inf.
 """
 
 import math
@@ -52,23 +54,25 @@ class DifferentialForm(NamedTuple):
     description: str
 
 
-def _check_p(p: float) -> float:
+def _check(p: float, y: float = 0.0) -> None:
+    """DomainError unless p is finite and nonzero and y is finite."""
     if p == 0.0:
         raise DomainError(f"p must be nonzero, got {p!r}")
     if not math.isfinite(p):
         raise DomainError(f"p must be finite, got {p!r}")
-    return p
+    if not math.isfinite(y):
+        raise DomainError(f"y must be finite, got {y!r}")
 
 
 def raw_form() -> DifferentialForm:
     """The non-exact form (p^3 + p) dy + (y p^2 + 2/p) dp = 0."""
 
     def M(y: float, p: float) -> float:
-        _check_p(p)
+        _check(p, y)
         return p * p * p + p
 
     def N(y: float, p: float) -> float:
-        _check_p(p)
+        _check(p, y)
         return y * p * p + 2.0 / p
 
     return DifferentialForm(M=M, N=N, description="(p^3+p) dy + (y p^2 + 2/p) dp")
@@ -76,7 +80,7 @@ def raw_form() -> DifferentialForm:
 
 def integrating_factor(p: float) -> float:
     """mu(p) = 1 / (p sqrt(1 + p^2)); singular at p = 0."""
-    _check_p(p)
+    _check(p)
     return 1.0 / (p * math.sqrt(1.0 + p * p))
 
 
@@ -87,11 +91,11 @@ def scaled_form() -> DifferentialForm:
     """
 
     def M(y: float, p: float) -> float:
-        _check_p(p)
+        _check(p, y)
         return math.sqrt(1.0 + p * p)
 
     def N(y: float, p: float) -> float:
-        _check_p(p)
+        _check(p, y)
         return (p * y + 2.0 / (p * p)) / math.sqrt(1.0 + p * p)
 
     return DifferentialForm(
@@ -120,7 +124,7 @@ def potential(y: float, p: float) -> float:
     Constant along solutions of the exact form; its level value is the
     family constant C (for the p > 0 branch).
     """
-    _check_p(p)
+    _check(p, y)
     return (y - 2.0 / p) * math.sqrt(1.0 + p * p)
 
 
@@ -130,7 +134,7 @@ def solve_for_xy(p: float, C: float) -> Point:
     x = 1/p^2 - C p / sqrt(1 + p^2),  y = 2/p + C / sqrt(1 + p^2).
     Equals ``curve_point(TrajectoryCurve(C), 1/p)`` for p > 0.
     """
-    _check_p(p)
+    _check(p)
     if not math.isfinite(C):
         raise DomainError(f"C must be finite, got {C!r}")
     s = math.sqrt(1.0 + p * p)

@@ -159,12 +159,12 @@ def bracketed_root(f, lo: float, hi: float, tol: float = 1e-12) -> float:
     """Root of f in [lo, hi] by the Illinois variant of false position,
     with bisection as the fallback (Dowell & Jarratt, BIT 11, 1971).
 
-    Requires lo < hi and f(lo) * f(hi) <= 0.  Stops when the bracket
+    Requires finite lo < hi and f(lo) * f(hi) <= 0.  Stops when the bracket
     width drops below ``tol``, or to two adjacent floats, and returns the
     endpoint with the smaller |f|.
     """
-    if not lo < hi:
-        raise DomainError(f"need lo < hi, got [{lo!r}, {hi!r}]")
+    if not -math.inf < lo < hi < math.inf:
+        raise DomainError(f"need finite lo < hi, got [{lo!r}, {hi!r}]")
     fa = f(lo)
     fb = f(hi)
     if fa == 0.0:

@@ -30,10 +30,10 @@ before the first step, ``cusp_parameters(C)``; a step that would pass
 one lands on it, so the signed speed keeps its sign inside a step and
 the step's arc is |ds|.  The samples come from the method's continuous
 extension, at most 2 ``step`` of arc apart, and ``_locate`` bisects that
-extension where a step is cut short: on the arc budget and on the box
-edge.  So each end lies on its arc budget or on the box edge.  The
-tracer's ``emit`` makes each sample once, in its final (Point, p) form,
-and returns its conserved quantity for the drift.
+extension where the last step is cut short on the arc budget.  So each
+end that spends its budget lies on it.  The tracer's ``emit`` makes each
+sample once, in its final (Point, p) form, and returns its conserved
+quantity for the drift.
 ``trace_orthogonal`` marches in tau = q and returns slopes p = 1/q
 (+-inf where q = 0).  ``trace_classic`` marches one of three textbook
 orthogonal-trajectory fields in tau = s and reports the drift of its
@@ -42,8 +42,6 @@ exact conserved quantity.
 Termination reasons:
 
     arc-limit    the arc-length budget was spent
-    domain-exit  the trace reached the edge of the configured bounding
-                 box, where its end sample lies
     step-limit   the march used up its _MAX_STEPS step attempts
     singularity  the smallest step, |dtau| = 1e-6, could not follow the
                  field, as next to a classic fixture's singular point
@@ -86,7 +84,7 @@ _D = (
 
 _H_MIN = 1e-6           # the smallest |dtau| that error control tries
 _MAX_STEPS = 300_000
-_SEVERITY = {"arc-limit": 0, "domain-exit": 1, "step-limit": 2, "singularity": 3}
+_SEVERITY = {"arc-limit": 0, "step-limit": 1, "singularity": 2}
 
 
 class _TraceFields(NamedTuple):
@@ -95,7 +93,6 @@ class _TraceFields(NamedTuple):
     step: float = 1e-2
     max_arc: float = 50.0
     tol: float = 1e-8
-    domain: Optional[tuple] = None
 
 
 class TraceConfig(_TraceFields):
@@ -106,11 +103,7 @@ class TraceConfig(_TraceFields):
     budget per direction; ``tol`` bounds the local error of x and y
     summed over one direction's arc budget, and alone sets the step
     sizes, down to the rounding of x and y.  All three are finite and
-    positive.
-    ``domain`` is an optional finite (xmin, xmax, ymin, ymax) box; None
-    means no box, (-inf, inf, -inf, inf).  A trace that leaves the box
-    ends ``domain-exit`` with its last sample on the box edge; a start
-    outside the box is returned alone, both ends ``domain-exit``.
+    positive.  The arc budget alone bounds a trace: it has no box.
     """
 
     __slots__ = ()
@@ -125,15 +118,7 @@ class TraceConfig(_TraceFields):
         hint = self.initial_slope_hint
         if hint is not None and not math.isfinite(hint):
             raise DomainError(f"initial_slope_hint must be finite, got {hint!r}")
-        box = self.domain
-        if box is not None and not (
-            len(box) == 4 and all(map(math.isfinite, box)) and box[0] < box[1] and box[2] < box[3]
-        ):
-            raise DomainError(f"domain must be a finite (xmin, xmax, ymin, ymax) box, got {box!r}")
         return self
-
-    def bounds(self) -> tuple:
-        return self.domain if self.domain is not None else (-math.inf, math.inf) * 2
 
 
 class TraceResult(NamedTuple):
@@ -206,10 +191,11 @@ def _at(poly: tuple, th: float) -> float:
     return u0 + th * (r1 + th1 * (r2 + th * (r3 + th1 * r4)))
 
 
-def _locate(ok, lo: float = 0.0, hi: float = 1.0) -> float:
-    """The step fraction where ``ok`` turns false, from lo (true) towards
-    hi (false), by 52 bisections: where a step is cut short, on the arc
-    budget or on the box edge.  Returns the last fraction found true."""
+def _locate(ok) -> float:
+    """The step fraction where ``ok`` turns false, from 0 (true) towards
+    1 (false), by 52 bisections: where the last step is cut short on the
+    arc budget.  Returns the last fraction found true."""
+    lo, hi = 0.0, 1.0
     for _ in range(52):
         mid = 0.5 * (lo + hi)
         if ok(mid):
@@ -237,22 +223,14 @@ def _march(cfg: TraceConfig, x, y, rhs, t, sigma, emit, cuts=()):
     capped at 1.1 (arc left) over the speed.  Samples come from the
     continuous extension (``_at``, inlined), equally spaced in t, at most
     2 ``step`` of arc apart; a full step ends on its accepted point.
-    ``_locate`` cuts a step short on the arc budget and on the box edge
-    (after the last sample inside), and the cut is the end sample.  A
-    start outside the box is returned alone.
+    ``_locate`` cuts the last step short on the arc budget, and the cut is
+    the end sample.
     """
-    xmin, xmax, ymin, ymax = cfg.bounds()
     # Locals: the step loop reads them often, and a local is cheaper than a tuple field.
     step, max_arc, tol = cfg.step, cfg.max_arc, cfg.tol
-
-    def inside(u):  # the current step's continuous extension at u is in the box
-        return xmin <= _at(xp, u) <= xmax and ymin <= _at(yp, u) <= ymax
-
     out = []
     f0 = emit(out, t, x, y)
     drift = arc = 0.0
-    if not (xmin <= x <= xmax and ymin <= y <= ymax):
-        return out, "domain-exit", drift
     k0 = rhs(t, x, y)
     # At a cusp start the speed k0[2] is 0: try one step of t.
     h = sigma * (step / abs(k0[2]) if k0[2] else step)
@@ -262,8 +240,8 @@ def _march(cfg: TraceConfig, x, y, rhs, t, sigma, emit, cuts=()):
         if ahead and sigma * (tn - ahead[0]) >= 0.0:  # land on the next cut, never across it
             tn, h = ahead[0], ahead[0] - t
         xn, yn, ds, err, us, vs, ws = _rk_step(rhs, t, x, y, k0, h)
-        _, xr1, xr2, xr3, xr4 = xp = _dense(x, xn, h, us)
-        _, yr1, yr2, yr3, yr4 = yp = _dense(y, yn, h, vs)
+        _, xr1, xr2, xr3, xr4 = _dense(x, xn, h, us)
+        _, yr1, yr2, yr3, yr4 = _dense(y, yn, h, vs)
         da = abs(ds)
         left = max_arc - arc
         bound = tol * min(da, left) / max_arc
@@ -286,11 +264,6 @@ def _march(cfg: TraceConfig, x, y, rhs, t, sigma, emit, cuts=()):
             th1 = 1.0 - th
             xi = x + th * (xr1 + th1 * (xr2 + th * (xr3 + th1 * xr4))) if th1 else xn
             yi = y + th * (yr1 + th1 * (yr2 + th * (yr3 + th1 * yr4))) if th1 else yn
-            if not (xmin <= xi <= xmax and ymin <= yi <= ymax):
-                # Cut the step on the box edge, after the last sample inside.
-                th = _locate(inside, end * (i - 1) / n, th)
-                f = abs(emit(out, t + th * h, _at(xp, th), _at(yp, th)) - f0)
-                return out, "domain-exit", max(drift, f)
             f = abs(emit(out, t + th * h if th1 else tn, xi, yi) - f0)
             if f > drift:
                 drift = f

@@ -29,6 +29,9 @@ The names of the 30 checks are pinned, so a changed tolerance or a
 dropped check shows in the diff.  The checks must also fail when their
 property does: a nan residual fails and reads nan, and a curve whose
 points are tilted off the foot's right angle fails the tangent check.
+A scan that returns one crossing of the m = 1 line fails both
+extra-crossing checks, and an SVG that does not parse fails both
+figure checks.
 """
 
 import math
@@ -161,3 +164,20 @@ def test_tangent_check_sees_tilted_points(monkeypatch):
                    "curve tangent at the foot is normal to the line (tol 1e-9)")
     assert not check.passed
     assert 1e-5 < float(check.detail.rsplit(" = ", 1)[1]) < 1e-4
+
+
+def test_one_crossing_fails_the_extra_crossing_checks(monkeypatch):
+    scan = verification.intersections
+    monkeypatch.setattr(verification, "intersections", lambda *args: scan(*args)[:1])
+    results = verification.suite_extra_crossing()
+    assert [r.passed for r in results] == [False, False]
+    assert {r.detail for r in results} == {"expected 2 records, got 1"}
+
+
+def test_malformed_svg_fails_the_figure_checks(monkeypatch):
+    from orthotraj import cli_plot
+
+    monkeypatch.setattr(cli_plot, "render_figure", lambda spec: "<svg")
+    results = verification.suite_figure()
+    assert not any(r.passed for r in results)
+    assert results[0].detail == "curves=0, dashed=0, lines=0, deterministic=True"

@@ -17,7 +17,7 @@ Covers:
   - exact numeric round-trip of flags through the JSON report, negative
     numbers in exponent notation included
   - the module entry point via a subprocess, and a closed stdout that
-    exits 141 with nothing on stderr
+    exits 141 with nothing on stderr and keeps the --json-out report
 """
 
 import hashlib
@@ -183,7 +183,7 @@ class TestRunExitCodes:
 
     def test_trace_far_start_runs_to_its_arc_budget(self, capsys):
         # The one slope at (2, 1e10) is about 4.6e-4, never 0; with no
-        # box by default, both legs spend their arc budget.
+        # box, both legs spend their arc budget.
         assert run(["trace", "--x0", "2", "--y0", "1e10"]) == 0
         assert "end reasons: backward=arc-limit, forward=arc-limit" in capsys.readouterr().out
 
@@ -529,3 +529,25 @@ def test_closed_stdout_exits_quietly(argv):
         os.close(write_end)
     assert proc.stderr == ""
     assert proc.returncode == 141
+
+
+def test_closed_stdout_keeps_the_json_report(tmp_path):
+    # Unbuffered, the child's first line breaks the pipe at once, which
+    # lost the report when the handler printed before it was written.
+    report = tmp_path / "r.json"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "orthotraj.cli_plot", "verify", "--suite", "cusps",
+             "--json-out", str(report)],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+            env=dict(child_env(), PYTHONUNBUFFERED="1"),
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == ""
+    assert proc.returncode == 141
+    doc = json.loads(report.read_text())
+    assert doc["command"] == "verify" and doc["pass"] is True
+    assert len(doc["results"]) == 8

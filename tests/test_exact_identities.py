@@ -14,6 +14,12 @@ Covers, each exactly 0 at 50 seeded rational (u, C, m):
     h(t) = 2 + m^2 - m t + C/s
   - the squared normal offset (q (y - q) - x)^2 / (1 + q^2) = C^2 at q = t
   - the orthogonal-family equation y p^3 - p^2 (2 - x) - 1 = 0 at p = 1/t
+  - the potential on both branches, (y - 2q) s / q = C at q = t of either
+    sign
+  - the velocity (t g, g), g = 2 + C/s^3, from exact derivatives in u,
+    and the cusp condition C = -2 s^3, where it is (0, 0)
+  - the double point: at C = -2s, so C < -2, the parameters +-t both
+    land on (1 + C^2/4, 0)
 and F_0 = (y^2 - 4x)^2 ((x - 1)^2 + y^2) at 50 random rational (x, y).
 """
 
@@ -42,10 +48,19 @@ def _member_points():
         if not u:
             continue  # t = 0 has no slope p = 1/t
         C, m = _rational(rng, 5), _rational(rng, 3)
-        t = 2 * u / (1 - u * u)
-        s = (1 + u * u) / (1 - u * u)
-        points.append((C, m, t, s, t * t - C / s, 2 * t + C * t / s))
+        t, s = _t_s(u)
+        points.append((C, m, t, s, *_member_xy(C, t, s)))
     return points
+
+
+def _t_s(u):
+    """t = 2u/(1 - u^2) and s = sqrt(1 + t^2) = (1 + u^2)/(1 - u^2)."""
+    return 2 * u / (1 - u * u), (1 + u * u) / (1 - u * u)
+
+
+def _member_xy(C, t, s):
+    """The closed-form point (t^2 - C/s, 2t + C t/s) of member C."""
+    return t * t - C / s, 2 * t + C * t / s
 
 
 POINTS = _member_points()
@@ -85,3 +100,39 @@ def test_sextic_at_C_0_is_the_doubled_parabola_and_the_focus():
         x, y = _rational(rng, 10), _rational(rng, 10)
         F, _scale = _sextic(Fraction(0), x, y)
         assert F == (y * y - 4 * x) ** 2 * ((x - 1) ** 2 + y * y)
+
+
+def test_potential_on_both_branches():
+    # exact_ode's F = (y - 2/p) sqrt(1 + p^2) is (y - 2q) s / |q| at
+    # p = 1/q; without the |.| the level is C on either sign of q = t.
+    assert {t > 0 for _C, _m, t, _s, _x, _y in POINTS} == {True, False}
+    for C, _m, q, s, _x, y in POINTS:
+        assert (y - 2 * q) * s / q == C
+
+
+def _velocity(C, u):
+    """(dx/dt, dy/dt) of member C at t = 2u/(1 - u^2), by the chain rule
+    through exact derivatives in u."""
+    w = 1 - u * u
+    t, s = _t_s(u)
+    dt, ds = 2 * (1 + u * u) / (w * w), 4 * u / (w * w)
+    dx = 2 * t * dt + C * ds / (s * s)
+    dy = 2 * dt + C * (dt * s - t * ds) / (s * s)
+    return dx / dt, dy / dt
+
+
+def test_velocity_and_the_cusp_condition():
+    for C, _m, t, s, _x, _y in POINTS:
+        u = t / (1 + s)  # inverts t = 2u/(1 - u^2)
+        g = 2 + C / s**3
+        assert _velocity(C, u) == (t * g, g)
+        assert _velocity(-2 * s**3, u) == (0, 0)
+
+
+def test_double_point_of_a_cusped_member():
+    # C^2/4 - 1 = t^2 at C = -2s, and s > 1 for t != 0, so C < -2.
+    for _C, _m, t, s, _x, _y in POINTS:
+        C = -2 * s
+        assert C < -2
+        for tt in (t, -t):
+            assert _member_xy(C, tt, s) == (1 + C * C / 4, 0)

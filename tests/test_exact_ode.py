@@ -8,7 +8,8 @@ Covers:
   - the potential's level values on the curve family, including the
     sign flip of the level on the t < 0 half of each curve
   - parametric solution vs curve_point, and hand-checked points
-  - singular-domain errors at p = 0
+  - singular-domain errors at p = 0, and errors for a non-finite y, p
+    or C, which returned nan or inf
 """
 
 import math
@@ -161,6 +162,37 @@ class TestPotential:
     def test_singular(self):
         with pytest.raises(DomainError):
             potential(1.0, 0.0)
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("v", NON_FINITE, ids=repr)
+class TestNonFinite:
+    def test_y(self, v):
+        for call in (
+            lambda: potential(v, 1.0),
+            lambda: raw_form().N(v, 1.0),
+            lambda: raw_form().M(v, 1.0),
+            lambda: scaled_form().N(v, 1.0),
+            lambda: exactness_defect(raw_form(), v, 1.0),
+        ):
+            with pytest.raises(DomainError, match="y must be finite"):
+                call()
+
+    def test_p(self, v):
+        for call in (
+            lambda: potential(1.0, v),
+            lambda: raw_form().N(1.0, v),
+            lambda: integrating_factor(v),
+            lambda: solve_for_xy(v, 1.0),
+        ):
+            with pytest.raises(DomainError, match="p must be finite"):
+                call()
+
+    def test_C(self, v):
+        with pytest.raises(DomainError, match="C must be finite"):
+            solve_for_xy(1.0, v)
 
 
 class TestSolveForXY:

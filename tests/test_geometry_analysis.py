@@ -18,6 +18,7 @@ Covers:
   - finite records on a member with C = 1e308
   - conic fits: parabola and circle to machine residual, C != 0 members
     leave a large residual, permutation invariance, degenerate inputs,
+    points that are not (x, y) pairs,
     and coordinates so large that the fit overflows (its mean too, with
     no warning)
   - the parabola-iff-C=0 verdict, read from C, over the double range
@@ -273,6 +274,12 @@ class TestFitConic:
     def test_collinear_points(self):
         pts = [(float(t), 2.0 * t + 1.0) for t in np.linspace(-3, 3, 30)]
         with pytest.raises(DegenerateInputError):
+            fit_conic(pts)
+
+    @pytest.mark.parametrize("pts", [[(0.0, 1.0, 2.0)] * 12, [1.0] * 12],
+                             ids=["triples", "scalars"])
+    def test_points_must_be_pairs(self, pts):
+        with pytest.raises(DomainError, match=r"\(n, 2\) array"):
             fit_conic(pts)
 
     def test_non_finite_points(self):

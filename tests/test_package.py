@@ -10,7 +10,8 @@ suites that neither scan nor fit still run.  No command loads
 ``dataclasses``: every record is a NamedTuple, except ``RootSet``, a
 ``__slots__`` class.  The records are immutable, the checked ones
 (``TrajectoryCurve``, ``TraceConfig``) check on every construction, and
-``RootSet`` is sized and iterated by its roots.
+``RootSet`` is sized and iterated by its roots, and its repr rebuilds
+it.
 """
 
 import math
@@ -203,7 +204,7 @@ def test_checked_records_reject_bad_values(make):
 
 @pytest.mark.parametrize(
     "record",
-    [TrajectoryCurve(-4.0), TraceConfig(start=Point(1.0, 2.0), step=0.5, domain=(0, 1, 0, 1)),
+    [TrajectoryCurve(-4.0), TraceConfig(start=Point(1.0, 2.0), step=0.5),
      slopes_at(3.0, -1.0)],
     ids=["TrajectoryCurve", "TraceConfig", "RootSet"],
 )
@@ -219,6 +220,12 @@ def test_rootset_is_sized_and_iterated_by_its_roots():
     assert list(rs) == list(rs.roots)
     three = slopes_at(3.0, -0.1)
     assert len(three) == 3 and tuple(three) == three.roots
+
+
+def test_rootset_repr_rebuilds_it():
+    rs = slopes_at(3.0, -0.1)
+    assert repr(rs) == f"RootSet(roots={rs.roots!r}, multiplicities={rs.multiplicities!r})"
+    assert eval(repr(rs), {"RootSet": RootSet}) == rs
 
 
 def test_rootset_equal_and_hashed_by_value():

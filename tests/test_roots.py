@@ -11,7 +11,8 @@ Covers:
   - residual bound |y r^3 + (x - 2) r^2 - 1| <= 1e-9 * max(|y|, |x - 2|, 1)
     * max(1, |r|)^3
   - odd root count off the x-axis, p = 0 never a root, non-finite input
-  - Illinois false-position bracketing: convergence, errors, cross-check
+  - Illinois false-position bracketing: convergence, errors (a non-finite
+    bracket included), a root on either end, cross-check
     with the closed-form cusp parameters, a bracket 2e196 wide, a root
     whose bracket stops at adjacent floats, wider than tol, and a
     near-tangent scan cell that plain false position crawled through
@@ -166,8 +167,15 @@ class TestBracketedRoot:
         with pytest.raises(DomainError):
             bracketed_root(lambda t: t, 1.0, 0.0)
 
+    @pytest.mark.parametrize("lo,hi", [(0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0)])
+    def test_non_finite_bracket(self, lo, hi):
+        # An infinite end returned 0.0, which is no root of 1 - |t|.
+        with pytest.raises(DomainError, match="finite"):
+            bracketed_root(lambda t: 1.0 - abs(t), lo, hi)
+
     def test_endpoint_root(self):
         assert bracketed_root(lambda t: t, 0.0, 1.0) == 0.0
+        assert bracketed_root(lambda t: t - 1.0, 0.0, 1.0) == 1.0
 
     def test_cusp_equation(self):
         # Same zero that cusp_parameters(C=-4) reports in closed form.

@@ -11,8 +11,7 @@ Covers:
   - slope-equation residual at every accepted sample
   - both tracers: sample spacing bounded by twice the configured step,
     each end spends its arc budget with no sample gap under 1e-3 among
-    its last four samples, and a domain box ends the trace with
-    domain-exit on the box edge; a start outside the box is returned alone
+    its last four samples
   - the cost follows tol, not the sample spacing: the parabola trace
     takes at most 400 steps, about as many at step 0.01 as at 0.5, and
     more at a tighter tol
@@ -25,19 +24,18 @@ Covers:
   - the forward end runs along +x from the start, for either sign of q
     and of D = 3q^2 + 2 - x
   - a march that uses up its step attempts ends with step-limit
-  - a tol under the rounding of x and y still runs its arc budget or to
-    the box: tol 1e-15, max_arc 1e10, and a cusped member at tol 1e-11
+  - a tol under the rounding of x and y still runs its arc budget: tol
+    1e-15, and a cusped member at tol 1e-11
   - the drift made during the march equals max |F - F0| recomputed from
     the samples, the start sample appears once, and every sample point
-    is a Point (main trace to arc-limit and to domain-exit, a classic
-    fixture)
+    is a Point (main trace to arc-limit, a classic fixture)
   - classic fixtures conserve xy, x^2 + y^2, (x+1)^2 + y^2, and stall
     as a singularity next to the monopole's centre
   - error cases: no slope branch, a start slope from ``slopes_at`` that
     does not solve the cubic (p = 0 or spurious), singular classic
     start, a missing or non-finite start for either tracer, bad config (non-positive or
-    non-finite step, max_arc or tol, a nan slope hint, a domain box that
-    is not four finite numbers with xmin < xmax and ymin < ymax)
+    non-finite step, max_arc or tol, a nan slope hint), and a ``domain``
+    keyword, as TraceConfig has no box
 """
 
 import math
@@ -132,22 +130,6 @@ class TestSharedStepper:
         pts = [pt for pt, _ in trace(cfg).samples]
         gaps = [math.hypot(b.x - a.x, b.y - a.y) for a, b in zip(pts, pts[1:])]
         assert min(gaps[:3] + gaps[-3:]) >= 1e-3
-
-    def test_domain_exit(self, trace, start, hint):
-        box = (-5.0, 5.0, -5.0, 5.0)
-        res = trace(TraceConfig(start=start, initial_slope_hint=hint, domain=box))
-        assert "domain-exit" in res.end_reasons
-        for pt, _ in res.samples:
-            assert -5.0 <= pt.x <= 5.0 and -5.0 <= pt.y <= 5.0
-        # The step that leaves the box is cut on its edge.
-        for reason, (pt, _) in zip(res.end_reasons, (res.samples[0], res.samples[-1])):
-            if reason == "domain-exit":
-                gap = min(abs(v - e) for v, e in zip((pt.x, pt.x, pt.y, pt.y), box))
-                assert gap <= 1e-12 * 5.0
-        # A start outside the box is returned alone.
-        res = trace(TraceConfig(start=start, initial_slope_hint=hint, domain=(2.0, 3.0, 2.0, 3.0)))
-        assert res.end_reasons == ("domain-exit", "domain-exit")
-        assert [pt for pt, _ in res.samples] == [start]
 
 
 class TestTraceOrthogonal:
@@ -296,16 +278,10 @@ class TestTraceOrthogonal:
         "start,hint,kw,ends",
         [
             (Point(1.0, 2.0), 1.0, {"tol": 1e-15}, ("arc-limit", "arc-limit")),
-            (
-                Point(1.0, 2.0),
-                1.0,
-                {"max_arc": 1e10, "domain": (-10.0, 10.0, -10.0, 10.0)},
-                ("domain-exit", "domain-exit"),
-            ),
             # Next to a cusp the speed vanishes but the rounding of x does not.
             (curve_point(TrajectoryCurve(-4.0), 1.0), 1.0, {"tol": 1e-11}, ("arc-limit", "arc-limit")),
         ],
-        ids=["tol-1e-15", "max_arc-1e10", "cusped-tol-1e-11"],
+        ids=["tol-1e-15", "cusped-tol-1e-11"],
     )
     def test_tol_under_the_rounding_still_runs(self, start, hint, kw, ends):
         # Per step, tol ds / max_arc falls under the rounding of x and y
@@ -354,10 +330,14 @@ class TestTraceOrthogonal:
             (5.0, -5.0, -5.0, 5.0),
             (-5.0, 5.0, 5.0, 5.0),
             (-5.0, 5.0, -5.0),
+            (-5.0, 5.0, -5.0, 5.0),
         ],
     )
     def test_bad_domain_is_rejected(self, domain):
-        with pytest.raises(DomainError):
+        # The arc budget alone bounds a trace: TraceConfig has no box, so
+        # any domain, a valid box too, is an unknown keyword.
+        assert TraceConfig._fields == ("start", "initial_slope_hint", "step", "max_arc", "tol")
+        with pytest.raises(TypeError, match="domain"):
             TraceConfig(start=Point(1.0, 2.0), domain=domain)
 
 
@@ -385,11 +365,10 @@ def main_potential(pt, p):
     "kw,end",
     [
         ({}, "arc-limit"),
-        ({"domain": (-4.5, 4.5, -4.5, 4.5)}, "domain-exit"),
         # At a spacing this coarse every sample ends its step.
         ({"step": 1.0}, "arc-limit"),
     ],
-    ids=["arc", "box", "coarse"],
+    ids=["arc", "coarse"],
 )
 def test_samples_and_drift_in_one_pass(trace, start, hint, p0, potential, kw, end):
     # The samples and the drift are made inside the march; recompute the
