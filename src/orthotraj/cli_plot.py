@@ -41,7 +41,6 @@ from typing import NamedTuple
 
 from .core_model import PARABOLA_NORMALS, Point, TrajectoryCurve, curve_point, cusp_parameters, linspace
 from .errors import ConfigError, DomainError, NoBranchError, OrthoTrajError
-from .geometry_analysis import classify_conic, conic_fit, intersections
 from .tracer import TraceConfig, trace_orthogonal
 
 __all__ = [
@@ -412,6 +411,8 @@ def _cmd_trace(params):
 
 
 def _cmd_intersect(params):
+    from .geometry_analysis import intersections  # only intersect and classify load the scan module
+
     m, C, t_min, t_max = params["m"], params["C"], params["t_min"], params["t_max"]
     records = intersections(m, TrajectoryCurve(C), t_min, t_max)
     print(f"{len(records)} intersection(s) of line m={m:g} with curve C={C:g} "
@@ -437,6 +438,8 @@ def _cmd_intersect(params):
 
 
 def _cmd_classify(params):
+    from .geometry_analysis import classify_conic, conic_fit
+
     C = params["C"]
     curve = TrajectoryCurve(C)
     verdict = classify_conic(curve)

@@ -20,12 +20,15 @@ Covers, each exactly 0 at 50 seeded rational (u, C, m):
     and the cusp condition C = -2 s^3, where it is (0, 0)
   - the double point: at C = -2s, so C < -2, the parameters +-t both
     land on (1 + C^2/4, 0)
+  - the exactness defect dM/dp - dN/dy = 2p^2 + 1 of ``raw_form`` at
+    (y, 1/t), from exact derivatives by dual numbers over ``Fraction``
 and F_0 = (y^2 - 4x)^2 ((x - 1)^2 + y^2) at 50 random rational (x, y).
 """
 
 import random
 from fractions import Fraction
 
+from orthotraj.exact_ode import raw_form
 from orthotraj.verification import _sextic
 
 N_POINTS = 50
@@ -136,3 +139,52 @@ def test_double_point_of_a_cusped_member():
         assert C < -2
         for tt in (t, -t):
             assert _member_xy(C, tt, s) == (1 + C * C / 4, 0)
+
+
+class _Dual:
+    """a + b e with e^2 = 0, over ``Fraction``: f(x + e) = f(x) + f'(x) e,
+    so the e part of a form evaluated at a dual argument is its exact
+    derivative.  A float operand becomes ``Fraction(x)``, exact for a
+    double, and ``__float__`` serves the form's ``math.isfinite`` check."""
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a, b=0):
+        self.a, self.b = Fraction(a), Fraction(b)
+
+    @staticmethod
+    def lift(v):
+        return v if isinstance(v, _Dual) else _Dual(v)
+
+    def __add__(self, other):
+        other = _Dual.lift(other)
+        return _Dual(self.a + other.a, self.b + other.b)
+
+    def __mul__(self, other):
+        other = _Dual.lift(other)
+        return _Dual(self.a * other.a, self.a * other.b + self.b * other.a)
+
+    def __truediv__(self, other):
+        other = _Dual.lift(other)
+        return _Dual(self.a / other.a, (self.b * other.a - self.a * other.b) / other.a**2)
+
+    def __rtruediv__(self, other):
+        return _Dual.lift(other) / self
+
+    def __eq__(self, other):
+        other = _Dual.lift(other)
+        return self.a == other.a and self.b == other.b
+
+    def __float__(self):
+        return float(self.a)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+
+def test_raw_form_exactness_defect():
+    M, N, _description = raw_form()
+    for _C, _m, t, _s, _x, y in POINTS:
+        p = 1 / t
+        dM_dp = M(_Dual(y), _Dual(p, 1)).b
+        dN_dy = N(_Dual(y, 1), _Dual(p)).b
+        assert dM_dp - dN_dy == 2 * p * p + 1

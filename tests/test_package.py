@@ -1,17 +1,20 @@
 """The package's public names, what importing it loads, and its records.
 
-``orthotraj`` star-imports its modules and builds ``__all__`` from
-theirs, so this pins the exported set: no duplicates, every name
-resolves, and nothing leaks (a module without ``__all__`` would export
-``math``).  numpy loads only where the intersection scan and the conic
-fit use it: not on import, not for a trace and not for ``verify
---help``; with numpy unimportable, ``trace``, ``plot`` and the verify
-suites that neither scan nor fit still run.  No command loads
-``dataclasses``: every record is a NamedTuple, except ``RootSet``, a
-``__slots__`` class.  The records are immutable, the checked ones
-(``TrajectoryCurve``, ``TraceConfig``) check on every construction, and
-``RootSet`` is sized and iterated by its roots, and its repr rebuilds
-it.
+``orthotraj`` loads a module on the first lookup of one of its exports,
+from one table that must match each module's ``__all__``.  This pins the
+exported set (no duplicates, every name resolves, nothing leaks), the
+lazy namespace (star-import, ``dir``, one binding per name, unknown
+names), and which of its modules each entry point loads: importing the
+package loads none, a slope query only ``errors`` and ``roots``, and a
+trace neither the ODE forms nor the scan.  numpy loads only where the
+intersection scan and the conic fit use it: not on import, not for a
+trace and not for ``verify --help``; with numpy unimportable, ``trace``,
+``plot`` and the verify suites that neither scan nor fit still run.  No
+command loads ``dataclasses``: every record is a NamedTuple, except
+``RootSet``, a ``__slots__`` class.  The records are immutable, the
+checked ones (``TrajectoryCurve``, ``TraceConfig``) check on every
+construction, and ``RootSet`` is sized and iterated by its roots, and
+its repr rebuilds it.
 """
 
 import math
@@ -19,6 +22,7 @@ import os
 import pickle
 import subprocess
 import sys
+from importlib import import_module
 
 import pytest
 
@@ -65,6 +69,16 @@ def test_public_api():
     for name in names:
         getattr(orthotraj, name)
     assert set(names) == EXPORTS
+
+
+def test_lazy_namespace_contract():
+    for module, names in orthotraj._EXPORTS.items():
+        assert list(names) == import_module(f"orthotraj.{module}").__all__, module
+    star = {}
+    exec("from orthotraj import *", star)
+    assert set(star) - {"__builtins__"} == set(orthotraj.__all__) == EXPORTS
+    assert EXPORTS <= set(dir(orthotraj))
+    assert orthotraj.slopes_at is orthotraj.roots.slopes_at is vars(orthotraj)["slopes_at"]
 
 
 _NUMPY_STEPS = """
@@ -148,6 +162,58 @@ def test_no_command_loads_dataclasses(tmp_path):
     assert proc.returncode == 0, proc.stderr
     # Neither import loads it; trace, intersect, classify, plot, verify all exit 0.
     assert proc.stdout.strip() == "[False, False] [0, 0, 0, 0, 0]", proc.stderr
+
+
+_PRINT_LOADED = """
+import sys
+print(sorted(m.removeprefix("orthotraj.") for m in sys.modules if m.startswith("orthotraj.")))
+"""
+_UNKNOWN_NAME = """
+import orthotraj
+try:
+    orthotraj.no_such_name
+except AttributeError as exc:
+    print(exc)
+"""
+
+
+def test_unknown_name_raises_at_once_and_loads_nothing():
+    proc = _fresh_python(_UNKNOWN_NAME + _PRINT_LOADED)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "module 'orthotraj' has no attribute 'no_such_name'", "[]"
+    ]
+
+
+_CLI = """
+import contextlib, io, sys
+from orthotraj import cli_plot
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli_plot.run(sys.argv[1:]) == 0
+"""
+_TRACE = """
+import orthotraj as ot
+ot.trace_orthogonal(ot.TraceConfig(start=ot.Point(1.0, 2.0), max_arc=0.05))
+"""
+_TRACING = ["core_model", "errors", "roots", "tracer"]
+
+
+@pytest.mark.parametrize(
+    "code, argv, loaded",
+    [
+        ("import orthotraj", [], []),
+        ("import orthotraj.roots", [], ["errors", "roots"]),
+        ("from orthotraj import slopes_at", [], ["errors", "roots"]),
+        (_TRACE, [], _TRACING),
+        (_CLI, ["trace", "--x0", "1", "--y0", "2"], ["cli_plot", *_TRACING]),
+        (_CLI, ["verify", "--help"], ["cli_plot", *_TRACING]),
+    ],
+    ids=["package", "import-roots", "from-package", "trace", "cli-trace", "cli-verify-help"],
+)
+def test_each_entry_point_loads_only_its_modules(code, argv, loaded):
+    proc = _fresh_python(code + _PRINT_LOADED, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str(loaded)
 
 
 _CURVE = TrajectoryCurve(0.0)
