@@ -41,7 +41,6 @@ from typing import NamedTuple
 
 from .core_model import PARABOLA_NORMALS, Point, TrajectoryCurve, curve_point, cusp_parameters, linspace
 from .errors import ConfigError, DomainError, NoBranchError, OrthoTrajError
-from .tracer import TraceConfig, trace_orthogonal
 
 __all__ = [
     "CurveSpec",
@@ -384,6 +383,8 @@ def _cmd_verify(params):
 
 
 def _cmd_trace(params):
+    from .tracer import TraceConfig, trace_orthogonal  # only trace loads the tracer
+
     x0, y0 = params["x0"], params["y0"]
     cfg = TraceConfig(start=Point(x0, y0), initial_slope_hint=params["p0"], tol=params["tol"])
     try:
@@ -411,7 +412,7 @@ def _cmd_trace(params):
 
 
 def _cmd_intersect(params):
-    from .geometry_analysis import intersections  # only intersect and classify load the scan module
+    from .geometry_analysis import intersections  # only intersect and classify load geometry_analysis
 
     m, C, t_min, t_max = params["m"], params["C"], params["t_min"], params["t_max"]
     records = intersections(m, TrajectoryCurve(C), t_min, t_max)
@@ -492,7 +493,7 @@ _COMMANDS = {
         (("--x0",), "x0", float, _REQUIRED, "start x"),
         (("--y0",), "y0", float, _REQUIRED, "start y"),
         (("--p0",), "p0", float, None, "initial slope hint"),
-        (("--tol",), "tol", float, TraceConfig().tol, "error of x and y summed over the arc budget"),
+        (("--tol",), "tol", float, 1e-8, "error of x and y summed over the arc budget"),
     )),
     "intersect": (_cmd_intersect, "line-curve intersection report", (
         (("-m",), "m", float, _REQUIRED, "line slope"),

@@ -145,7 +145,7 @@ def sample(curve: TrajectoryCurve, t: float) -> CurveSample:
 def linspace(start: float, stop: float, n: int) -> list:
     """n >= 2 evenly spaced nodes, start + j step, then stop exactly: the
     package's one node formula for every grid, bit for bit the nodes of
-    the intersection scan's array grid while the step is not 0."""
+    ``numpy.linspace`` while the step is not 0."""
     step = (stop - start) / (n - 1)
     return [start + j * step for j in range(n - 1)] + [stop]
 

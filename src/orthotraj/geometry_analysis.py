@@ -10,7 +10,6 @@ evidence: a quadratic form fits C = 0 to machine precision, and leaves
 every C != 0 member a residual orders of magnitude above that.
 """
 
-import functools
 import math
 from typing import NamedTuple
 
@@ -28,9 +27,6 @@ __all__ = [
     "is_parabola",
 ]
 
-_SCAN_POINTS = 10_000       # sign-scan resolution over the t-window
-_DEDUPE_TOL = 1e-8          # crossings closer than this merge into one
-
 
 class IntersectionRecord(NamedTuple):
     """One line-curve crossing.
@@ -47,21 +43,21 @@ class IntersectionRecord(NamedTuple):
     orthogonal: bool
 
 
-@functools.lru_cache(maxsize=8)
-def _scan_grid(t_min: float, t_max: float):
-    """The read-only scan nodes ts over [t_min, t_max] and sqrt(1 + ts^2),
-    built once per window.  numpy loads here, at the first scan, not on
-    import."""
-    import numpy as np
+def _side_of_extremum(m: float, C: float, v: float, d: float) -> int:
+    """The sign of C - k at a critical point of k, where k = -(v + m^2)^(3/2)
+    / d: (v, d) = (4, 4) at t = m/2 and (1, |m|) at t = 1/m.  Floats decide
+    it outside 1e-14 |k|, well past the few ulps by which k rounds; inside,
+    C < 0 and the sign is that of (v + m^2)^3 - d^2 C^2, compared exactly."""
+    w = v + m * m
+    k = -w * math.sqrt(w) / d  # an overflow to -inf goes the exact way
+    gap = C - k
+    if abs(gap) > 1e-14 * abs(k):
+        return 1 if gap > 0.0 else -1
+    from fractions import Fraction
 
-    ts = np.linspace(t_min, t_max, _SCAN_POINTS)
-    # Past |t| = 1.3e154, ts * ts overflows to inf, and C / inf = 0 is the
-    # limit of C / sqrt(1 + t^2) there.
-    with np.errstate(over="ignore"):
-        s = np.sqrt(1.0 + ts * ts)
-    ts.flags.writeable = False
-    s.flags.writeable = False
-    return ts, s
+    v, m, C, d = map(Fraction, (v, m, C, d))
+    gap = (v + m * m) ** 3 - (d * C) ** 2
+    return (gap > 0) - (gap < 0)
 
 
 def intersections(m: float, curve: TrajectoryCurve, t_min: float, t_max: float):
@@ -73,11 +69,15 @@ def intersections(m: float, curve: TrajectoryCurve, t_min: float, t_max: float):
         y(t) - (m x(t) - 2m - m^3) = (t + m) h(t),
         h(t) = 2 + m^2 - m t + C / sqrt(1 + t^2),
 
-    so the foot t = -m is returned exactly.  The roots of h come from a
-    sign scan on 10^4 grid nodes (a node where h is 0 counts), refined by
-    bracketed false position; roots within 1e-8 merge, the foot winning.
-    The nodes and their sqrt(1 + t^2) are built once per window and
-    shared by every call on that window.
+    so the foot t = -m is returned exactly.  h sqrt(1 + t^2) = C - k(t),
+    k(t) = (m t - 2 - m^2) sqrt(1 + t^2), is monotone between its critical
+    points t = m/2 and t = 1/m (t = 0 for m = 0), so each piece of the
+    window cut there holds one root of h iff the signs at its ends differ.
+    The sign is the float one at a window end and the exact one at a
+    critical point, and a 0 is a root.  The root is refined by bracketed
+    false position, or is the critical end whose float h disagrees with
+    its exact sign.  A root within 1e-12 of the foot (the foot cusp,
+    C = -2 (1 + m^2)^(3/2)) merges into it.
     """
     m = float(m)
     if not math.isfinite(m):
@@ -90,29 +90,27 @@ def intersections(m: float, curve: TrajectoryCurve, t_min: float, t_max: float):
     def h(t: float) -> float:
         return a - m * t + C / math.sqrt(1.0 + t * t)
 
-    # The cache keys -0.0 and 0.0 alike; + 0.0 gives both the same last node.
-    ts, s = _scan_grid(t_min, t_max + 0.0)
-    vals = a - m * ts + C / s
-    roots = [float(t) for t in ts[vals == 0.0]]
-    neg = vals < 0.0
-    for i in (neg[:-1] != neg[1:]).nonzero()[0]:
-        # One end is negative; a 0 or nan at the other is no sign change.
-        if vals[i] > 0.0 or vals[i + 1] > 0.0:
-            roots.append(bracketed_root(h, float(ts[i]), float(ts[i + 1]), tol=1e-12))
+    extrema = [(0.5 * m, 4.0, 4.0)] + ([(1.0 / m, 1.0, abs(m))] if m else [])
+    ends = [(t, (f > 0.0) - (f < 0.0)) for t in (t_min, t_max) for f in [h(t)]]
+    inner = [(c, _side_of_extremum(m, C, v, d)) for c, v, d in sorted(extrema) if t_min < c < t_max]
+    cuts = [ends[0], *inner, ends[1]]
+    roots = [t for t, s in cuts if s == 0]
+    for (lo, s_lo), (hi, s_hi) in zip(cuts, cuts[1:]):
+        if s_lo * s_hi < 0:
+            if h(lo) * s_lo <= 0.0:
+                roots.append(lo)
+            elif h(hi) * s_hi <= 0.0:
+                roots.append(hi)
+            else:
+                roots.append(bracketed_root(h, lo, hi, tol=1e-12))
 
     foot = -m + 0.0  # + 0.0 turns the foot of m = 0 into t = +0.0
     if t_min <= foot <= t_max:
-        roots = [r for r in roots if abs(r - foot) > _DEDUPE_TOL]
-        roots.append(foot)
+        roots = [r for r in roots if abs(r - foot) > 1e-12] + [foot]
     roots.sort()
-    merged = []
-    for r in roots:
-        if merged and abs(r - merged[-1]) <= _DEDUPE_TOL:
-            continue
-        merged.append(r)
 
     records = []
-    for t in merged:
+    for t in roots:
         at = sample(curve, t)
         product = (m / t if t else math.inf) if at.regular else math.nan
         records.append(IntersectionRecord(t, at.point, product, t == -m and at.regular))

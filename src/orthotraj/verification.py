@@ -11,7 +11,7 @@ residual; the few checks that print two values or a custom name are
 built by hand with the same nan rule, through ``_worst``.  The suites
 are scalar Python: every grid comes from ``core_model.linspace`` and the
 orthogonality pairs from a seeded ``random.Random``.  Arrays appear only
-inside ``geometry_analysis``'s scan and conic fit.
+inside ``geometry_analysis``'s conic fit.
 """
 
 import math

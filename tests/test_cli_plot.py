@@ -11,7 +11,8 @@ Covers:
     malformed config or spec values, unwritable outputs, argument values
     outside the library's domain (DomainError)
   - config-file merging, unknown-key rejection, flag precedence, and
-    trace's --tol default taken from TraceConfig
+    trace's --tol default, declared without the tracer, equal to
+    TraceConfig's
   - --help showing every default and required parameter, and a report's
     inputs listing every parameter
   - exact numeric round-trip of flags through the JSON report, negative
@@ -31,6 +32,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 import orthotraj
+from orthotraj import cli_plot
 from orthotraj.cli_plot import (
     CurveSpec,
     PlotSpec,
@@ -329,6 +331,9 @@ class TestConfigMerging:
         assert report["inputs"]["C"] == 0.0  # flag wins
 
     def test_trace_tol_default_is_trace_config_default(self, tmp_path, capsys):
+        # Declared as a number, so that the CLI needs no tracer to build it.
+        (row,) = [row for row in cli_plot._COMMANDS["trace"][2] if row[1] == "tol"]
+        assert row[3] == TraceConfig().tol
         report_path = tmp_path / "report.json"
         assert run(["trace", "--x0", "1", "--y0", "2", "--json-out", str(report_path)]) == 0
         assert json.loads(report_path.read_text())["inputs"]["tol"] == TraceConfig().tol

@@ -9,12 +9,16 @@ Covers:
     the library and the CLI), a window so wide that t^2 overflows (no
     warning, both crossings found), record ordering
   - an independent dense-scan oracle for crossing counts and locations,
-    including a second crossing within one scan cell of the foot
+    including a second crossing 9.8e-4 from the foot
   - orthogonal uniqueness across an (m, C) grid, at exactly t = -m
-  - the scan grid shared per window: records bit-identical to an
-    uncached copy of the scan on interleaved windows (huge ones too),
-    the shared arrays read-only, and a root on a grid node taken with
-    no refinement of the cells beside it
+  - a root at a window end taken with no solve
+  - the tangency m = 1.5, C = -125/32 at exactly t = 3/4; no crossing
+    near t = 1 for m = 1 and the double C nearest -2 sqrt(2), which
+    lies strictly below k(1); the same 4 crossings on windows up to
+    +-1e200
+  - C within 10^-17..10^-1 (relative) of an extremum of k: the record
+    count equals the exact count from Fraction squares, and every
+    record lies on the line
   - finite records on a member with C = 1e308
   - conic fits: parabola and circle to machine residual, C != 0 members
     leave a large residual, permutation invariance, degenerate inputs,
@@ -27,16 +31,17 @@ Covers:
 import math
 import random
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from orthotraj import (
     DegenerateInputError,
     DomainError,
-    IntersectionRecord,
     TrajectoryCurve,
-    bracketed_root,
     classify_conic,
     conic_fit,
     curve_point,
@@ -46,7 +51,6 @@ from orthotraj import (
     is_parabola,
 )
 from orthotraj.cli_plot import run
-from orthotraj.core_model import sample
 
 
 def dense_scan_oracle(m, C, t_min, t_max, n=200_001):
@@ -74,42 +78,31 @@ def dense_scan_oracle(m, C, t_min, t_max, n=200_001):
     return sorted(roots)
 
 
-def uncached_intersections(m, curve, t_min, t_max):
-    """``intersections`` as it was before the scan grid was shared: the
-    grid and sqrt(1 + t^2) built on every call, signs from ``np.sign``."""
-    C = curve.C
-    a = 2.0 + m * m
-
-    def h(t):
-        return a - m * t + C / math.sqrt(1.0 + t * t)
-
-    ts = np.linspace(t_min, t_max, 10_000)
-    with np.errstate(over="ignore"):
-        vals = a - m * ts + C / np.sqrt(1.0 + ts * ts)
-    roots = [float(t) for t in ts[vals == 0.0]]
-    sign = np.sign(vals)
-    for i in np.flatnonzero((sign[:-1] * sign[1:]) < 0.0):
-        roots.append(bracketed_root(h, float(ts[i]), float(ts[i + 1]), tol=1e-12))
-    foot = -m + 0.0
-    if t_min <= foot <= t_max:
-        roots = [r for r in roots if abs(r - foot) > 1e-8]
-        roots.append(foot)
-    roots.sort()
-    merged = []
-    for r in roots:
-        if not merged or abs(r - merged[-1]) > 1e-8:
-            merged.append(r)
-    records = []
-    for t in merged:
-        at = sample(curve, t)
-        product = (m / t if t else math.inf) if at.regular else math.nan
-        records.append(IntersectionRecord(t, at.point, product, t == -m and at.regular))
-    return records
+def sign(v):
+    return (v > 0) - (v < 0)
 
 
-def record_bits(rec):
-    """A record as exact bit patterns, so that nan, -0.0 and the last bit count."""
-    return (rec.t.hex(), rec.point.x.hex(), rec.point.y.hex(), rec.slope_product.hex(), rec.orthogonal)
+def exact_side(m, C, t):
+    """The sign of C - k(t) = h(t) sqrt(1 + t^2) at a rational t, exactly:
+    k = b sqrt(1 + t^2) with b = m t - 2 - m^2, and where C and b have one
+    sign, |C| - |k| has the sign of C^2 - b^2 (1 + t^2)."""
+    m, C, t = Fraction(m), Fraction(C), Fraction(t)
+    b = m * t - 2 - m * m
+    if sign(C) == sign(b):
+        return sign(C) * sign(C * C - b * b * (1 + t * t))
+    return sign(C) or -sign(b)
+
+
+def exact_crossing_count(m, C, t_min, t_max):
+    """Distinct crossings in [t_min, t_max], from exact signs of C - k at
+    the window ends and at k's critical points m/2 and 1/m, which cut it
+    into monotone pieces; the foot counts once, also where h(-m) = 0."""
+    m = Fraction(m)
+    crit = [m / 2] + ([1 / m] if m else [])
+    cuts = [Fraction(t_min), *sorted(c for c in crit if t_min < c < t_max), Fraction(t_max)]
+    sides = [exact_side(m, C, t) for t in cuts]
+    count = sides.count(0) + sum(a * b < 0 for a, b in zip(sides, sides[1:]))
+    return count + (t_min <= -m <= t_max and exact_side(m, C, -m) != 0)
 
 
 class TestIntersections:
@@ -152,7 +145,7 @@ class TestIntersections:
         assert run(["intersect", "-m", "1", "-C", "0", "--t-min=-1e308", "--t-max", "1e308"]) == 2
 
     def test_huge_window_warns_nothing(self):
-        # The scan grid reaches |t| = 1e200, where t * t overflows.
+        # h is taken at |t| = 1e200, where t * t overflows.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             recs = intersections(1.0, TrajectoryCurve(0.0), -1e200, 1e200)
@@ -177,8 +170,7 @@ class TestIntersections:
 
     def test_against_dense_scan_oracle(self):
         pairs = [(m, C) for m in (-2.0, -1.0, 1.0, 2.0) for C in (-4.0, 0.0, 1.0, 4.0)]
-        # The foot and a second crossing 9.8e-4 apart, inside one cell of
-        # the 10^4-point scan.
+        # The foot and a second crossing 9.8e-4 apart.
         pairs.append((-0.7881322984535474, -4.125309922579596))
         for m, C in pairs:
             recs = intersections(m, TrajectoryCurve(C), -10.0, 10.0)
@@ -199,35 +191,69 @@ class TestIntersections:
         recs = intersections(1.0, TrajectoryCurve(0.0), -10.0, 10.0)
         assert any(not r.orthogonal for r in recs)
 
-    def test_shared_grid_matches_the_uncached_scan(self):
-        # Windows interleaved so that each call after the first on
-        # (-10, 10) reads a grid built for an earlier call.
-        rng = np.random.default_rng(19)
-        pairs = [
-            (float(rng.uniform(0.1, 3.0) * rng.choice((-1.0, 1.0))), float(rng.uniform(-5.0, 5.0)))
-            for _ in range(25)
-        ]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for window in ((-10.0, 10.0), (-5.0, 5.0), (-1e200, 1e200), (0.0, 2.0), (-10.0, 10.0)):
-                for m, C in pairs:
-                    got = intersections(m, TrajectoryCurve(C), *window)
-                    want = uncached_intersections(m, TrajectoryCurve(C), *window)
-                    assert [record_bits(r) for r in got] == [record_bits(r) for r in want], (m, C, window)
-
     def test_root_on_a_node_needs_no_solve(self, monkeypatch):
-        # h = 3 - t on the parabola for m = 1: the first node of [3, 4] is
-        # the root, and the cell after it, from 0 to negative, is no cell.
+        # h = 3 - t on the parabola for m = 1: the window end t = 3 is the
+        # root, and the piece after it, from 0 to negative, holds none.
         solves = []
         monkeypatch.setattr(geometry_analysis, "bracketed_root", lambda *args, **kw: solves.append(args))
         recs = intersections(1.0, TrajectoryCurve(0.0), 3.0, 4.0)
         assert [r.t for r in recs] == [3.0] and solves == []
 
-    def test_shared_grid_is_read_only(self):
-        intersections(1.0, TrajectoryCurve(0.0), -10.0, 10.0)
-        for arr in geometry_analysis._scan_grid(-10.0, 10.0):
-            with pytest.raises(ValueError):
-                arr[0] = 1.0
+    def test_representable_tangency(self):
+        # m = 1.5 touches C = -125/32 at t = m/2 = 3/4: k(3/4) is exactly C,
+        # so the critical point itself is the record.
+        recs = intersections(1.5, TrajectoryCurve(-3.90625), -10.0, 10.0)
+        assert [r.t for r in recs] == [-1.5, pytest.approx(0.6256, abs=1e-4), 0.75]
+
+    def test_unrepresentable_tangency(self):
+        # The line m = 1 touches C = -2 sqrt(2) at t = 1, but the double
+        # C lies strictly below k(1) = -2 sqrt(2): no crossing near t = 1.
+        C = -2.0 * math.sqrt(2.0)
+        assert Fraction(C) ** 2 > 8
+        recs = intersections(1.0, TrajectoryCurve(C), -10.0, 10.0)
+        assert [r.t for r in recs] == [-1.0, pytest.approx(2.0 - math.sqrt(3.0), abs=1e-12)]
+
+    def test_foot_cusp_is_one_record(self):
+        # C = -2 (1 + m^2)^(3/2) puts a root of h on the foot, here a cusp:
+        # (1 + 9/16)^(3/2) = 125/64 exactly.  For m = 0 it is also k's
+        # critical point t = 0.
+        for m, C in ((0.75, -3.90625), (0.0, -2.0)):
+            (rec,) = intersections(m, TrajectoryCurve(C), -10.0, 10.0)
+            assert rec.t == -m and not rec.orthogonal and math.isnan(rec.slope_product)
+
+    def test_wide_windows_keep_every_crossing(self):
+        # A 10^4-node scan found 4 crossings here on (-10, 10) but only 2 on
+        # (-1e5, 1e5), whose cells are 20 wide.
+        m, curve = 0.33038275473218714, TrajectoryCurve(-2.8260680956508386)
+        want = [r.t for r in intersections(m, curve, -10.0, 10.0)]
+        assert len(want) == 4 and -m in want
+        for w in (1e5, 1e200):
+            assert [r.t for r in intersections(m, curve, -w, w)] == pytest.approx(want, abs=1e-12)
+
+
+extremum_pairs = st.builds(
+    lambda sign_m, k, at_half: (sign_m * 10.0**k, at_half), st.sampled_from((-1.0, 1.0)),
+    st.floats(-3.0, 3.0), st.booleans(),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(extremum_pairs, st.sampled_from((-1.0, 1.0)), st.floats(1.0, 17.0))
+@example((1.5, True), 1.0, 17.0)
+def test_crossings_next_to_an_extremum(pair, side, u):
+    # C = k(c) (1 +- 10^-u) at a critical point c of k: two crossings a
+    # hair apart, one tangency or none, decided by exact squares.
+    (m, at_half), w = pair, 1e4
+    c = 0.5 * m if at_half else 1.0 / m
+    C = (m * c - 2.0 - m * m) * math.sqrt(1.0 + c * c) * (1.0 + side * 10.0**-u)
+    # The foot cusp C = -2 (1 + m^2)^(3/2) merges a root of h into the foot.
+    assume(abs(C + 2.0 * (1.0 + m * m) ** 1.5) > 1e-9 * abs(C))
+    recs = intersections(m, TrajectoryCurve(C), -w, w)
+    assert len(recs) == exact_crossing_count(m, C, -w, w)
+    for r in recs:
+        (x, y), line = r.point, m * r.point.x - 2.0 * m - m**3
+        # Rounding of the line's own terms bounds the residual's scale.
+        assert abs(y - line) <= 1e-9 * (1.0 + abs(y) + abs(m * x) + abs(m) ** 3)
 
 
 class TestFitConic:

@@ -5,11 +5,12 @@ from one table that must match each module's ``__all__``.  This pins the
 exported set (no duplicates, every name resolves, nothing leaks), the
 lazy namespace (star-import, ``dir``, one binding per name, unknown
 names), and which of its modules each entry point loads: importing the
-package loads none, a slope query only ``errors`` and ``roots``, and a
-trace neither the ODE forms nor the scan.  numpy loads only where the
-intersection scan and the conic fit use it: not on import, not for a
-trace and not for ``verify --help``; with numpy unimportable, ``trace``,
-``plot`` and the verify suites that neither scan nor fit still run.  No
+package loads none, a slope query only ``errors`` and ``roots``, a
+trace neither the ODE forms nor ``geometry_analysis``, and ``intersect``
+and ``verify --help`` no tracer.  numpy loads only where the conic fit
+uses it: not on import, not for a trace, ``verify --help`` or
+``intersections``; with numpy unimportable, ``trace``, ``plot``,
+``intersect`` and the verify suites that fit no conic still run.  No
 command loads ``dataclasses``: every record is a NamedTuple, except
 ``RootSet``, a ``__slots__`` class.  The records are immutable, the
 checked ones (``TrajectoryCurve``, ``TraceConfig``) check on every
@@ -94,6 +95,8 @@ with contextlib.redirect_stdout(io.StringIO()):
     seen.append("numpy" in sys.modules)
 orthotraj.intersections(1.0, orthotraj.TrajectoryCurve(0.0), -10, 10)
 seen.append("numpy" in sys.modules)
+orthotraj.conic_fit(orthotraj.TrajectoryCurve(0.0))
+seen.append("numpy" in sys.modules)
 print(seen)
 """
 
@@ -112,8 +115,8 @@ def _fresh_python(code: str, *argv: str) -> subprocess.CompletedProcess:
 def test_numpy_loads_only_where_used():
     proc = _fresh_python(_NUMPY_STEPS)
     assert proc.returncode == 0, proc.stderr
-    # import, trace, verify --help: no numpy; the scan of intersections: numpy.
-    assert proc.stdout.strip() == "[False, False, False, True]"
+    # import, trace, verify --help, intersections: no numpy; the conic fit: numpy.
+    assert proc.stdout.strip() == "[False, False, False, False, True]"
 
 
 _WITHOUT_NUMPY = """
@@ -124,7 +127,9 @@ codes = []
 with contextlib.redirect_stdout(io.StringIO()):
     codes.append(cli_plot.run(["trace", "--x0", "1", "--y0", "2"]))
     codes.append(cli_plot.run(["plot", "--preset", "fig1a", "-o", sys.argv[1]]))
-    for suite in ("exactness", "potential", "ode-identity", "cusps", "tracer", "figure"):
+    codes.append(cli_plot.run(["intersect", "-m", "1", "-C", "0"]))
+    for suite in ("exactness", "potential", "ode-identity", "orthogonality", "extra-crossing",
+                  "cusps", "tracer", "figure"):
         codes.append(cli_plot.run(["verify", "--suite", suite]))
 print(codes)
 """
@@ -133,8 +138,8 @@ print(codes)
 def test_numpy_free_paths_run_without_numpy(tmp_path):
     proc = _fresh_python(_WITHOUT_NUMPY, str(tmp_path / "f.svg"))
     assert proc.returncode == 0, proc.stderr
-    # trace, plot, then the six suites that neither scan nor fit: all exit 0.
-    assert proc.stdout.strip() == str([0] * 8), proc.stderr
+    # trace, plot, intersect, then the eight suites that fit no conic: all exit 0.
+    assert proc.stdout.strip() == str([0] * 11), proc.stderr
 
 
 # The first two lines run before anything sets sys.modules["dataclasses"],
@@ -206,9 +211,12 @@ _TRACING = ["core_model", "errors", "roots", "tracer"]
         ("from orthotraj import slopes_at", [], ["errors", "roots"]),
         (_TRACE, [], _TRACING),
         (_CLI, ["trace", "--x0", "1", "--y0", "2"], ["cli_plot", *_TRACING]),
-        (_CLI, ["verify", "--help"], ["cli_plot", *_TRACING]),
+        (_CLI, ["verify", "--help"], ["cli_plot", "core_model", "errors"]),
+        (_CLI, ["intersect", "-m", "1", "-C", "0"],
+         ["cli_plot", "core_model", "errors", "geometry_analysis", "roots"]),
     ],
-    ids=["package", "import-roots", "from-package", "trace", "cli-trace", "cli-verify-help"],
+    ids=["package", "import-roots", "from-package", "trace", "cli-trace", "cli-verify-help",
+         "cli-intersect"],
 )
 def test_each_entry_point_loads_only_its_modules(code, argv, loaded):
     proc = _fresh_python(code + _PRINT_LOADED, *argv)
