@@ -444,17 +444,17 @@ def _cmd_classify(params):
     C = params["C"]
     curve = TrajectoryCurve(C)
     verdict = classify_conic(curve)
-    fit = conic_fit(curve)  # evidence only; it overflows (exit 2) past |C| ~ 1e154
+    fit = conic_fit(curve)  # evidence only, exact for every finite C
     cusps = cusp_parameters(curve)
     print(f"curve C={C:g}: {verdict}")
-    print(f"  conic residual (scaled coords): {fit.residual_rms:.3e}")
-    print(f"  best-fit coefficients (x^2, xy, y^2, x, y, 1): "
+    print(f"  conic residual at a sixth point: {fit.residual:.3e}")
+    print(f"  conic through five points (x^2, xy, y^2, x, y, 1): "
           + ", ".join(f"{v:.6g}" for v in fit.coeffs))
     print(f"  cusp count: {len(cusps)}"
           + (f" at t = {', '.join(f'{t:.6f}' for t in cusps)}" if cusps else ""))
     results = {
         "classification": verdict,
-        "conic_residual_rms": fit.residual_rms,
+        "conic_residual": fit.residual,
         "conic_coeffs": list(fit.coeffs),
         "cusp_parameters": cusps,
     }

@@ -6,14 +6,15 @@ and flags the orthogonal one, the foot t = -m unless it is a cusp.
 ``classify_conic``/``is_parabola`` answer the degeneration claim from C:
 the C = 0 member is the parabola y^2 = 4x, and every other is an
 irreducible sextic (Farouki & Neff, CAGD 7, 1990).  ``conic_fit`` is the
-evidence: a quadratic form fits C = 0 to machine precision, and leaves
-every C != 0 member a residual orders of magnitude above that.
+evidence, exact in integers: the conic through five rational points of
+member C is y^2 = 4x at C = 0, and misses a sixth point for every C != 0.
 """
 
 import math
+from fractions import Fraction
 from typing import NamedTuple
 
-from .core_model import Point, TrajectoryCurve, curve_point, linspace, sample
+from .core_model import Point, TrajectoryCurve, sample
 from .errors import DegenerateInputError, DomainError
 from .roots import bracketed_root
 
@@ -53,8 +54,6 @@ def _side_of_extremum(m: float, C: float, v: float, d: float) -> int:
     gap = C - k
     if abs(gap) > 1e-14 * abs(k):
         return 1 if gap > 0.0 else -1
-    from fractions import Fraction
-
     v, m, C, d = map(Fraction, (v, m, C, d))
     gap = (v + m * m) ** 3 - (d * C) ** 2
     return (gap > 0) - (gap < 0)
@@ -118,86 +117,82 @@ def intersections(m: float, curve: TrajectoryCurve, t_min: float, t_max: float):
 
 
 class ConicFit(NamedTuple):
-    """Least-squares quadratic form a x^2 + b xy + c y^2 + d x + e y + f.
-
-    ``coeffs`` is the unit-norm coefficient vector in the original
-    coordinates; ``residual_rms`` is the fit residual in the internally
-    scaled coordinates (zero mean, unit RMS radius).  The fit is evidence
-    only: no verdict is read from it.
-    """
+    """The conic a x^2 + b xy + c y^2 + d x + e y + f = 0 through five points:
+    ``coeffs`` (a, ..., f) over the one of largest magnitude, and
+    ``residual``, the largest |F| / sum |terms| at the other points, 0 iff
+    they lie on it.  Both are exact up to one rounding each, so a residual
+    below the smallest subnormal reads 0.0, as for the member C = 5e-324."""
 
     coeffs: tuple
-    residual_rms: float
+    residual: float
 
     def discriminant(self) -> float:
         a, b, c, _, _, _ = self.coeffs
         return b * b - 4.0 * a * c
 
 
+def _det(rows) -> int:
+    """The determinant of a square integer matrix by fraction-free Bareiss
+    elimination (Math. Comp. 22, 1968): every division is exact."""
+    m = [list(row) for row in rows]
+    sign, prev = 1, 1
+    for k in range(len(m) - 1):
+        pivot = next((i for i in range(k, len(m)) if m[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            m[k], m[pivot], sign = m[pivot], m[k], -sign
+        for i in range(k + 1, len(m)):
+            for j in range(k + 1, len(m)):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1]
+
+
+def _monomials(x: Fraction, y: Fraction) -> tuple:
+    """(x^2, xy, y^2, x, y, 1) times d^2, d the common denominator: integers."""
+    d = math.lcm(x.denominator, y.denominator)
+    X, Y = int(x * d), int(y * d)
+    return (X * X, X * Y, Y * Y, X * d, Y * d, d * d)
+
+
 def fit_conic(points) -> ConicFit:
-    """Best-fit conic through >= 12 points in general position.
+    """The conic through the first five of >= 6 finite (x, y) points, exactly.
 
-    The coefficient vector is the smallest right singular vector of the
-    [x^2, xy, y^2, x, y, 1] design matrix built from pre-scaled
-    coordinates; collinear input has no unique conic and is rejected.
+    Each coordinate is taken as a ``Fraction``, and each coefficient is a
+    signed 5x5 minor of the five points' rows, so F at a sixth point is the
+    6x6 determinant of the six rows.  Four collinear or two equal points
+    among the first five leave every minor 0: no unique conic.
     """
-    import numpy as np
+    try:
+        pts = [(Fraction(x), Fraction(y)) for x, y in points]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"points must be finite (x, y) pairs: {exc}") from None
+    if len(pts) < 6:
+        raise DegenerateInputError(f"need at least 6 points, got {len(pts)}")
+    rows = [_monomials(x, y) for x, y in pts]
+    minors = [(-1) ** j * _det([r[:j] + r[j + 1:] for r in rows[:5]]) for j in range(6)]
+    top = max(minors, key=abs)
+    if not top:
+        raise DegenerateInputError("the first five points fix no unique conic")
+    residual = max(Fraction(abs(sum(terms)), sum(map(abs, terms)) or 1)
+                   for row in rows[5:] for terms in [[k * v for k, v in zip(minors, row)]])
+    return ConicFit(tuple(float(Fraction(k, top)) + 0.0 for k in minors), float(residual))
 
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise DomainError(f"points must be an (n, 2) array, got shape {pts.shape}")
-    if not np.all(np.isfinite(pts)):
-        raise DomainError("points must be finite")
-    n = pts.shape[0]
-    if n < 12:
-        raise DegenerateInputError(f"need at least 12 points, got {n}")
 
-    # An overflowing mean leaves inf in ``centered``, so r is inf as well.
-    with np.errstate(over="ignore"):
-        mean = pts.mean(axis=0)
-        centered = pts - mean
-        r = math.sqrt(float((centered**2).sum(axis=1).mean()))
-    if not math.isfinite(r):
-        raise DomainError("points too far apart for a conic fit: mean or RMS radius overflows")
-    spread = np.linalg.svd(centered, compute_uv=False)
-    if spread[1] <= 1e-10 * max(spread[0], 1e-300):
-        raise DegenerateInputError("points are collinear")
-
-    q = centered / r
-    x = q[:, 0]
-    y = q[:, 1]
-    design = np.column_stack([x * x, x * y, y * y, x, y, np.ones(n)])
-    _, sv, vt = np.linalg.svd(design, full_matrices=False)
-    a, b, c, d, e, f = (float(v) for v in vt[-1])
-    residual_rms = float(sv[-1]) / math.sqrt(n)
-
-    # Map coefficients back to the original coordinates
-    # (x' = (X - mx)/r, y' = (Y - my)/r) and renormalize.
-    mx, my = float(mean[0]), float(mean[1])
-    r2 = r * r
-    coeffs = np.array(
-        [
-            a / r2,
-            b / r2,
-            c / r2,
-            d / r - (2.0 * a * mx + b * my) / r2,
-            e / r - (2.0 * c * my + b * mx) / r2,
-            f - (d * mx + e * my) / r + (a * mx * mx + b * mx * my + c * my * my) / r2,
-        ]
-    )
-    norm = float(np.linalg.norm(coeffs))
-    if not math.isfinite(norm):
-        raise DomainError("conic coefficients overflow in the original coordinates")
-    coeffs /= norm
-    if coeffs[int(np.argmax(np.abs(coeffs)))] < 0.0:
-        coeffs = -coeffs
-    return ConicFit(coeffs=tuple(float(v) for v in coeffs), residual_rms=residual_rms)
+# (t, s) at t = 2u/(1 - u^2), u = n/7, where s = sqrt(1 + t^2) = (1 + u^2)/(1 - u^2).
+_T_S = [(2 * u / (1 - u * u), (1 + u * u) / (1 - u * u))
+        for u in (Fraction(n, 7) for n in (-5, -3, -2, 1, 2, 4))]
 
 
 def conic_fit(curve: TrajectoryCurve) -> ConicFit:
-    """``fit_conic`` of 200 samples of the curve over t in [-3, 3], the
-    evidence printed beside each conic verdict on a family member."""
-    return fit_conic([curve_point(curve, t) for t in linspace(-3.0, 3.0, 200)])
+    """``fit_conic`` of six rational points of member C, the evidence printed
+    beside each conic verdict: y^2 = 4x with residual 0 at C = 0.  Their
+    6x6 determinant is C (45C + 106) times a quintic irreducible over Q, so
+    the residual is > 0 at every double C != 0 (-106/45, where two of the
+    points meet at the member's double point, is no double)."""
+    C = Fraction(curve.C)
+    return fit_conic([(t * t - C / s, 2 * t + C * t / s) for t, s in _T_S])
 
 
 def classify_conic(curve: TrajectoryCurve) -> str:

@@ -10,8 +10,8 @@ which writes the tolerance into the check's name once and fails on a nan
 residual; the few checks that print two values or a custom name are
 built by hand with the same nan rule, through ``_worst``.  The suites
 are scalar Python: every grid comes from ``core_model.linspace`` and the
-orthogonality pairs from a seeded ``random.Random``.  Arrays appear only
-inside ``geometry_analysis``'s conic fit.
+orthogonality pairs from a seeded ``random.Random``, and the conic fit is
+exact integer arithmetic.  No array library is used.
 """
 
 import math
@@ -240,24 +240,23 @@ def _sextic(C, x, y):
 def suite_conic():
     """C = 0 is the parabola y^2 = 4x; every other member is non-conic, a
     sextic F_C = 0 on which its points lie.  The verdict comes from
-    ``classify_conic``, and the conic fit is the evidence that agrees."""
+    ``classify_conic``, and the exact conic fit is the evidence that agrees:
+    at C = 0 it is y^2 - 4x with residual 0, and for C != 0 its conic
+    through five points misses the sixth."""
     parab = conic_fit(TrajectoryCurve(0.0))
-    # The coefficients have unit norm; so has (0, 0, 1, -4, 0, 0) / sqrt(17).
-    _, _, c, d, _, _ = parab.coeffs
-    cosine = abs(c - 4.0 * d) / math.sqrt(17.0)
     members = (-4.0, -2.0, -1.0, 1.0, 2.0, 4.0)
     fits = [(conic_fit(TrajectoryCurve(C)), C) for C in members]
-    closest, C_closest = min(fits, key=lambda fit_C: fit_C[0].residual_rms)
-    reject = 1e-3
+    closest, C_closest = min(fits, key=lambda fit_C: fit_C[0].residual)
     return [
-        CheckResult("C=0 classifies as parabola with conic proportional to y^2 - 4x",
-                    classify_conic(TrajectoryCurve(0.0)) == "parabola" and cosine >= 1.0 - 1e-8,
-                    f"residual = {parab.residual_rms:.3e}, cosine similarity = {cosine:.12f}"),
-        CheckResult("every tested C != 0 is non-conic with residual >= "
-                    + f"{reject:.0e}".replace("e-0", "e-"),  # :g would read 0.001
+        CheckResult("C=0 classifies as parabola with conic exactly y^2 - 4x and residual 0",
+                    classify_conic(TrajectoryCurve(0.0)) == "parabola"
+                    and parab == ((0.0, 0.0, -0.25, 1.0, 0.0, 0.0), 0.0),
+                    f"coefficients (x^2, xy, y^2, x, y, 1) = "
+                    f"{', '.join(f'{v:g}' for v in parab.coeffs)}, residual = {parab.residual:g}"),
+        CheckResult("every tested C != 0 is non-conic with residual > 0",
                     all(classify_conic(TrajectoryCurve(C)) == "non-conic"
-                        and fit.residual_rms >= reject for fit, C in fits),
-                    f"smallest residual {closest.residual_rms:.3e} at C={C_closest:g}"),
+                        and fit.residual > 0.0 for fit, C in fits),
+                    f"smallest residual {closest.residual:.3e} at C={C_closest:g}"),
         _bound("members lie on their sextic F_C(x, y) = 0", 1e-14, "max |F_C| / sum |terms|",
                (abs(F) / scale for C in (0.0, *members) for curve in [TrajectoryCurve(C)]
                 for t in linspace(-3.0, 3.0, 50)

@@ -15,9 +15,10 @@ to see them).  Tolerances live in the suites; nothing is loosened here.
      angle each (on the velocity), at t = -m
   5. the non-orthogonal second crossing of (m=1, C=0) at t=3, (9, 6),
      slope product 1/3 (1e-8)
-  6. parabola degeneration: the verdict is parabola iff C = 0, with
-     conic ~ y^2 - 4x at C = 0 and residual >= 1e-3 for C != 0, and each
-     member on its sextic F_C = 0 (1e-14 relative to its terms)
+  6. parabola degeneration: the verdict is parabola iff C = 0, with the
+     exact conic fit y^2 - 4x and residual 0 at C = 0 and residual > 0
+     for C != 0, and each member on its sextic F_C = 0 (1e-14 relative
+     to its terms)
   7. cusp census: 0/1/2 cusps for C > -2 / = -2 / < -2, with
      t = +-0.766421 (1e-6) at C = -4
   8. tracer fidelity: closed-form agreement 1e-5, potential drift
@@ -63,8 +64,8 @@ CHECK_NAMES = {
         "non-orthogonal crossing at t=3, point (9, 6), product 1/3",
     ],
     "conic": [
-        "C=0 classifies as parabola with conic proportional to y^2 - 4x",
-        "every tested C != 0 is non-conic with residual >= 1e-3",
+        "C=0 classifies as parabola with conic exactly y^2 - 4x and residual 0",
+        "every tested C != 0 is non-conic with residual > 0",
         "members lie on their sextic F_C(x, y) = 0 (rel tol 1e-14)",
     ],
     "cusps": [

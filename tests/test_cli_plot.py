@@ -9,7 +9,8 @@ Covers:
     specs built in Python and specs read from JSON
   - exit codes: 0 success, 1 verification/trace failure, 2 usage/config,
     malformed config or spec values, unwritable outputs, argument values
-    outside the library's domain (DomainError)
+    outside the library's domain (DomainError); classify answers (exit 0)
+    up to C = 1e308
   - config-file merging, unknown-key rejection, flag precedence, and
     trace's --tol default, declared without the tracer, equal to
     TraceConfig's
@@ -208,16 +209,27 @@ class TestRunExitCodes:
         [
             ["intersect", "-m", "1", "-C", "0", "--t-min", "5", "--t-max", "-5"],
             ["trace", "--x0", "1", "--y0", "2", "--tol", "0"],
-            ["classify", "-C", "1e300"],
-            ["classify", "-C", "4e307"],
-            ["classify", "-C", "1e308"],
         ],
-        ids=["intersect-window", "trace-tol", "classify-overflow", "classify-mean", "classify-max"],
+        ids=["intersect-window", "trace-tol"],
     )
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_domain_error_is_usage_error(self, argv, capsys):
         assert run(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("C", ["1e300", "4e307", "1e308"],
+                             ids=["classify-overflow", "classify-mean", "classify-max"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_classify_answers_for_huge_C(self, C, tmp_path, capsys):
+        # The exact fit's integers do not overflow, so the evidence exists
+        # for every finite C, as the verdict does.
+        report_path = tmp_path / "r.json"
+        assert run(["classify", "-C", C, "--json-out", str(report_path)]) == 0
+        assert f"curve C={float(C):g}: non-conic\n" in capsys.readouterr().out
+        results = json.loads(report_path.read_text())["results"]
+        assert results["classification"] == "non-conic"
+        assert 0.0 < results["conic_residual"] < 1.0
+        assert all(map(math.isfinite, results["conic_coeffs"]))
 
     def test_plot_exclusive_source(self, tmp_path, capsys):
         out = str(tmp_path / "fig.svg")

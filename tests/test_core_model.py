@@ -5,6 +5,9 @@ Covers:
     bit, against Horner's rule on the coefficients (0, -2, 0, -1)
   - curve parametrization and the parabola identity at C = 0, and
     points of members with |C| up to the float maximum against mpmath
+  - every point lies on its member's sextic: |F_C(x, y)| <= 8 eps
+    sum |terms| in floats and in mpmath at 50 digits, for C and t across
+    magnitudes where no term overflows or goes subnormal
   - velocity formulas validated against central finite differences
   - slope = 1/t universality (also via a finite-difference quotient)
   - both ODE residual forms, on lines and on curves
@@ -17,6 +20,7 @@ Covers:
 
 import math
 import random
+import sys
 
 import mpmath
 import numpy as np
@@ -41,6 +45,7 @@ from orthotraj import (
     orthogonal_foot,
 )
 from orthotraj.core_model import linspace
+from orthotraj.verification import _sextic
 
 C_GRID = (-4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0)
 
@@ -87,6 +92,12 @@ class TestLineFamily:
                 resid = ode_c_residual(float(x), y, float(m))
                 scale = max(1.0, abs(y), abs(m * x), abs(m) ** 3)
                 assert abs(resid) <= 1e-12 * scale
+
+
+EPS = sys.float_info.epsilon
+# +-10^k, k in [-60, 40]: past that, the sextic's terms overflow or go subnormal.
+SIGNED_MAGNITUDE = st.tuples(st.sampled_from((-1.0, 1.0)), st.floats(-60.0, 40.0)).map(
+    lambda sign_k: sign_k[0] * 10.0 ** sign_k[1])
 
 
 class TestCurvePoint:
@@ -141,6 +152,25 @@ class TestCurvePoint:
                     assert abs(got - float(sum(terms))) <= 4 * math.ulp(scale), (C, t)
         foot = orthogonal_foot(PARABOLA_NORMALS, -3.0, TrajectoryCurve(1e308))
         assert foot.point.y == pytest.approx(1e308 * (3.0 / math.sqrt(10.0)), rel=1e-15)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(SIGNED_MAGNITUDE, SIGNED_MAGNITUDE)
+    @example(0.0, 3.0)
+    @example(-4.0, 0.766421)  # next to a cusp, where x = t^2 - C/s cancels
+    @example(1e50, 1e-60)
+    def test_points_lie_on_their_sextic(self, C, t):
+        # |F_C| / sum |terms| read at most 1.96 eps in floats and 1.2 eps
+        # in mpmath over 3e5 draws (moderate, next to cusps, and |C|, |t|
+        # in 1e+-300); 8 eps leaves a margin of 4.  Below min / eps the
+        # terms' rounding is absolute (subnormal), and F can read as much
+        # as its whole scale, so the property holds above it.
+        x, y = curve_point(TrajectoryCurve(C), t)
+        F, scale = _sextic(C, x, y)
+        assume(sys.float_info.min / EPS <= scale < math.inf)
+        assert abs(F) <= 8 * EPS * scale, (C, t)
+        with mpmath.workdps(50):
+            F, scale = _sextic(mpmath.mpf(C), mpmath.mpf(x), mpmath.mpf(y))
+            assert abs(F) <= 8 * EPS * scale, (C, t)
 
     def test_rejects_non_finite(self):
         with pytest.raises(DomainError):

@@ -20,16 +20,20 @@ Covers:
     count equals the exact count from Fraction squares, and every
     record lies on the line
   - finite records on a member with C = 1e308
-  - conic fits: parabola and circle to machine residual, C != 0 members
-    leave a large residual, permutation invariance, degenerate inputs,
-    points that are not (x, y) pairs,
-    and coordinates so large that the fit overflows (its mean too, with
-    no warning)
+  - the exact conic fit: y^2 - 4x exactly, residual 0, at C = +-0.0 and
+    through integer parabola points, a circle through its integer points,
+    residual > 0 for C log-uniform in +-[1e-300, 1e300] and for parabola
+    points with one moved by an ulp, residual 0 iff an independent
+    Fraction 6x6 determinant is 0, the same conic from any order of
+    points on it, coefficients over the largest (+0.0, never -0.0),
+    degenerate inputs, points that are not finite (x, y) pairs, and
+    members up to |C| = 1.7e308 with no error or warning
   - the parabola-iff-C=0 verdict, read from C, over the double range
 """
 
 import math
 import random
+import sys
 import warnings
 from fractions import Fraction
 
@@ -256,79 +260,131 @@ def test_crossings_next_to_an_extremum(pair, side, u):
         assert abs(y - line) <= 1e-9 * (1.0 + abs(y) + abs(m * x) + abs(m) ** 3)
 
 
+def det6(points):
+    """The 6x6 determinant of the rows (x^2, xy, y^2, x, y, 1), by Gaussian
+    elimination in Fraction: an oracle apart from the fit's integer minors."""
+    rows = [[x * x, x * y, y * y, x, y, Fraction(1)]
+            for x, y in ((Fraction(x), Fraction(y)) for x, y in points)]
+    det = Fraction(1)
+    for k in range(6):
+        pivot = next((i for i in range(k, 6) if rows[i][k]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            rows[k], rows[pivot], det = rows[pivot], rows[k], -det
+        det *= rows[k][k]
+        for i in range(k + 1, 6):
+            f = rows[i][k] / rows[k][k]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[k])]
+    return det
+
+
+PARABOLA = [(float(t * t), 2.0 * t) for t in (-3, -2, -1, 1, 2, 3)]
+Y2_4X = (0.0, 0.0, -0.25, 1.0, 0.0, 0.0)  # y^2 - 4x over its largest coefficient, -4
+CIRCLE = [(5.0, 0.0), (3.0, 4.0), (0.0, 5.0), (-4.0, 3.0), (-5.0, 0.0), (-3.0, -4.0), (4.0, -3.0)]
+log_uniform_C = st.tuples(st.sampled_from((-1.0, 1.0)), st.floats(-300.0, 300.0)).map(
+    lambda sign_k: sign_k[0] * 10.0 ** sign_k[1])
+
+
 class TestFitConic:
     def test_parabola_samples(self):
-        pts = [curve_point(TrajectoryCurve(0.0), t) for t in np.linspace(-3, 3, 50)]
-        fit = fit_conic(pts)
-        assert fit.residual_rms <= 1e-10
-        target = np.array([0.0, 0.0, 1.0, -4.0, 0.0, 0.0])
-        target /= np.linalg.norm(target)
-        assert abs(float(np.dot(fit.coeffs, target))) >= 1.0 - 1e-8
-        assert abs(fit.discriminant()) <= 1e-10
+        for fit in (conic_fit(TrajectoryCurve(0.0)), conic_fit(TrajectoryCurve(-0.0)),
+                    fit_conic(PARABOLA)):
+            assert fit == (Y2_4X, 0.0)
+            assert all(math.copysign(1.0, v) == 1.0 for v in fit.coeffs if v == 0.0)
+            assert math.copysign(1.0, fit.residual) == 1.0
+            assert fit.discriminant() == 0.0
 
     def test_circle_samples(self):
-        pts = [
-            (2.0 * math.cos(a), 2.0 * math.sin(a))
-            for a in np.linspace(0.0, 2.0 * math.pi, 50, endpoint=False)
-        ]
-        fit = fit_conic(pts)
-        assert fit.residual_rms <= 1e-10
+        # x^2 + y^2 - 25 over its largest coefficient, -25.
+        fit = fit_conic(CIRCLE)
+        assert fit == ((-0.04, 0.0, -0.04, 0.0, 0.0, 1.0), 0.0)
         assert fit.discriminant() < 0.0  # ellipse-type
 
     def test_c4_samples_not_conic(self):
-        pts = [curve_point(TrajectoryCurve(4.0), t) for t in np.linspace(-3, 3, 50)]
-        assert fit_conic(pts).residual_rms >= 1e-3
+        assert fit_conic([curve_point(TrajectoryCurve(4.0), t) for t in range(-3, 4)]).residual > 0
+        assert conic_fit(TrajectoryCurve(4.0)).residual > 0.0
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(log_uniform_C)
+    @example(1e-300)
+    @example(-1e300)
+    def test_every_member_off_C0_leaves_a_residual(self, C):
+        curve = TrajectoryCurve(C)
+        assert conic_fit(curve).residual > 0.0
+        assert classify_conic(curve) == "non-conic"
+
+    @pytest.mark.parametrize("moved", range(6))
+    def test_a_point_an_ulp_off_the_parabola(self, moved):
+        pts = list(PARABOLA)
+        x, y = pts[moved]
+        pts[moved] = (x, math.nextafter(y, math.inf))
+        assert fit_conic(pts).residual > 0.0
+
+    def test_residual_is_zero_iff_the_determinant_is(self):
+        sets = [PARABOLA, CIRCLE[:6], CIRCLE[1:], [(k, 1 / Fraction(k)) for k in (1, 2, 3, -1, 5, 7)],
+                [curve_point(TrajectoryCurve(C), t) for C in (1.0,) for t in range(-2, 4)],
+                PARABOLA[:5] + [(1.0, 2.5)], CIRCLE[:5] + [(1.0, 1.0)]]
+        for pts in sets:
+            assert (fit_conic(pts).residual == 0.0) == (det6(pts) == 0)
+        assert [det6(pts) == 0 for pts in sets] == [True] * 4 + [False] * 3
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=6, max_size=6))
+    def test_residual_is_zero_iff_the_determinant_is_on_small_lattices(self, pts):
+        try:
+            fit = fit_conic(pts)
+        except DegenerateInputError:
+            return
+        assert (fit.residual == 0.0) == (det6(pts) == 0)
 
     def test_permutation_invariance(self):
-        pts = [curve_point(TrajectoryCurve(2.0), t) for t in np.linspace(-3, 3, 60)]
-        base = fit_conic(pts).residual_rms
-        rng = np.random.default_rng(23)
-        for _ in range(5):
-            perm = rng.permutation(len(pts))
-            assert abs(fit_conic([pts[i] for i in perm]).residual_rms - base) <= 1e-12
+        # Points on one conic give that conic, exactly, in any order.
+        rng = random.Random(23)
+        for pts, expected in ((PARABOLA, Y2_4X), (CIRCLE, (-0.04, 0.0, -0.04, 0.0, 0.0, 1.0))):
+            for _ in range(5):
+                pts = rng.sample(pts, len(pts))
+                assert fit_conic(pts) == (expected, 0.0)
 
     def test_unit_norm(self):
-        pts = [curve_point(TrajectoryCurve(1.0), t) for t in np.linspace(-3, 3, 40)]
-        fit = fit_conic(pts)
-        assert np.linalg.norm(fit.coeffs) == pytest.approx(1.0, abs=1e-12)
+        # Divided by the coefficient of largest magnitude, which reads 1.0.
+        for C in (-4.0, -1.0, 1.0, 1e-6, 1e154):
+            coeffs = conic_fit(TrajectoryCurve(C)).coeffs
+            assert 1.0 in coeffs and max(map(abs, coeffs)) == 1.0
 
     def test_too_few_points(self):
-        pts = [curve_point(TrajectoryCurve(0.0), t) for t in np.linspace(-1, 1, 11)]
-        with pytest.raises(DegenerateInputError):
-            fit_conic(pts)
+        for n in (0, 5):
+            with pytest.raises(DegenerateInputError, match="at least 6"):
+                fit_conic(PARABOLA[:n])
 
     def test_collinear_points(self):
-        pts = [(float(t), 2.0 * t + 1.0) for t in np.linspace(-3, 3, 30)]
-        with pytest.raises(DegenerateInputError):
-            fit_conic(pts)
+        for pts in ([(float(t), 2.0 * t + 1.0) for t in range(6)],
+                    # Four of the first five on the x-axis, or two of them equal.
+                    [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (0.0, 1.0), (3.0, 0.0), (1.0, 1.0)],
+                    PARABOLA[:2] + PARABOLA[:4]):
+            with pytest.raises(DegenerateInputError, match="no unique conic"):
+                fit_conic(pts)
 
-    @pytest.mark.parametrize("pts", [[(0.0, 1.0, 2.0)] * 12, [1.0] * 12],
+    @pytest.mark.parametrize("pts", [[(0.0, 1.0, 2.0)] * 6, [1.0] * 6],
                              ids=["triples", "scalars"])
     def test_points_must_be_pairs(self, pts):
-        with pytest.raises(DomainError, match=r"\(n, 2\) array"):
+        with pytest.raises(DomainError, match=r"finite \(x, y\) pairs"):
             fit_conic(pts)
 
     def test_non_finite_points(self):
-        with pytest.raises(DomainError):
-            fit_conic([(0.0, math.nan)] + [(float(i), float(i * i)) for i in range(15)])
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match=r"finite \(x, y\) pairs"):
+                fit_conic([(0.0, bad)] + PARABOLA)
 
-    def test_overflowing_fit(self):
-        # Spread so wide that the RMS radius overflows...
-        with pytest.raises(DomainError):
-            fit_conic([curve_point(TrajectoryCurve(1e300), t) for t in np.linspace(-3, 3, 50)])
-        # ...or a circle so far out that its mapped coefficients do.
-        circle = [
-            (1e160 + 1e150 * math.cos(a), 1e150 * math.sin(a))
-            for a in np.linspace(0.0, 2.0 * math.pi, 50, endpoint=False)
-        ]
-        with pytest.raises(DomainError):
-            fit_conic(circle)
-        # ...or points so large that their mean overflows, with no warning.
+    def test_huge_members_fit(self):
+        # Past |C| ~ 1e154 a float fit's squares overflow; integers do not.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for C in (4e307, 1e308):
-                with pytest.raises(DomainError):
-                    conic_fit(TrajectoryCurve(C))
+            for C in (1e300, 4e307, 1e308, -1.7e308, sys.float_info.max):
+                fit = conic_fit(TrajectoryCurve(C))
+                assert fit.residual > 0.0 and all(map(math.isfinite, fit.coeffs))
+            circle = [(1e160 + 1e150 * math.cos(a), 1e150 * math.sin(a)) for a in range(6)]
+            assert all(map(math.isfinite, fit_conic(circle).coeffs))
 
 
 class TestClassification:

@@ -7,23 +7,25 @@ lazy namespace (star-import, ``dir``, one binding per name, unknown
 names), and which of its modules each entry point loads: importing the
 package loads none, a slope query only ``errors`` and ``roots``, a
 trace neither the ODE forms nor ``geometry_analysis``, and ``intersect``
-and ``verify --help`` no tracer.  numpy loads only where the conic fit
-uses it: not on import, not for a trace, ``verify --help`` or
-``intersections``; with numpy unimportable, ``trace``, ``plot``,
-``intersect`` and the verify suites that fit no conic still run.  No
-command loads ``dataclasses``: every record is a NamedTuple, except
+and ``verify --help`` no tracer.  No module under ``src/orthotraj``
+imports numpy, and no step loads it: not import, a trace, ``verify
+--help``, ``intersections``, ``classify`` or the conic fit; with numpy
+unimportable, ``trace``, ``plot``, ``intersect``, ``classify`` and every
+verify suite still run.  No command loads ``dataclasses``: every record is a NamedTuple, except
 ``RootSet``, a ``__slots__`` class.  The records are immutable, the
 checked ones (``TrajectoryCurve``, ``TraceConfig``) check on every
 construction, and ``RootSet`` is sized and iterated by its roots, and
 its repr rebuilds it.
 """
 
+import ast
 import math
 import os
 import pickle
 import subprocess
 import sys
 from importlib import import_module
+from pathlib import Path
 
 import pytest
 
@@ -93,6 +95,8 @@ with contextlib.redirect_stdout(io.StringIO()):
     seen.append("numpy" in sys.modules)
     assert cli_plot.run(["verify", "--help"]) == 0
     seen.append("numpy" in sys.modules)
+    assert cli_plot.run(["classify", "-C", "1"]) == 0
+    seen.append("numpy" in sys.modules)
 orthotraj.intersections(1.0, orthotraj.TrajectoryCurve(0.0), -10, 10)
 seen.append("numpy" in sys.modules)
 orthotraj.conic_fit(orthotraj.TrajectoryCurve(0.0))
@@ -115,8 +119,20 @@ def _fresh_python(code: str, *argv: str) -> subprocess.CompletedProcess:
 def test_numpy_loads_only_where_used():
     proc = _fresh_python(_NUMPY_STEPS)
     assert proc.returncode == 0, proc.stderr
-    # import, trace, verify --help, intersections: no numpy; the conic fit: numpy.
-    assert proc.stdout.strip() == "[False, False, False, False, True]"
+    # import, trace, verify --help, classify, intersections, the conic fit: none loads numpy.
+    assert proc.stdout.strip() == str([False] * 6)
+
+
+def test_no_module_imports_numpy():
+    for path in sorted(Path(orthotraj.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n.split(".")[0] == "numpy" for n in names), f"{path.name}:{node.lineno}"
 
 
 _WITHOUT_NUMPY = """
@@ -128,8 +144,9 @@ with contextlib.redirect_stdout(io.StringIO()):
     codes.append(cli_plot.run(["trace", "--x0", "1", "--y0", "2"]))
     codes.append(cli_plot.run(["plot", "--preset", "fig1a", "-o", sys.argv[1]]))
     codes.append(cli_plot.run(["intersect", "-m", "1", "-C", "0"]))
+    codes.append(cli_plot.run(["classify", "-C", "1"]))
     for suite in ("exactness", "potential", "ode-identity", "orthogonality", "extra-crossing",
-                  "cusps", "tracer", "figure"):
+                  "conic", "cusps", "tracer", "figure"):
         codes.append(cli_plot.run(["verify", "--suite", suite]))
 print(codes)
 """
@@ -138,8 +155,8 @@ print(codes)
 def test_numpy_free_paths_run_without_numpy(tmp_path):
     proc = _fresh_python(_WITHOUT_NUMPY, str(tmp_path / "f.svg"))
     assert proc.returncode == 0, proc.stderr
-    # trace, plot, intersect, then the eight suites that fit no conic: all exit 0.
-    assert proc.stdout.strip() == str([0] * 11), proc.stderr
+    # trace, plot, intersect, classify, then all nine suites: all exit 0.
+    assert proc.stdout.strip() == str([0] * 13), proc.stderr
 
 
 # The first two lines run before anything sets sys.modules["dataclasses"],
@@ -236,7 +253,7 @@ RECORDS = [
     (TraceConfig(), "tol"),
     (trace_orthogonal(TraceConfig(start=Point(1.0, 2.0), max_arc=0.05)), "samples"),
     (intersections(1.0, _CURVE, -5.0, 5.0)[0], "t"),
-    (conic_fit(_CURVE), "residual_rms"),
+    (conic_fit(_CURVE), "residual"),
     (CheckResult("claim", True, "detail"), "passed"),
     (CurveSpec(0.0), "C"),
     (PlotSpec(), "lines"),
