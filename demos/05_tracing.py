@@ -1,16 +1,16 @@
-"""Tracing trajectories straight from the implicit ODE
-=======================================================
+"""Tracing trajectories from the implicit ODE
+=============================================
 
-The tracer never sees the closed form: it takes one real root q = dx/dy
-of the cubic q^3 - (x - 2) q - y at the start and then marches the
-explicit ODE dx/dq = q D / (1 + q^2), dy/dq = D / (1 + q^2),
-D = 3 q^2 + 2 - x, in q itself by Dormand-Prince Runge-Kutta steps
-sized by the error tolerance, both ways from the start point, and
-interpolates samples at most 2 step of arc apart.  Member C is the
-parabola's offset curve at distance C, so the normal offset
-(q (y - q) - x) / sqrt(1 + q^2) of each sample from the parabola point
-(q^2, 2q) equals C; its drift along the trace measures how far the
-march strays from a true solution.
+The tracer takes one real root q = dx/dy of the cubic q^3 - (x - 2) q - y
+at the start.  That root is the curve parameter t of the member through
+the start, and the start's normal offset (q (y - q) - x) / sqrt(1 + q^2)
+from the parabola point (q^2, 2q) is the member's C: member C is the
+parabola's offset curve at distance C.  From there the trace walks the
+member's closed form in q, both ways from the start point, with samples
+at most 2 step of arc apart, and ends each leg on its arc budget, found
+on the closed-form arc A(q) = q sqrt(1 + q^2) + asinh q + C atan q.  The
+normal offset of every sample equals C, so its drift along the trace is
+the rounding of the samples alone.
 """
 
 import math
@@ -21,9 +21,9 @@ from orthotraj import (
     TrajectoryCurve,
     curve_point,
     cusp_parameters,
-    trace_classic,
     trace_orthogonal,
 )
+from orthotraj.verification import closed_form_arc
 
 # Start on the parabola at (1, 2) with slope hint 1.
 res = trace_orthogonal(TraceConfig(start=Point(1.0, 2.0), initial_slope_hint=1.0))
@@ -48,9 +48,8 @@ print("\ntrace from (0, 3) vs the closed-form C = sqrt(2) member:")
 print(f"  max gap = {gap:.2e}, drift = {res.potential_drift:.2e}")
 
 # A cusped member: at the cusps D changes sign and only the speed ds/dq
-# vanishes, so the march runs through both.  The member's cusps are known
-# in closed form, and the march lands a step on each: each cusp is the
-# q of a sample.
+# vanishes, so the walk runs through both.  The member's cusps are known
+# in closed form, and the walk lands a sample on each.
 curve = TrajectoryCurve(-4.0)
 res = trace_orthogonal(TraceConfig(start=curve_point(curve, 1.0), initial_slope_hint=1.0))
 qs = [1.0 / p for _, p in res.samples]
@@ -62,12 +61,8 @@ for t in cusp_parameters(curve):
     print(f"  cusp at t = {t:+.6f}: sample q - t = {q - t:+.1e}, D = {d:+.1e}")
 print(f"  potential drift = {res.potential_drift:.2e}")
 
-# The textbook fixtures, same integrator.
-print("\nclassic orthogonal-trajectory pairs:")
-for kind, start, label in (
-    ("hyperbola-pair", Point(1.0, 1.0), "x y"),
-    ("monopole", Point(3.0, 4.0), "x^2 + y^2"),
-    ("shifted-monopole", Point(0.0, 1.0), "(x+1)^2 + y^2"),
-):
-    r = trace_classic(kind, TraceConfig(start=start, max_arc=30.0))
-    print(f"  {kind:17s}: conserves {label:13s} drift = {r.potential_drift:.2e}")
+# Each leg ends on its arc budget: the closed-form arc from the start's
+# q to each end's q, split at the cusps, where the signed speed turns.
+print("\nclosed-form arc of each leg of the C = -4 trace (budget 50):")
+for name, (_, p) in (("backward", res.samples[0]), ("forward", res.samples[-1])):
+    print(f"  {name:8s}: {closed_form_arc(-4.0, 1.0, 1.0 / p):.12f}")

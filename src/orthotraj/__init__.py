@@ -22,7 +22,7 @@ _EXPORTS = {
     "roots": ("RootSet", "slopes_at", "bracketed_root"),
     "exact_ode": ("DifferentialForm", "raw_form", "scaled_form", "integrating_factor",
                   "exactness_defect", "potential", "solve_for_xy"),
-    "tracer": ("TraceConfig", "TraceResult", "trace_orthogonal", "trace_classic"),
+    "tracer": ("TraceConfig", "TraceResult", "trace_orthogonal"),
     "geometry_analysis": ("IntersectionRecord", "ConicFit", "intersections", "fit_conic",
                           "conic_fit", "classify_conic", "is_parabola"),
     "errors": ("OrthoTrajError", "DomainError", "DegeneratePointError", "DegenerateFootError",

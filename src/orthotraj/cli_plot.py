@@ -3,7 +3,7 @@
 Subcommands expose each capability of the library::
 
     ortho-traj verify     --suite <name|all> [--json-out r.json]
-    ortho-traj trace      --x0 X --y0 Y [--p0 P] [--tol T]
+    ortho-traj trace      --x0 X --y0 Y [--p0 P]
     ortho-traj intersect  -m M -C C [--t-min A --t-max B]
     ortho-traj classify   -C C
     ortho-traj plot       --preset fig1a|fig1b | --spec spec.json  -o out.svg
@@ -386,7 +386,7 @@ def _cmd_trace(params):
     from .tracer import TraceConfig, trace_orthogonal  # only trace loads the tracer
 
     x0, y0 = params["x0"], params["y0"]
-    cfg = TraceConfig(start=Point(x0, y0), initial_slope_hint=params["p0"], tol=params["tol"])
+    cfg = TraceConfig(start=Point(x0, y0), initial_slope_hint=params["p0"])
     try:
         result = trace_orthogonal(cfg)
     except NoBranchError as exc:
@@ -395,7 +395,7 @@ def _cmd_trace(params):
     first = result.samples[0][0]
     last = result.samples[-1][0]
     print(f"traced {len(result.samples)} samples from ({x0:g}, {y0:g})")
-    print(f"  span: ({first.x:.6f}, {first.y:.6f}) .. ({last.x:.6f}, {last.y:.6f})")
+    print(f"  span: ({first.x:.9g}, {first.y:.9g}) .. ({last.x:.9g}, {last.y:.9g})")
     print(f"  end reasons: backward={result.end_reasons[0]}, forward={result.end_reasons[1]}")
     print(f"  terminated_by: {result.terminated_by}")
     print(f"  potential drift: {result.potential_drift:.3e}")
@@ -451,7 +451,7 @@ def _cmd_classify(params):
     print(f"  conic through five points (x^2, xy, y^2, x, y, 1): "
           + ", ".join(f"{v:.6g}" for v in fit.coeffs))
     print(f"  cusp count: {len(cusps)}"
-          + (f" at t = {', '.join(f'{t:.6f}' for t in cusps)}" if cusps else ""))
+          + (f" at t = {', '.join(f'{t:.9g}' for t in cusps)}" if cusps else ""))
     results = {
         "classification": verdict,
         "conic_residual": fit.residual,
@@ -493,7 +493,6 @@ _COMMANDS = {
         (("--x0",), "x0", float, _REQUIRED, "start x"),
         (("--y0",), "y0", float, _REQUIRED, "start y"),
         (("--p0",), "p0", float, None, "initial slope hint"),
-        (("--tol",), "tol", float, 1e-8, "error of x and y summed over the arc budget"),
     )),
     "intersect": (_cmd_intersect, "line-curve intersection report", (
         (("-m",), "m", float, _REQUIRED, "line slope"),

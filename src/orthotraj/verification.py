@@ -20,7 +20,6 @@ from typing import NamedTuple
 
 from .core_model import (
     PARABOLA_NORMALS,
-    Point,
     TrajectoryCurve,
     curve_point,
     curve_velocity,
@@ -33,7 +32,7 @@ from .core_model import (
 from .exact_ode import (exactness_defect, integrating_factor, potential, raw_form,
                         scaled_form, solve_for_xy)
 from .geometry_analysis import classify_conic, conic_fit, intersections
-from .tracer import TraceConfig, trace_classic, trace_orthogonal
+from .tracer import TraceConfig, trace_orthogonal
 
 __all__ = ["CheckResult", "SUITES", "run_suites"]
 
@@ -340,39 +339,56 @@ def trace_deviation(curve: TrajectoryCurve, result) -> float:
                   for pt, p in result.samples for ref in [curve_point(curve, 1.0 / p)])
 
 
+def closed_form_arc(C: float, a: float, b: float) -> float:
+    """The arc of member C between parameters a and b: |A(v) - A(u)|,
+    A(t) = t sqrt(1 + t^2) + asinh t + C atan t, summed over the pieces
+    between the cusps, where the signed speed dA/dt changes sign."""
+
+    def A(t):
+        return t * math.sqrt(1.0 + t * t) + math.asinh(t) + C * math.atan(t)
+
+    inside = (c for c in cusp_parameters(TrajectoryCurve(C)) if min(a, b) < c < max(a, b))
+    cuts = sorted([a, b, *inside])
+    return sum(abs(A(v) - A(u)) for u, v in zip(cuts, cuts[1:]))
+
+
 def suite_tracer():
-    """Implicit-ODE traces reproduce the closed form and conserve their
-    first integrals; the classic fixtures conserve theirs."""
-    tol = 1e-8
-    deviations, drifts = [], []
-    for C in (-1.0, 0.0, 1.0, 3.0):
+    """Traces from the slope cubic's start root reproduce the closed form,
+    conserve the normal offset, lie on their member's sextic, keep their
+    samples within 2 step of arc and end each leg on its arc budget."""
+    tol, step, max_arc = 1e-8, 1e-2, 20.0
+    deviations, drifts, sextic, chords, arcs = [], [], [], [], []
+    for C in (-4.0, -1.0, 0.0, 1.0, 3.0):
         curve = TrajectoryCurve(C)
         start = curve_point(curve, 1.0)
-        cfg = TraceConfig(start=start, initial_slope_hint=1.0, tol=tol, max_arc=20.0)
+        cfg = TraceConfig(start=start, initial_slope_hint=1.0, step=step, max_arc=max_arc)
         res = trace_orthogonal(cfg)
         deviations.append(trace_deviation(curve, res))
         drifts.append(res.potential_drift)
-    worst_drift = _worst(drifts)
-    checks = [
-        _bound("traces match closed-form curves", 1e-5, "max deviation", deviations,
-               " over C in {-1, 0, 1, 3}"),
+        pts = [pt for pt, _ in res.samples]
+        sextic.extend(abs(F) / scale for pt in pts[::25] for F, scale in [_sextic(C, *pt)])
+        chords.extend(math.hypot(b.x - a.x, b.y - a.y) for a, b in zip(pts, pts[1:]))
+        arcs.extend(abs(closed_form_arc(C, 1.0, 1.0 / p) - max_arc) / max_arc
+                    for _, p in (res.samples[0], res.samples[-1]))
+    worst_drift, worst_chord = _worst(drifts), _worst(chords)
+    over = " over C in {-4, -1, 0, 1, 3}"
+    return [
+        _bound("traces match closed-form curves", 1e-5, "max deviation", deviations, over),
         CheckResult(
             "potential drift <= 10*tol along traces",
             worst_drift <= 10.0 * tol,
             f"max drift = {worst_drift:.3e} (bound {10.0 * tol:.1e})",
         ),
+        _bound("trace samples lie on their sextic F_C(x, y) = 0", 1e-14,
+               "max |F_C| / sum |terms|", sextic, " at every 25th sample", rel=True),
+        CheckResult(
+            "no chord between trace samples exceeds 2*step",
+            worst_chord <= 2.0 * step,
+            f"max chord = {worst_chord:.6f} (2*step = {2.0 * step:g})",
+        ),
+        _bound("each leg's closed-form arc equals max_arc", 1e-12,
+               "max |arc - max_arc| / max_arc", arcs, rel=True),
     ]
-
-    classic_cases = [
-        ("hyperbola-pair", Point(1.0, 1.0), 1.0),
-        ("monopole", Point(3.0, 4.0), 25.0),
-        ("shifted-monopole", Point(0.0, 1.0), 2.0),
-    ]
-    for kind, start, level in classic_cases:
-        res = trace_classic(kind, TraceConfig(start=start, max_arc=30.0))
-        checks.append(_bound(f"classic {kind} conserves its first integral", 1e-6,
-                             f"level {level:g}, drift", (res.potential_drift,)))
-    return checks
 
 
 def suite_figure():

@@ -22,7 +22,9 @@ to see them).  Tolerances live in the suites; nothing is loosened here.
   7. cusp census: 0/1/2 cusps for C > -2 / = -2 / < -2, with
      t = +-0.766421 (1e-6) at C = -4
   8. tracer fidelity: closed-form agreement 1e-5, potential drift
-     <= 10*tol, classic first integrals conserved to 1e-6
+     <= 10*tol, samples on their sextic F_C (1e-14 relative to its
+     terms), chords at most 2 step, and each leg's closed-form arc on
+     its budget (1e-12 relative)
   9. figure reproduction: deterministic well-formed SVG, 8 curve paths
      across the presets, one dashed per panel, lines m = 1, 2, -3
 
@@ -81,9 +83,9 @@ CHECK_NAMES = {
     "tracer": [
         "traces match closed-form curves (tol 1e-5)",
         "potential drift <= 10*tol along traces",
-        "classic hyperbola-pair conserves its first integral (tol 1e-6)",
-        "classic monopole conserves its first integral (tol 1e-6)",
-        "classic shifted-monopole conserves its first integral (tol 1e-6)",
+        "trace samples lie on their sextic F_C(x, y) = 0 (rel tol 1e-14)",
+        "no chord between trace samples exceeds 2*step",
+        "each leg's closed-form arc equals max_arc (rel tol 1e-12)",
     ],
     "figure": [
         "fig1a: deterministic well-formed SVG with 4 curves, one dashed, 3 lines",
@@ -145,7 +147,7 @@ def test_nan_trace_deviation_fails(monkeypatch):
     monkeypatch.setattr(verification, "trace_deviation", lambda curve, result: math.nan)
     check = _check(verification.suite_tracer(), "traces match closed-form curves (tol 1e-5)")
     assert not check.passed
-    assert check.detail == "max deviation = nan over C in {-1, 0, 1, 3}"
+    assert check.detail == "max deviation = nan over C in {-4, -1, 0, 1, 3}"
 
 
 def test_trace_deviation_keeps_a_nan_sample():

@@ -11,9 +11,10 @@ Covers:
     malformed config or spec values, unwritable outputs, argument values
     outside the library's domain (DomainError); classify answers (exit 0)
     up to C = 1e308
-  - config-file merging, unknown-key rejection, flag precedence, and
-    trace's --tol default, declared without the tracer, equal to
-    TraceConfig's
+  - config-file merging, unknown-key rejection and flag precedence;
+    trace has no --tol, as its samples are closed-form points
+  - classify prints cusp parameters short enough to read at any C, and
+    they parse back to 1e-9 relative
   - --help showing every default and required parameter, and a report's
     inputs listing every parameter
   - exact numeric round-trip of flags through the JSON report, negative
@@ -41,8 +42,8 @@ from orthotraj.cli_plot import (
     render_figure,
     run,
 )
+from orthotraj.core_model import TrajectoryCurve, cusp_parameters
 from orthotraj.errors import ConfigError
-from orthotraj.tracer import TraceConfig
 
 
 def svg_elements(svg, cls):
@@ -190,6 +191,10 @@ class TestRunExitCodes:
         assert run(["trace", "--x0", "2", "--y0", "1e10"]) == 0
         assert "end reasons: backward=arc-limit, forward=arc-limit" in capsys.readouterr().out
 
+    def test_trace_has_no_tol_flag(self, capsys):
+        # The samples are closed-form points, so there is no error to bound.
+        assert run(["trace", "--x0", "1", "--y0", "2", "--tol", "1e-8"]) == 2
+
     def test_usage_error(self, capsys):
         assert run(["frobnicate"]) == 2
         assert run([]) == 2
@@ -208,9 +213,8 @@ class TestRunExitCodes:
         "argv",
         [
             ["intersect", "-m", "1", "-C", "0", "--t-min", "5", "--t-max", "-5"],
-            ["trace", "--x0", "1", "--y0", "2", "--tol", "0"],
         ],
-        ids=["intersect-window", "trace-tol"],
+        ids=["intersect-window"],
     )
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_domain_error_is_usage_error(self, argv, capsys):
@@ -230,6 +234,18 @@ class TestRunExitCodes:
         assert results["classification"] == "non-conic"
         assert 0.0 < results["conic_residual"] < 1.0
         assert all(map(math.isfinite, results["conic_coeffs"]))
+
+    @pytest.mark.parametrize("C", ["-1.7e308", "-4", "-2.0000000001"])
+    def test_classify_cusp_line_is_short_and_parses_back(self, C, capsys):
+        # Printed with :.6f, the cusps of C = -1.7e308 read as 100-digit integers.
+        assert run(["classify", "-C", C]) == 0
+        (line,) = [ln for ln in capsys.readouterr().out.splitlines() if "cusp count" in ln]
+        assert len(line) <= 80
+        printed = [float(v) for v in line.split(" at t = ")[1].split(", ")]
+        cusps = cusp_parameters(TrajectoryCurve(float(C)))
+        assert len(printed) == len(cusps)
+        for got, want in zip(printed, cusps):
+            assert abs(got - want) <= 1e-9 * abs(want)
 
     def test_plot_exclusive_source(self, tmp_path, capsys):
         out = str(tmp_path / "fig.svg")
@@ -342,14 +358,6 @@ class TestConfigMerging:
         assert report["inputs"]["m"] == 2.0  # from config
         assert report["inputs"]["C"] == 0.0  # flag wins
 
-    def test_trace_tol_default_is_trace_config_default(self, tmp_path, capsys):
-        # Declared as a number, so that the CLI needs no tracer to build it.
-        (row,) = [row for row in cli_plot._COMMANDS["trace"][2] if row[1] == "tol"]
-        assert row[3] == TraceConfig().tol
-        report_path = tmp_path / "report.json"
-        assert run(["trace", "--x0", "1", "--y0", "2", "--json-out", str(report_path)]) == 0
-        assert json.loads(report_path.read_text())["inputs"]["tol"] == TraceConfig().tol
-
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"m": 1.0, "C": 0.0, "bogus": 1}')
@@ -397,7 +405,7 @@ class TestConfigMerging:
         "command, shown",
         [
             ("verify", ["suite name or 'all' (default all)"]),
-            ("trace", ["start x (required)", "start y (required)", "(default 1e-08)"]),
+            ("trace", ["start x (required)", "start y (required)", "initial slope hint"]),
             ("intersect", ["line slope (required)", "curve constant (required)",
                            "window start (default -10.0)", "window end (default 10.0)"]),
             ("classify", ["curve constant (required)"]),
@@ -466,8 +474,6 @@ class TestConfigMerging:
                     "2",
                     "--p0",
                     "1",
-                    "--tol",
-                    "1e-8",
                     "--json-out",
                     str(report_path),
                 ]
@@ -475,8 +481,8 @@ class TestConfigMerging:
             == 0
         )
         report = json.loads(report_path.read_text())
-        assert report["inputs"] == {"x0": 1.0, "y0": 2.0, "p0": 1.0, "tol": 1e-8}
-        assert list(report["inputs"]) == ["x0", "y0", "p0", "tol"]
+        assert report["inputs"] == {"x0": 1.0, "y0": 2.0, "p0": 1.0}
+        assert list(report["inputs"]) == ["x0", "y0", "p0"]
         assert report["pass"] is True
         assert report["results"]["n_samples"] == len(report["results"]["samples"])
         drift = report["results"]["potential_drift"]
@@ -486,7 +492,7 @@ class TestConfigMerging:
         report_path = tmp_path / "r.json"
         assert run(["trace", "--x0", "1", "--y0", "2", "--json-out", str(report_path)]) == 0
         report = json.loads(report_path.read_text())
-        assert report["inputs"] == {"x0": 1.0, "y0": 2.0, "p0": None, "tol": 1e-08}
+        assert report["inputs"] == {"x0": 1.0, "y0": 2.0, "p0": None}
         # The inputs, nulls included, serve as a config for the same run.
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(report["inputs"]))

@@ -56,7 +56,7 @@ EXPORTS = {
     "RootSet", "bracketed_root", "slopes_at",
     "DifferentialForm", "exactness_defect", "integrating_factor", "potential",
     "raw_form", "scaled_form", "solve_for_xy",
-    "TraceConfig", "TraceResult", "trace_classic", "trace_orthogonal",
+    "TraceConfig", "TraceResult", "trace_orthogonal",
     "ConicFit", "IntersectionRecord", "classify_conic", "conic_fit",
     "fit_conic", "intersections", "is_parabola",
     "OrthoTrajError", "DomainError", "DegeneratePointError",

@@ -2,10 +2,10 @@
 closed form and two q-root oracles, and of the cusp census against
 mpmath.
 
-The tracer integrates x, y and the arc in q = 1/p = dx/dy, a root of the
-monic cubic q^3 - (x - 2) q - y, so no root is solved along a trace: the
-continuation is the q-ODE itself, and these tests check that it stays on
-the cubic's roots.
+The tracer walks member C's closed form in q = 1/p = dx/dy, a root of
+the monic cubic q^3 - (x - 2) q - y, so no root is solved along a trace:
+these tests check that the walk stays on the cubic's roots, on the
+member's sextic and within its chord and arc bounds.
 
 Covers:
   - traces from any start t0 on any member C, cusped ones included:
@@ -17,8 +17,15 @@ Covers:
     P(t) = (t^2, 2t), with |n| = 1
   - each leg of a trace on any member, cusped ones included, ends on
     its arc budget to 1e-9 of the closed-form arc, which is split at
-    the cusps; also at tol 1e-8 next to C = -2, where both cusps lie
-    inside one step's reach
+    the cusps; also next to C = -2, where the cusps lie 1e-3 apart
+  - trace samples lie on their member's sextic F_C to 8 eps of its
+    terms, for |C| up to 1e6; no chord exceeds 2 step, over steps from
+    1e-3 to 1; no sample sits at q = 0, where p = 1/q is infinite,
+    between the two cusps of members just below C = -2
+  - far starts, (2e6, 3e6) on q = 1414.2 and (1e16, 2e8) on member
+    C = -1e16, end both legs on the budget to 1e-12 relative (mpmath
+    arc); C = 0 at t0 = 1e8 cannot start, as ``slopes_at`` loses the
+    root p = 1e-8 there (ROADMAP item 1)
   - the cusps solve C = -2 (1 + t^2)^(3/2) to 4 ulp of mpmath as
     C -> -2 and to 1e-13 relative, always finite, for |C| up to 1.7e308;
     each cusp is the parabola's centre of curvature (2 + 3t^2, -2t^3);
@@ -70,8 +77,10 @@ from orthotraj import (
     trace_orthogonal,
 )
 from orthotraj.core_model import sample
+from orthotraj.verification import _sextic
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=40)
+EPS = sys.float_info.epsilon
 
 signs = st.sampled_from((-1.0, 1.0))
 
@@ -160,8 +169,8 @@ def assert_on_the_nearest_root(res, oracle):
 @given(st.floats(-5.0, 5.0), signs, st.floats(0.3, 3.0))
 # C = -2: the vertex is a cusp, where q = 0 and D = 0 at once.
 @example(-2.0, 1.0, 0.5)
-# Within 6e-4 of the cusp of C = -4 at t = 0.76642: the march starts at
-# nearly zero speed and crosses the cusp within its first steps.
+# Within 6e-4 of the cusp of C = -4 at t = 0.76642: the walk starts at
+# nearly zero speed and crosses the cusp within its first blocks.
 @example(-4.0, 1.0, 0.767)
 def test_trace_follows_the_closed_form(C, sign, t_abs):
     assert_trace_follows(TrajectoryCurve(C), sign * t_abs)
@@ -172,7 +181,7 @@ def assert_trace_follows(curve, t0):
     closed-form point of its own q, and a drift within 10 tol."""
     tol = 1e-8
     cfg = TraceConfig(
-        start=curve_point(curve, t0), initial_slope_hint=1.0 / t0, tol=tol, max_arc=20.0
+        start=curve_point(curve, t0), initial_slope_hint=1.0 / t0, max_arc=20.0
     )
     res = trace_orthogonal(cfg)
     for pt, p in res.samples:
@@ -226,14 +235,9 @@ def closed_form_arc(C, a, b):
 @example(-2.0074, -1.0, 1.7613)
 @example(-4.0, 1.0, 0.767)
 def test_each_leg_spends_its_arc_budget_on_the_closed_form(C, sign, t_abs):
-    # Cusped legs met the budget only to 1e-5 while the tracer
-    # integrated the kinked speed |D| / sqrt(1 + q^2).
     t0 = sign * t_abs
     cfg = TraceConfig(
-        start=curve_point(TrajectoryCurve(C), t0),
-        initial_slope_hint=1.0 / t0,
-        tol=1e-9,
-        max_arc=20.0,
+        start=curve_point(TrajectoryCurve(C), t0), initial_slope_hint=1.0 / t0, max_arc=20.0
     )
     res = trace_orthogonal(cfg)
     assert res.end_reasons == ("arc-limit", "arc-limit")
@@ -242,22 +246,112 @@ def test_each_leg_spends_its_arc_budget_on_the_closed_form(C, sign, t_abs):
 
 
 def test_a_step_holding_both_cusps_keeps_the_arc_budget():
-    # Next to C = -2 the two cusps lie about 1e-3 apart, within one step at
-    # tol 1e-8.  A march that takes such a step as one |ds| counts the arc
-    # between them with the wrong sign, and this leg misses its budget by
-    # 2.7e-9.  The property above runs at tol 1e-9, where steps are short
-    # enough to pass this case.
+    # Next to C = -2 the two cusps lie about 1e-3 apart, inside the reach
+    # of one block: a walk that took them in one block would count the arc
+    # between them with the wrong sign, and this leg would miss its budget
+    # by 2.7e-9.  Each cusp ends a piece, so the leg keeps its budget.
     C, t0 = -2.000001439476883, -1.1402659982292442
     cfg = TraceConfig(
-        start=curve_point(TrajectoryCurve(C), t0),
-        initial_slope_hint=1.0 / t0,
-        tol=1e-8,
-        max_arc=20.0,
+        start=curve_point(TrajectoryCurve(C), t0), initial_slope_hint=1.0 / t0, max_arc=20.0
     )
     res = trace_orthogonal(cfg)
     assert res.end_reasons == ("arc-limit", "arc-limit")
     for _, p in (res.samples[0], res.samples[-1]):
         assert abs(closed_form_arc(C, t0, 1.0 / p) - cfg.max_arc) <= 1e-9
+
+
+def walked_member(res, start):
+    """The C a trace walks: the normal offset of its start sample, as the
+    tracer forms it."""
+    (p0,) = [p for pt, p in res.samples if pt == start]
+    q0 = 1.0 / p0
+    return (q0 * (start.y - q0) - start.x) / math.sqrt(1.0 + q0 * q0)
+
+
+@SETTINGS
+@given(log_uniform(-3.0, 6.0), log_uniform(-2.0, 2.0))
+@example(-4.0, 0.767)
+@example(1e6, -0.5)
+def test_trace_samples_lie_on_their_sextic(C, t0):
+    # Each sample is the closed-form point of its q on the walked member,
+    # so it meets the bound of ``curve_point``'s own sextic property.
+    start = Point(*curve_point(TrajectoryCurve(C), t0))
+    try:
+        res = trace_orthogonal(TraceConfig(start=start, initial_slope_hint=1.0 / t0, max_arc=2.0))
+    except NoBranchError:
+        return  # ``slopes_at`` lost the start root (ROADMAP item 1)
+    C = walked_member(res, start)
+    for pt, _ in res.samples:
+        F, scale = _sextic(C, pt.x, pt.y)
+        assert abs(F) <= 8 * EPS * scale, (C, t0, pt)
+
+
+@SETTINGS
+@given(st.floats(-5.0, 5.0), signs, st.floats(0.3, 3.0), st.floats(-2.0, 0.0))
+# C > 1: the speed 2 s + C / s^2 peaks at the vertex, inside a block.
+@example(4.5, -1.0, 0.3, -2.0)
+def test_no_chord_exceeds_twice_the_step(C, sign, t_abs, k):
+    step, t0 = 10.0**k, sign * t_abs
+    cfg = TraceConfig(
+        start=curve_point(TrajectoryCurve(C), t0), initial_slope_hint=1.0 / t0, step=step,
+        max_arc=20.0,
+    )
+    pts = [pt for pt, _ in trace_orthogonal(cfg).samples]
+    worst = max(math.hypot(b.x - a.x, b.y - a.y) for a, b in zip(pts, pts[1:]))
+    assert worst <= 2.0 * step * (1.0 + 1e-9)
+
+
+@SETTINGS
+@given(st.floats(-7.5, -1.0), st.floats(0.25, 4.0))
+@example(-3.5, 1.5)
+def test_no_sample_sits_at_the_vertex_parameter(k, r):
+    # Just below C = -2, at C = -2 - delta, the cusps +-c lie either side
+    # of q = 0, where the speed is delta, and with r = 2 step / (delta c)
+    # in [1, 2) one block spans both with two equal parts: its middle
+    # node is q = 0 exactly, where p = 1/q is infinite.  Below
+    # delta = 10^-7.5 ``slopes_at`` loses the start root (ROADMAP item 1).
+    C = -2.0 - 10.0**k
+    c = cusp_parameters(TrajectoryCurve(C))[-1]
+    step = 0.5 * r * 10.0**k * c
+    cfg = TraceConfig(
+        start=curve_point(TrajectoryCurve(C), 2.0 * c), initial_slope_hint=0.5 / c, step=step,
+        max_arc=100.0 * step,
+    )
+    res = trace_orthogonal(cfg)
+    assert all(math.isfinite(p) and p != 0.0 for _, p in res.samples)
+    assert min(pt.y for pt, _ in res.samples) < 0.0 < max(pt.y for pt, _ in res.samples)
+
+
+@pytest.mark.parametrize(
+    "start,hint,max_arc",
+    [
+        # q0 = 1414.2 on C = 3.0e6: one ulp of q is 6.4e-10 of arc.
+        (Point(2e6, 3e6), None, 1e4),
+        # q0 = -2e-8 on C = -1e16: one ulp of q is 3.3e-8 of arc.
+        (Point(1e16, 2e8), -5e7, 1e6),
+    ],
+    ids=["q-1414", "C-minus-1e16"],
+)
+def test_far_starts_end_on_the_budget(start, hint, max_arc):
+    # C = 0 at t0 = 1e8 cannot start, as ``slopes_at`` loses p = 1e-8
+    # there; and an end can lie on the budget only to the arc of one ulp
+    # of q, so each budget is large enough for 1e-12 of it to hold that.
+    res = trace_orthogonal(
+        TraceConfig(start=start, initial_slope_hint=hint, step=max_arc / 100.0, max_arc=max_arc)
+    )
+    C = walked_member(res, start)
+    assert not cusp_parameters(TrajectoryCurve(C)) or abs(C) > 1e15  # no cusp within reach
+    (p0,) = [p for pt, p in res.samples if pt == start]
+    with mpmath.workdps(60):
+        K = mpmath.mpf(C)
+
+        def A(q):
+            q = mpmath.mpf(q)
+            return q * mpmath.sqrt(1 + q * q) + mpmath.asinh(q) + K * mpmath.atan(q)
+
+        for _, p in (res.samples[0], res.samples[-1]):
+            arc = abs(A(1.0 / p) - A(1.0 / p0))
+            assert abs(arc - max_arc) <= 1e-12 * max_arc
 
 
 @SETTINGS
@@ -295,8 +389,7 @@ def test_continuation_picks_the_nearest_exact_root(pt, k):
 
 @SETTINGS
 @given(box_points())
-# Landing on max_arc inside a step much longer than the arc left spreads
-# that step's error into its samples: the drift here read 1.1e-7 > 10 tol.
+# An integrated trace from here drifted by 1.1e-7 > 10 tol.
 @example((0.0, -6.0))
 def test_continuation_settles_on_each_root_off_the_evolute(pt):
     x, y = pt
@@ -340,9 +433,7 @@ def test_vertex_root_settles_on_the_axis():
 # traces its whole budget both ways, through the vertex and through its
 # cusps (C <= -2); the sixth of them passes two cusps at t = +-0.0531,
 # either side of its vertex.  The last one passes two cusps at
-# t = +-0.0497, between which D is small, so each step there covers
-# little arc: while the smallest step was measured in arc, not in q, its
-# backward leg ended `singularity`.
+# t = +-0.0497, between which D, and with it the speed, is small.
 PINNED_ENDS = [
     (-1.0, 1.0, 40.0, ("arc-limit", "arc-limit")),
     (0.0, 1.0, 40.0, ("arc-limit", "arc-limit")),
@@ -363,7 +454,6 @@ def test_end_reasons_pinned(C, t0, max_arc, ends):
     cfg = TraceConfig(
         start=curve_point(TrajectoryCurve(C), t0),
         initial_slope_hint=1.0 / t0,
-        tol=1e-8,
         max_arc=max_arc,
     )
     assert trace_orthogonal(cfg).end_reasons == ends

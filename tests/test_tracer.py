@@ -1,21 +1,18 @@
-"""Implicit-ODE tracer tests.
+"""Tracer tests.
 
 Covers:
   - the parabola trace: stays on y^2 = 4x, covers x in [0.1, 9]
   - closed-form agreement for C in {-1, 0, 1, 3} from t0 = 1, measured
     as the gap |P(1/p) - sample| that the verify tracer suite also uses
-  - potential conservation (drift <= 10 * tol), also across the sharp
+  - potential conservation (drift <= 10 * 1e-8), also across the sharp
     vertex of a member just above the cusp boundary C = -2; the drift is
-    that of the normal offset (q (y - q) - x) / sqrt(1 + q^2), and an
-    error of 1e-6 in x at every step shows in it
-  - slope-equation residual at every accepted sample
-  - both tracers: sample spacing bounded by twice the configured step,
-    each end spends its arc budget with no sample gap under 1e-3 among
-    its last four samples
-  - the cost follows tol, not the sample spacing: the parabola trace
-    takes at most 400 steps, about as many at step 0.01 as at 0.5, and
-    more at a tighter tol
-  - order-of-accuracy: tightening tol by 10 improves deviation >= 5x
+    that of the normal offset (q (y - q) - x) / sqrt(1 + q^2)
+  - slope-equation residual at every sample
+  - sample spacing bounded by twice the configured step, each end spends
+    its arc budget with no sample gap under 1e-3 among its last four
+    samples
+  - ``tol`` has no effect: the samples are the same at tol 1e-15 and 1,
+    and both legs still end ``arc-limit``
   - cusps are crossed: a C = -4 trace has a sample on each closed-form
     cusp parameter, to 4 ulp of q, and a trace that starts on a cusp
     runs both ways
@@ -23,22 +20,16 @@ Covers:
     the closed form and runs its arc budget both ways
   - the forward end runs along +x from the start, for either sign of q
     and of D = 3q^2 + 2 - x
-  - a march that uses up its step attempts ends with step-limit
-  - a tol under the rounding of x and y still runs its arc budget: tol
-    1e-15, and a cusped member at tol 1e-11
-  - the drift made during the march equals max |F - F0| recomputed from
-    the samples, the start sample appears once, and every sample point
-    is a Point (main trace to arc-limit, a classic fixture)
-  - classic fixtures conserve xy, x^2 + y^2, (x+1)^2 + y^2, and stall
-    as a singularity next to the monopole's centre
+  - the drift equals max |F - C| recomputed from the samples to the
+    rounding of q = 1/p, the start sample appears once, and every sample
+    point is a Point
   - error cases: no slope branch, a start slope from ``slopes_at`` that
-    does not solve the cubic (p = 0 or spurious), singular classic
-    start, a missing or non-finite start for either tracer, bad config (non-positive or
-    non-finite step, max_arc or tol, a nan slope hint), and a ``domain``
-    keyword, as TraceConfig has no box
+    does not solve the cubic (p = 0 or spurious), a missing or non-finite
+    start, bad config (non-positive or non-finite step, max_arc or tol, a
+    nan slope hint), and a ``domain`` keyword, as TraceConfig has no box
 """
-
 import math
+import sys
 
 import pytest
 
@@ -51,10 +42,8 @@ from orthotraj import (
     cusp_parameters,
     curve_point,
     ode_o_residual,
-    trace_classic,
     trace_orthogonal,
 )
-from orthotraj import tracer
 
 
 def closed_form_gap(curve, result):
@@ -71,37 +60,15 @@ def closed_form_gap(curve, result):
     return worst
 
 
-def parabola_steps(**kw):
-    """Step attempts (``tracer._rk_step`` calls) of the (1, 2) parabola
-    trace at max_arc 20."""
-    calls = []
-    rk_step = tracer._rk_step
-
-    def counting(*args):
-        calls.append(None)
-        return rk_step(*args)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tracer, "_rk_step", counting)
-        cfg = TraceConfig(start=Point(1.0, 2.0), initial_slope_hint=1.0, max_arc=20.0, **kw)
-        assert trace_orthogonal(cfg).end_reasons == ("arc-limit", "arc-limit")
-    return len(calls)
-
-
-# Both tracers run on one stepper; each case is (trace(cfg), start, hint).
-TRACERS = [
-    pytest.param(trace_orthogonal, Point(1.0, 2.0), 1.0, id="orthogonal"),
-    pytest.param(
-        lambda cfg: trace_classic("hyperbola-pair", cfg),
-        Point(1.0, 1.0),
-        None,
-        id="classic",
-    ),
-]
+# Each case is (trace(cfg), start, hint).
+TRACERS = [pytest.param(trace_orthogonal, Point(1.0, 2.0), 1.0, id="orthogonal")]
 
 
 @pytest.mark.parametrize("trace,start,hint", TRACERS)
 class TestSharedStepper:
+    """The walk that both legs of a trace share: its sample spacing and
+    where it ends."""
+
     def test_sample_spacing(self, trace, start, hint):
         cfg = TraceConfig(start=start, initial_slope_hint=hint, max_arc=20.0)
         res = trace(cfg)
@@ -112,7 +79,7 @@ class TestSharedStepper:
 
     def test_each_end_spends_its_arc_budget(self, trace, start, hint):
         # At this spacing and curvature the chords of a half fall short of
-        # its arc by about 2e-6 relative; the last step lands on max_arc.
+        # its arc by about 2e-6 relative; the end lands on max_arc.
         cfg = TraceConfig(start=start, initial_slope_hint=hint, max_arc=5.0)
         res = trace(cfg)
         assert res.end_reasons == ("arc-limit", "arc-limit")
@@ -124,8 +91,8 @@ class TestSharedStepper:
 
     @pytest.mark.parametrize("max_arc", [0.5, 5.0, 20.0])
     def test_no_tiny_gap_at_an_end(self, trace, start, hint, max_arc):
-        # The last step lands on max_arc inside the step, so no end takes
-        # an extra sliver of a step.
+        # A block that would leave a sliver of a block before a leg's end
+        # runs on to the end, so no end takes an extra sliver of a step.
         cfg = TraceConfig(start=start, initial_slope_hint=hint, max_arc=max_arc)
         pts = [pt for pt, _ in trace(cfg).samples]
         gaps = [math.hypot(b.x - a.x, b.y - a.y) for a, b in zip(pts, pts[1:])]
@@ -182,22 +149,9 @@ class TestTraceOrthogonal:
             scale = max(1.0, abs(pt.y * p**3), abs(p * p * (2.0 - pt.x)))
             assert abs(resid) <= 1e-6 * scale
 
-    def test_order_of_accuracy(self):
-        # Steps follow tol alone, so the deviation is governed by tol; a
-        # 10x tighter tol must improve it by at least 5x.
-        curve = TrajectoryCurve(1.0)
-        start = curve_point(curve, 1.0)
-        devs = []
-        for tol in (1e-6, 1e-7):
-            cfg = TraceConfig(
-                start=start, initial_slope_hint=1.0, step=1.0, tol=tol, max_arc=30.0
-            )
-            devs.append(closed_form_gap(curve, trace_orthogonal(cfg)))
-        assert devs[0] / devs[1] >= 5.0
-
     def test_cusped_member_crosses_both_cusps(self):
         # C = -4 has its cusps at t = +-0.76642, where D = 3q^2 + 2 - x
-        # changes sign; the march lands a step on each, so each is the
+        # changes sign; the walk lands a block on each, so each is the
         # q = 1/p of a sample.
         curve = TrajectoryCurve(-4.0)
         start = curve_point(curve, 1.0)
@@ -230,8 +184,7 @@ class TestTraceOrthogonal:
 
     def test_sharp_vertex_keeps_the_drift_bound(self):
         # Just above C = -2 the member turns sharply at its vertex near
-        # (2, 0); an error bound per step rather than per unit step let
-        # the drift grow to 1.4e-7 there.
+        # (2, 0), where an integrated trace drifted by up to 1.4e-7.
         C, t0 = -1.9766814500895014, 1.270852772534034
         cfg = TraceConfig(
             start=curve_point(TrajectoryCurve(C), t0),
@@ -255,51 +208,23 @@ class TestTraceOrthogonal:
         i = res.samples.index((start, 1.0 / t0))
         assert res.samples[i - 1][0].x < start.x < res.samples[i + 1][0].x
 
-    def test_drift_sees_an_error_off_the_curve(self, monkeypatch):
-        # The offset drift is blind to phase error along the curve, not to
-        # error across it: push each step's end 1e-6 along +x.
-        rk_step = tracer._rk_step
-
-        def kicked(*args):
-            xs, *rest = rk_step(*args)
-            return (xs + 1e-6, *rest)
-
-        monkeypatch.setattr(tracer, "_rk_step", kicked)
-        cfg = TraceConfig(start=Point(1.0, 2.0), initial_slope_hint=1.0, max_arc=20.0)
-        assert trace_orthogonal(cfg).potential_drift > 10.0 * cfg.tol
-
-    def test_step_limit_has_its_own_reason(self, monkeypatch):
-        monkeypatch.setattr(tracer, "_MAX_STEPS", 50)
-        res = trace_orthogonal(TraceConfig(start=Point(1.0, 2.0), initial_slope_hint=1.0))
-        assert res.end_reasons == ("step-limit", "step-limit")
-        assert res.terminated_by == "step-limit"
-
     @pytest.mark.parametrize(
         "start,hint,kw,ends",
         [
             (Point(1.0, 2.0), 1.0, {"tol": 1e-15}, ("arc-limit", "arc-limit")),
-            # Next to a cusp the speed vanishes but the rounding of x does not.
+            # Next to a cusp, where the speed vanishes.
             (curve_point(TrajectoryCurve(-4.0), 1.0), 1.0, {"tol": 1e-11}, ("arc-limit", "arc-limit")),
         ],
         ids=["tol-1e-15", "cusped-tol-1e-11"],
     )
     def test_tol_under_the_rounding_still_runs(self, start, hint, kw, ends):
-        # Per step, tol ds / max_arc falls under the rounding of x and y
-        # here; these ended singularity when that bound was not floored.
+        # The samples are closed-form points, so tol has no effect: a tol
+        # under the rounding of x and y gives the trace of a loose one.
         res = trace_orthogonal(TraceConfig(start=start, initial_slope_hint=hint, **kw))
         assert res.end_reasons == ends
         assert res.potential_drift <= 1e-10
-
-    def test_steps_follow_tol_not_the_sample_spacing(self):
-        # The samples are interpolated at the spacing, so the step sizes,
-        # and with them the cost, follow tol alone.
-        fine = parabola_steps(step=0.01)
-        coarse = parabola_steps(step=0.5)
-        assert fine <= 400
-        assert abs(fine - coarse) <= 0.1 * max(fine, coarse)
-
-    def test_tighter_tol_takes_more_steps(self):
-        assert parabola_steps(tol=1e-10) > parabola_steps(tol=1e-8)
+        loose = trace_orthogonal(TraceConfig(start=start, initial_slope_hint=hint, tol=1.0))
+        assert res == loose
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
@@ -312,7 +237,7 @@ class TestTraceOrthogonal:
     @pytest.mark.parametrize("name", ["step", "max_arc", "tol"])
     def test_non_finite_config_is_rejected(self, name):
         # step=inf spun for seconds, max_arc=inf ran to the step limit and
-        # tol=inf accepted every step.
+        # tol=inf accepted every step, when an integrator made the samples.
         for value in (math.inf, math.nan):
             with pytest.raises(DomainError, match=name):
                 TraceConfig(start=Point(1.0, 2.0), **{name: value})
@@ -341,95 +266,25 @@ class TestTraceOrthogonal:
             TraceConfig(start=Point(1.0, 2.0), domain=domain)
 
 
-def main_potential(pt, p):
-    # The normal offset of the sample from the parabola point P(q).
-    q = 1.0 / p
-    return (q * (pt.y - q) - pt.x) / math.sqrt(1.0 + q * q)
-
-
-@pytest.mark.parametrize(
-    "trace,start,hint,p0,potential",
-    [
-        pytest.param(trace_orthogonal, Point(1.0, 2.0), 1.0, 1.0, main_potential, id="orthogonal"),
-        pytest.param(
-            lambda cfg: trace_classic("monopole", cfg),
-            Point(3.0, 4.0),
-            None,
-            -0.75,
-            lambda pt, _p: pt.x * pt.x + pt.y * pt.y,
-            id="monopole",
-        ),
-    ],
-)
-@pytest.mark.parametrize(
-    "kw,end",
-    [
-        ({}, "arc-limit"),
-        # At a spacing this coarse every sample ends its step.
-        ({"step": 1.0}, "arc-limit"),
-    ],
-    ids=["arc", "coarse"],
-)
-def test_samples_and_drift_in_one_pass(trace, start, hint, p0, potential, kw, end):
-    # The samples and the drift are made inside the march; recompute the
-    # drift from the merged samples, with the start's p as the slope.
-    res = trace(TraceConfig(start=start, initial_slope_hint=hint, max_arc=20.0, **kw))
-    assert res.end_reasons == (end, end)
+# The hint is the start's slope root itself.
+@pytest.mark.parametrize("trace,start,p0", TRACERS)
+@pytest.mark.parametrize("kw", [{}, {"step": 1.0}], ids=["arc", "coarse"])
+def test_samples_and_drift_in_one_pass(trace, start, p0, kw):
+    # The drift is max |F - C| over the samples, made inside the walk
+    # from each sample's own q; recomputed from the merged samples with
+    # q = 1/p, which can differ from the walk's q by an ulp, it agrees to
+    # the rounding of F.
+    res = trace(TraceConfig(start=start, initial_slope_hint=p0, max_arc=20.0, **kw))
+    assert res.end_reasons == ("arc-limit", "arc-limit")
     assert all(type(pt) is Point for pt, _ in res.samples)
     assert res.samples.count((start, p0)) == 1
     assert [pt for pt, _ in res.samples].count(start) == 1
-    f0 = potential(start, p0)
-    assert res.potential_drift == max(abs(potential(pt, p) - f0) for pt, p in res.samples)
 
+    def offset(pt, p):
+        q = 1.0 / p
+        return (q * (pt.y - q) - pt.x) / math.sqrt(1.0 + q * q)
 
-class TestTraceClassic:
-    @pytest.mark.parametrize(
-        "kind,start,level",
-        [
-            ("hyperbola-pair", Point(1.0, 1.0), 1.0),
-            ("monopole", Point(3.0, 4.0), 25.0),
-            ("shifted-monopole", Point(0.0, 1.0), 2.0),
-        ],
-    )
-    def test_conserved_quantity(self, kind, start, level):
-        cfg = TraceConfig(start=start, max_arc=30.0)
-        res = trace_classic(kind, cfg)
-        assert res.potential_drift <= 1e-6
-        conserved = {
-            "hyperbola-pair": lambda x, y: x * y,
-            "monopole": lambda x, y: x * x + y * y,
-            "shifted-monopole": lambda x, y: (x + 1.0) ** 2 + y * y,
-        }[kind]
-        for pt, _ in res.samples:
-            assert conserved(pt.x, pt.y) == pytest.approx(level, abs=1e-6)
-
-    def test_monopole_closes_circle(self):
-        # Arc budget exceeds the circumference, so samples cover all
-        # quadrants of x^2 + y^2 = 25.
-        res = trace_classic("monopole", TraceConfig(start=Point(3.0, 4.0), max_arc=20.0))
-        quadrants = {(pt.x > 0, pt.y > 0) for pt, _ in res.samples}
-        assert len(quadrants) == 4
-
-    def test_stall_is_singularity(self):
-        # Starting 1e-7 from the monopole's centre, the field turns faster
-        # than the smallest step can follow: both ends stall.
-        start = Point(1e-7, 0.0)
-        res = trace_classic("monopole", TraceConfig(start=start, max_arc=1.0))
-        assert res.end_reasons == ("singularity", "singularity")
-        assert res.terminated_by == "singularity"
-
-    def test_singular_start(self):
-        with pytest.raises(DomainError):
-            trace_classic("monopole", TraceConfig(start=Point(0.0, 0.0)))
-        with pytest.raises(DomainError):
-            trace_classic("shifted-monopole", TraceConfig(start=Point(-1.0, 0.0)))
-
-    def test_start_checked_like_trace_orthogonal(self):
-        with pytest.raises(DomainError, match="TraceConfig.start is required"):
-            trace_classic("monopole", TraceConfig())
-        with pytest.raises(DomainError, match="start must be finite"):
-            trace_classic("monopole", TraceConfig(start=Point(math.nan, 1.0)))
-
-    def test_unknown_kind(self):
-        with pytest.raises(DomainError):
-            trace_classic("dipole", TraceConfig(start=Point(1.0, 1.0)))
+    f0 = offset(start, p0)
+    recomputed = max(abs(offset(pt, p) - f0) for pt, p in res.samples)
+    scale = max(abs(1.0 / p) * (abs(pt.y) + abs(1.0 / p)) + abs(pt.x) for pt, p in res.samples)
+    assert abs(res.potential_drift - recomputed) <= 8.0 * sys.float_info.epsilon * scale
