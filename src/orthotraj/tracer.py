@@ -33,6 +33,11 @@ at q = 0 (p = +-inf) unless the start does.  The drift is the largest
 |(q (y - q) - x) / s - C| over the samples: the normal offset, exactly C
 on member C, so the drift is the rounding of the samples alone.
 
+``trace_classic`` walks the two monopole textbook fixtures the same
+way: their orthogonal trajectories are circles, so a leg's samples are
+equally spaced in angle up to its arc budget, and the drift is that of
+the circle's conserved quantity.
+
 A trace ends where each leg spends its arc budget: ``arc-limit``.
 """
 
@@ -97,7 +102,7 @@ class TraceResult(NamedTuple):
     read ``arc-limit``, as each leg spends its arc budget.
     ``potential_drift`` is max |F - C| over all samples of the normal
     offset F = (q (y - q) - x) / sqrt(1 + q^2), q = 1/p, which equals C
-    all along member C.
+    all along member C; for classic traces, of their conserved quantity.
     """
 
     samples: list
@@ -193,6 +198,16 @@ def _leg(C: float, q0: float, sigma: float, cuts: list, step: float, budget: flo
     return out, drift
 
 
+def _start(cfg: TraceConfig) -> tuple:
+    """The finite start (x0, y0) of ``cfg``; DomainError when missing."""
+    if cfg.start is None:
+        raise DomainError("TraceConfig.start is required")
+    x0, y0 = float(cfg.start[0]), float(cfg.start[1])
+    if not (math.isfinite(x0) and math.isfinite(y0)):
+        raise DomainError(f"start must be finite, got ({x0!r}, {y0!r})")
+    return x0, y0
+
+
 def trace_orthogonal(cfg: TraceConfig) -> TraceResult:
     """Trace the orthogonal trajectory through ``cfg.start``.
 
@@ -201,11 +216,7 @@ def trace_orthogonal(cfg: TraceConfig) -> TraceResult:
     magnitude when no hint is given.  The trace then extends in both
     directions until each spends its arc budget.
     """
-    if cfg.start is None:
-        raise DomainError("TraceConfig.start is required")
-    x0, y0 = float(cfg.start[0]), float(cfg.start[1])
-    if not (math.isfinite(x0) and math.isfinite(y0)):
-        raise DomainError(f"start must be finite, got ({x0!r}, {y0!r})")
+    x0, y0 = _start(cfg)
     rs = slopes_at(x0, y0)
     if len(rs) == 0:
         raise NoBranchError(f"no real slope at start ({x0!r}, {y0!r})")
@@ -233,3 +244,41 @@ def trace_orthogonal(cfg: TraceConfig) -> TraceResult:
     ]
     start = (tuple.__new__(Point, (x0, y0)), p0)
     return TraceResult(samples=back[::-1] + [start] + fwd, potential_drift=max(d_back, d_fwd))
+
+
+# Classic textbook pairs: the centre cx of the field (y, -(x - cx)),
+# orthogonal to the lines through (cx, 0); its trajectories are the
+# circles about (cx, 0), which conserve (x - cx)^2 + y^2.
+_CLASSIC = {"monopole": 0.0, "shifted-monopole": -1.0}
+
+
+def trace_classic(kind: str, cfg: TraceConfig) -> TraceResult:
+    """Trace a classic orthogonal-trajectory fixture through ``cfg.start``.
+
+    kind 'monopole' traces y' = -x/y (orthogonal to the lines y = m x,
+    conserving x^2 + y^2); 'shifted-monopole' traces y' = -(x+1)/y
+    (conserving (x+1)^2 + y^2).  Each leg walks the circle's angle in n
+    equal steps, at most 2 ``step`` of arc each, to its arc budget; the
+    forward leg follows the field, clockwise.  The start must avoid the
+    field's singular point, the centre.
+    """
+    if kind not in _CLASSIC:
+        raise DomainError(f"unknown classic kind {kind!r}")
+    cx = _CLASSIC[kind]
+    x0, y0 = _start(cfg)
+    r = math.hypot(x0 - cx, y0)
+    if r < 1e-12:
+        raise DomainError(f"start {cfg.start!r} is singular for {kind!r}")
+    f0 = (x0 - cx) * (x0 - cx) + y0 * y0
+    a0, n = math.atan2(y0, x0 - cx), math.ceil(cfg.max_arc / (2.0 * cfg.step))
+    legs, drift = [], 0.0
+    for sigma in (1.0, -1.0):  # backward, counter-clockwise, then forward
+        out = []
+        for i in range(n + 1):
+            a = a0 + sigma * (cfg.max_arc / r) * i / n
+            x, y = (cx + r * math.cos(a), r * math.sin(a)) if i else (x0, y0)
+            # The slope vy / vx of the field (vx, vy) = (y, -(x - cx)).
+            out.append((Point(x, y), (cx - x) / y if y else math.copysign(math.inf, cx - x)))
+            drift = max(drift, abs((x - cx) * (x - cx) + y * y - f0))
+        legs.append(out)
+    return TraceResult(samples=legs[0][:0:-1] + legs[1], potential_drift=drift)

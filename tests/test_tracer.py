@@ -22,14 +22,20 @@ Covers:
     and of D = 3q^2 + 2 - x
   - the drift equals max |F - C| recomputed from the samples to the
     rounding of q = 1/p, the start sample appears once, and every sample
-    point is a Point
+    point is a Point (main trace, and a classic fixture, whose drift is
+    recomputed exactly); a sample off its member shows in the drift
+  - classic fixtures: both tracers share the sample spacing and end
+    properties, and the monopole circles conserve x^2 + y^2 and
+    (x+1)^2 + y^2 and close
   - error cases: no slope branch, a start slope from ``slopes_at`` that
-    does not solve the cubic (p = 0 or spurious), a missing or non-finite
-    start, bad config (non-positive or non-finite step, max_arc or tol, a
+    does not solve the cubic (p = 0 or spurious), singular or unknown
+    classic start, a missing or non-finite start for either tracer, bad
+    config (non-positive or non-finite step, max_arc or tol, a
     nan slope hint), and a ``domain`` keyword, as TraceConfig has no box
 """
 import math
 import sys
+import types
 
 import pytest
 
@@ -44,6 +50,8 @@ from orthotraj import (
     ode_o_residual,
     trace_orthogonal,
 )
+from orthotraj import tracer
+from orthotraj.tracer import trace_classic
 
 
 def closed_form_gap(curve, result):
@@ -61,13 +69,21 @@ def closed_form_gap(curve, result):
 
 
 # Each case is (trace(cfg), start, hint).
-TRACERS = [pytest.param(trace_orthogonal, Point(1.0, 2.0), 1.0, id="orthogonal")]
+TRACERS = [
+    pytest.param(trace_orthogonal, Point(1.0, 2.0), 1.0, id="orthogonal"),
+    pytest.param(
+        lambda cfg: trace_classic("monopole", cfg),
+        Point(3.0, 4.0),
+        None,
+        id="classic",
+    ),
+]
 
 
 @pytest.mark.parametrize("trace,start,hint", TRACERS)
 class TestSharedStepper:
-    """The walk that both legs of a trace share: its sample spacing and
-    where it ends."""
+    """What both tracers' walks share: their sample spacing and where
+    they end."""
 
     def test_sample_spacing(self, trace, start, hint):
         cfg = TraceConfig(start=start, initial_slope_hint=hint, max_arc=20.0)
@@ -226,6 +242,17 @@ class TestTraceOrthogonal:
         loose = trace_orthogonal(TraceConfig(start=start, initial_slope_hint=hint, tol=1.0))
         assert res == loose
 
+    def test_drift_sees_an_error_off_the_curve(self, monkeypatch):
+        # The offset drift is blind to phase error along the curve, not to
+        # error across it: a sqrt 1e-6 too large moves each sample of the
+        # C = 3 member along its normal by about 3e-6.
+        kicked = types.SimpleNamespace(**vars(math))
+        kicked.sqrt = lambda v: math.sqrt(v) * (1.0 + 1e-6)
+        monkeypatch.setattr(tracer, "math", kicked)
+        start = curve_point(TrajectoryCurve(3.0), 1.0)
+        cfg = TraceConfig(start=start, initial_slope_hint=1.0, max_arc=20.0)
+        assert trace_orthogonal(cfg).potential_drift > 10.0 * 1e-8
+
     def test_config_validation(self):
         with pytest.raises(DomainError):
             TraceConfig(start=Point(0.0, 3.0), step=0.0)
@@ -266,25 +293,95 @@ class TestTraceOrthogonal:
             TraceConfig(start=Point(1.0, 2.0), domain=domain)
 
 
-# The hint is the start's slope root itself.
-@pytest.mark.parametrize("trace,start,p0", TRACERS)
+def offset(pt, p):
+    # The normal offset of the sample from the parabola point P(q).
+    q = 1.0 / p
+    return (q * (pt.y - q) - pt.x) / math.sqrt(1.0 + q * q)
+
+
+def offset_rounding(pt, p):
+    # The rounding of ``offset``: its q = 1/p can differ from the walk's
+    # q by an ulp.
+    q = abs(1.0 / p)
+    return 8.0 * sys.float_info.epsilon * (q * (abs(pt.y) + q) + abs(pt.x))
+
+
+@pytest.mark.parametrize(
+    "trace,start,hint,p0,potential,rounding",
+    [
+        pytest.param(
+            trace_orthogonal, Point(1.0, 2.0), 1.0, 1.0, offset, offset_rounding, id="orthogonal"
+        ),
+        pytest.param(
+            lambda cfg: trace_classic("monopole", cfg),
+            Point(3.0, 4.0),
+            None,
+            -0.75,
+            lambda pt, _p: pt.x * pt.x + pt.y * pt.y,
+            lambda _pt, _p: 0.0,
+            id="monopole",
+        ),
+    ],
+)
 @pytest.mark.parametrize("kw", [{}, {"step": 1.0}], ids=["arc", "coarse"])
-def test_samples_and_drift_in_one_pass(trace, start, p0, kw):
-    # The drift is max |F - C| over the samples, made inside the walk
-    # from each sample's own q; recomputed from the merged samples with
-    # q = 1/p, which can differ from the walk's q by an ulp, it agrees to
-    # the rounding of F.
-    res = trace(TraceConfig(start=start, initial_slope_hint=p0, max_arc=20.0, **kw))
+def test_samples_and_drift_in_one_pass(trace, start, hint, p0, potential, rounding, kw):
+    # The drift is max |F - F0| over the samples, made inside the walk;
+    # recomputed from the merged samples, with the start's p as the
+    # slope, it agrees to the rounding of F: exactly for the monopole,
+    # whose F is made from the sample point alone.
+    res = trace(TraceConfig(start=start, initial_slope_hint=hint, max_arc=20.0, **kw))
     assert res.end_reasons == ("arc-limit", "arc-limit")
     assert all(type(pt) is Point for pt, _ in res.samples)
     assert res.samples.count((start, p0)) == 1
     assert [pt for pt, _ in res.samples].count(start) == 1
+    f0 = potential(start, p0)
+    recomputed = max(abs(potential(pt, p) - f0) for pt, p in res.samples)
+    slack = max(rounding(pt, p) for pt, p in res.samples)
+    assert abs(res.potential_drift - recomputed) <= slack
 
-    def offset(pt, p):
-        q = 1.0 / p
-        return (q * (pt.y - q) - pt.x) / math.sqrt(1.0 + q * q)
 
-    f0 = offset(start, p0)
-    recomputed = max(abs(offset(pt, p) - f0) for pt, p in res.samples)
-    scale = max(abs(1.0 / p) * (abs(pt.y) + abs(1.0 / p)) + abs(pt.x) for pt, p in res.samples)
-    assert abs(res.potential_drift - recomputed) <= 8.0 * sys.float_info.epsilon * scale
+class TestTraceClassic:
+    @pytest.mark.parametrize(
+        "kind,start,level",
+        [
+            ("monopole", Point(3.0, 4.0), 25.0),
+            ("shifted-monopole", Point(0.0, 1.0), 2.0),
+        ],
+        ids=["monopole-start1-25.0", "shifted-monopole-start2-2.0"],
+    )
+    def test_conserved_quantity(self, kind, start, level):
+        cfg = TraceConfig(start=start, max_arc=30.0)
+        res = trace_classic(kind, cfg)
+        assert res.potential_drift <= 1e-6
+        conserved = {
+            "monopole": lambda x, y: x * x + y * y,
+            "shifted-monopole": lambda x, y: (x + 1.0) ** 2 + y * y,
+        }[kind]
+        for pt, _ in res.samples:
+            assert conserved(pt.x, pt.y) == pytest.approx(level, abs=1e-6)
+
+    def test_monopole_closes_circle(self):
+        # Arc budget exceeds the circumference, so samples cover all
+        # quadrants of x^2 + y^2 = 25.
+        res = trace_classic("monopole", TraceConfig(start=Point(3.0, 4.0), max_arc=20.0))
+        quadrants = {(pt.x > 0, pt.y > 0) for pt, _ in res.samples}
+        assert len(quadrants) == 4
+
+    def test_singular_start(self):
+        with pytest.raises(DomainError):
+            trace_classic("monopole", TraceConfig(start=Point(0.0, 0.0)))
+        with pytest.raises(DomainError):
+            trace_classic("shifted-monopole", TraceConfig(start=Point(-1.0, 0.0)))
+
+    def test_start_checked_like_trace_orthogonal(self):
+        with pytest.raises(DomainError, match="TraceConfig.start is required"):
+            trace_classic("monopole", TraceConfig())
+        with pytest.raises(DomainError, match="start must be finite"):
+            trace_classic("monopole", TraceConfig(start=Point(math.nan, 1.0)))
+
+    def test_unknown_kind(self):
+        # The hyperbola pair's trajectories xy = const have no closed-form
+        # arc, so it is no fixture.
+        for kind in ("dipole", "hyperbola-pair"):
+            with pytest.raises(DomainError):
+                trace_classic(kind, TraceConfig(start=Point(1.0, 1.0)))
