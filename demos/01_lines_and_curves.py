@@ -14,8 +14,6 @@ right angle.  The whole family is
 one curve per real C, with C = 0 giving back the parabola.
 """
 
-import numpy as np
-
 from orthotraj import (
     PARABOLA_NORMALS,
     TrajectoryCurve,
@@ -26,6 +24,7 @@ from orthotraj import (
     ode_c_residual,
     ode_o_residual,
 )
+from orthotraj.core_model import linspace
 
 # A few members of the line family.
 print("lines y = m x - 2m - m^3:")
@@ -43,8 +42,8 @@ for x in (-2.0, 0.0, 4.0):
 # The C = 0 member is the parabola y^2 = 4x.
 print("\nC = 0 member:")
 parabola = TrajectoryCurve(0.0)
-for t in np.linspace(-2, 2, 5):
-    x, y = curve_point(parabola, float(t))
+for t in linspace(-2.0, 2.0, 5):
+    x, y = curve_point(parabola, t)
     print(f"  t = {t:+.1f}: point ({x:+.4f}, {y:+.4f}),  y^2 - 4x = {y*y - 4*x:+.1e}")
 
 # Every member satisfies the orthogonal-family ODE
@@ -53,9 +52,9 @@ print("\nimplicit ODE residual along members (p = 1/t):")
 for C in (-4.0, -1.0, 2.0):
     curve = TrajectoryCurve(C)
     worst = 0.0
-    for t in np.linspace(0.2, 4.0, 200):
-        x, y = curve_point(curve, float(t))
-        worst = max(worst, abs(ode_o_residual(x, y, 1.0 / float(t))))
+    for t in linspace(0.2, 4.0, 200):
+        x, y = curve_point(curve, t)
+        worst = max(worst, abs(ode_o_residual(x, y, 1.0 / t)))
     print(f"  C = {C:+g}: max |residual| = {worst:.2e}")
 
 # The slope of a member is 1/t regardless of C: the whole family shares

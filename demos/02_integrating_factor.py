@@ -16,8 +16,6 @@ Solving F = C for y and back-substituting for x produces the parametric
 curve family checked here numerically.
 """
 
-import numpy as np
-
 from orthotraj import (
     TrajectoryCurve,
     curve_point,
@@ -28,13 +26,14 @@ from orthotraj import (
     scaled_form,
     solve_for_xy,
 )
+from orthotraj.core_model import linspace
 
 raw = raw_form()
 scaled = scaled_form()
 
 print("the raw form is NOT exact; its defect is exactly 2p^2 + 1:")
 for p in (0.5, 1.0, 2.0, -3.0):
-    d = exactness_defect(raw, 0.0, p, 5e-5)
+    d = exactness_defect(raw, 0.0, p)
     print(f"  p = {p:+g}: defect = {d:+.8f}   (2p^2+1 = {2*p*p + 1:+g})")
 
 print("\nthe integrating factor mu(p) = 1/(p sqrt(1+p^2)):")
@@ -43,12 +42,12 @@ for p in (0.5, 1.0, 2.0):
 
 print("\nafter scaling by mu the defect collapses:")
 for p in (0.5, 1.0, 2.0, -3.0):
-    d = exactness_defect(scaled, 0.0, p, 5e-5)
+    d = exactness_defect(scaled, 0.0, p)
     print(f"  p = {p:+g}: defect = {d:+.2e}")
 
 print("\nthe potential F is constant on each solution:")
 for C in (-2.0, 0.0, 3.0):
-    levels = [potential(solve_for_xy(p, C).y, p) for p in np.linspace(0.2, 5.0, 9)]
+    levels = [potential(solve_for_xy(p, C).y, p) for p in linspace(0.2, 5.0, 9)]
     print(f"  C = {C:+g}: F over the solution = {min(levels):.12f} .. {max(levels):.12f}")
 
 print("\nparametric solution vs the t-parametrization (t = 1/p):")

@@ -13,7 +13,7 @@ root.  The solver is closed-form (trigonometric / Cardano) with a Newton
 polish.
 """
 
-import numpy as np
+import random
 
 from orthotraj import bracketed_root, slopes_at
 
@@ -24,10 +24,10 @@ for x, y in ((1.0, 2.0), (3.0, 0.0), (1.0, 0.0), (-2.0, 0.5), (5.0, -1.0)):
     print(f"  ({x:+g}, {y:+g}): {pretty if rs.roots else 'no real slope'}")
 
 print("\nhow many curves pass through random points?")
-rng = np.random.default_rng(1)
+rng = random.Random(1)
 counts = {0: 0, 1: 0, 2: 0, 3: 0}
 for _ in range(20_000):
-    rs = slopes_at(float(rng.uniform(-10, 10)), float(rng.uniform(-10, 10)))
+    rs = slopes_at(rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0))
     counts[sum(rs.multiplicities)] += 1
 for k in sorted(counts):
     print(f"  {k} slope(s): {counts[k]:6d} points")

@@ -422,7 +422,7 @@ def _cmd_intersect(params):
         tag = "orthogonal" if rec.orthogonal else "non-orthogonal"
         sp = "inf" if math.isinf(rec.slope_product) else f"{rec.slope_product:.9g}"
         print(
-            f"  t = {rec.t: .9f}  point = ({rec.point.x: .9f}, {rec.point.y: .9f})  "
+            f"  t = {rec.t: .9g}  point = ({rec.point.x: .9g}, {rec.point.y: .9g})  "
             f"slope product = {sp}  [{tag}]"
         )
     results = [

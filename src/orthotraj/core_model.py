@@ -107,6 +107,13 @@ def _require_finite(value: float, name: str) -> float:
     return value
 
 
+def _require_finite_step(value, name: str) -> None:
+    """``_require_finite`` that also passes a finite complex step t + iH."""
+    z = complex(value)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise DomainError(f"{name} must be finite, got {value!r}")
+
+
 def line_at(family: LineFamily, m: float) -> Line:
     """The member of ``family`` with slope m."""
     m = _require_finite(m, "m")
@@ -120,10 +127,15 @@ def _g(C: float, t: float) -> float:
 
 def curve_point(curve: TrajectoryCurve, t: float) -> Point:
     """Evaluate (x(t), y(t)) on the curve with constant ``curve.C``, as
-    P(t) + C n(t) with n_y = t / s formed first: C t alone can overflow."""
-    t = _require_finite(t, "t")
+    P(t) + C n(t) with n_y = t / s formed first: C t alone can overflow.
+    At a complex step t + iH its imaginary parts are H (dx/dt, dy/dt)."""
+    try:
+        t = _require_finite(t, "t")
+        s = math.sqrt(1.0 + t * t)
+    except TypeError:
+        _require_finite_step(t, "t")
+        s = (1.0 + t * t) ** 0.5
     C = curve.C
-    s = math.sqrt(1.0 + t * t)
     return Point(t * t - C / s, 2.0 * t + C * (t / s))
 
 

@@ -18,7 +18,7 @@ class OrthoTrajError(Exception):
 
 class DomainError(OrthoTrajError, ValueError):
     """Input lies outside the mathematical domain of an operation
-    (non-finite value, p = 0 singularity, stencil crossing p = 0, ...)."""
+    (non-finite value, p = 0 singularity, ...)."""
 
 
 class DegeneratePointError(OrthoTrajError, ValueError):

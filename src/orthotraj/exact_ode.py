@@ -26,13 +26,13 @@ of the family merges the two sign branches of the level sets.
 Everything is a pure scalar function; the whole (y, p) domain excludes
 p = 0, where mu and F blow up (the curves cross the x-axis vertically),
 and a non-finite y or p, which raise ``DomainError`` rather than return
-nan or inf.
+nan or inf.  The two forms also take a complex step in y or p.
 """
 
 import math
 from typing import Callable, NamedTuple
 
-from .core_model import Point
+from .core_model import Point, _require_finite, _require_finite_step
 from .errors import DomainError
 
 __all__ = [
@@ -54,25 +54,33 @@ class DifferentialForm(NamedTuple):
     description: str
 
 
-def _check(p: float, y: float = 0.0) -> None:
-    """DomainError unless p is finite and nonzero and y is finite."""
+# f'(x) = Im f(x + iH) / H, the complex step: no difference, so exact to
+# rounding for any tiny H; a power of two divides exactly.
+_H = 2.0**-500
+
+
+def _check(p: float, y: float = 0.0, require=_require_finite) -> None:
+    """DomainError unless p is nonzero and p and y pass ``require``."""
     if p == 0.0:
         raise DomainError(f"p must be nonzero, got {p!r}")
-    if not math.isfinite(p):
-        raise DomainError(f"p must be finite, got {p!r}")
-    if not math.isfinite(y):
-        raise DomainError(f"y must be finite, got {y!r}")
+    require(p, "p")
+    require(y, "y")
+
+
+def _sqrt(z):
+    """math.sqrt, or the principal root of a complex step."""
+    return z**0.5 if isinstance(z, complex) else math.sqrt(z)
 
 
 def raw_form() -> DifferentialForm:
     """The non-exact form (p^3 + p) dy + (y p^2 + 2/p) dp = 0."""
 
     def M(y: float, p: float) -> float:
-        _check(p, y)
+        _check(p, y, _require_finite_step)
         return p * p * p + p
 
     def N(y: float, p: float) -> float:
-        _check(p, y)
+        _check(p, y, _require_finite_step)
         return y * p * p + 2.0 / p
 
     return DifferentialForm(M=M, N=N, description="(p^3+p) dy + (y p^2 + 2/p) dp")
@@ -91,31 +99,26 @@ def scaled_form() -> DifferentialForm:
     """
 
     def M(y: float, p: float) -> float:
-        _check(p, y)
-        return math.sqrt(1.0 + p * p)
+        _check(p, y, _require_finite_step)
+        return _sqrt(1.0 + p * p)
 
     def N(y: float, p: float) -> float:
-        _check(p, y)
-        return (p * y + 2.0 / (p * p)) / math.sqrt(1.0 + p * p)
+        _check(p, y, _require_finite_step)
+        return (p * y + 2.0 / (p * p)) / _sqrt(1.0 + p * p)
 
     return DifferentialForm(
         M=M, N=N, description="sqrt(1+p^2) dy + (p y + 2/p^2)/sqrt(1+p^2) dp"
     )
 
 
-def exactness_defect(form: DifferentialForm, y: float, p: float, h: float = 1e-6) -> float:
-    """Central-difference estimate of dM/dp - dN/dy at (y, p).
+def exactness_defect(form: DifferentialForm, y: float, p: float) -> float:
+    """dM/dp - dN/dy at (y, p), each derivative by a complex step.
 
-    Zero (to truncation error) iff the form is exact there.  The stencil
-    must not straddle the p = 0 singularity.
+    Zero (to rounding) iff the form is exact there.  p = 0 and a
+    non-finite y or p raise ``DomainError``.
     """
-    if not h > 0.0:
-        raise DomainError(f"step h must be positive, got {h!r}")
-    if abs(p) <= h:
-        raise DomainError(f"stencil at p={p!r} with h={h!r} crosses p = 0")
-    dM_dp = (form.M(y, p + h) - form.M(y, p - h)) / (2.0 * h)
-    dN_dy = (form.N(y + h, p) - form.N(y - h, p)) / (2.0 * h)
-    return dM_dp - dN_dy
+    _check(p, y)
+    return (form.M(y, complex(p, _H)).imag - form.N(complex(y, _H), p).imag) / _H
 
 
 def potential(y: float, p: float) -> float:
@@ -135,7 +138,6 @@ def solve_for_xy(p: float, C: float) -> Point:
     Equals ``curve_point(TrajectoryCurve(C), 1/p)`` for p > 0.
     """
     _check(p)
-    if not math.isfinite(C):
-        raise DomainError(f"C must be finite, got {C!r}")
+    C = _require_finite(C, "C")
     s = math.sqrt(1.0 + p * p)
     return Point(1.0 / (p * p) - C * p / s, 2.0 / p + C / s)

@@ -32,10 +32,10 @@ __all__ = [
 class IntersectionRecord(NamedTuple):
     """One line-curve crossing.
 
-    ``slope_product`` is m times the curve slope 1/t: ``math.inf`` at
-    t = 0 (a vertical tangent) and nan at a cusp, where the curve has no
-    slope.  ``orthogonal`` is True for the foot t = -m alone, unless the
-    foot is a cusp.
+    ``slope_product`` is m times the curve slope 1/t, never -0.0:
+    ``math.inf`` at t = 0 (a vertical tangent) and nan at a cusp, where the
+    curve has no slope.  ``orthogonal`` is True for the foot t = -m alone,
+    unless the foot is a cusp.
     """
 
     t: float
@@ -84,10 +84,10 @@ def intersections(m: float, curve: TrajectoryCurve, t_min: float, t_max: float):
     if not (t_min < t_max and math.isfinite(t_max - t_min)):
         raise DomainError(f"need a finite window t_min < t_max, got [{t_min!r}, {t_max!r}]")
     C = curve.C
-    a = 2.0 + m * m
 
     def h(t: float) -> float:
-        return a - m * t + C / math.sqrt(1.0 + t * t)
+        # m (m - t), not m^2 - m t: that is inf - inf = nan for |m| > 1.3e154.
+        return 2.0 + m * (m - t) + C / math.sqrt(1.0 + t * t)
 
     extrema = [(0.5 * m, 4.0, 4.0)] + ([(1.0 / m, 1.0, abs(m))] if m else [])
     ends = [(t, (f > 0.0) - (f < 0.0)) for t in (t_min, t_max) for f in [h(t)]]
@@ -111,7 +111,7 @@ def intersections(m: float, curve: TrajectoryCurve, t_min: float, t_max: float):
     records = []
     for t in roots:
         at = sample(curve, t)
-        product = (m / t if t else math.inf) if at.regular else math.nan
+        product = (m / t + 0.0 if t else math.inf) if at.regular else math.nan
         records.append(IntersectionRecord(t, at.point, product, t == -m and at.regular))
     return records
 

@@ -3,7 +3,7 @@
 Each suite checks one claim at its stated tolerance and reports
 structured pass/fail results.  The suites back both the ``verify`` CLI
 subcommand and the acceptance test module; each embeds its own
-independent reference (closed forms, finite differences, conserved
+independent reference (closed forms, complex-step derivatives, conserved
 quantities, brute-force scans) rather than trusting the code path it
 exercises.  Every "worst residual <= tol" check is built by ``_bound``,
 which writes the tolerance into the check's name once and fails on a nan
@@ -29,7 +29,7 @@ from .core_model import (
     ode_o_residual,
     orthogonal_foot,
 )
-from .exact_ode import (exactness_defect, integrating_factor, potential, raw_form,
+from .exact_ode import (_H, exactness_defect, integrating_factor, potential, raw_form,
                         scaled_form, solve_for_xy)
 from .geometry_analysis import classify_conic, conic_fit, intersections
 from .tracer import TraceConfig, trace_orthogonal
@@ -73,10 +73,6 @@ def suite_exactness():
     raw = raw_form()
     scaled = scaled_form()
     grid = _grid_yp()
-    # Step 5e-5 balances h^2 truncation against eps*|M|/h rounding
-    # (|M|, |N| reach ~10^3 at the grid corners); the default 1e-6 step
-    # is rounding-dominated there and cannot reach the 1e-8 tolerance.
-    h = 5e-5
     # Each gap relative to its term's scale: M~ = sqrt(1+p^2) and
     # (|p y| + 2/p^2) / sqrt(1+p^2), the sum of N~'s two terms.  Both
     # M read p alone, so the M gap runs over the grid's distinct p.
@@ -87,9 +83,9 @@ def suite_exactness():
     tol_mu = 1e-14
     return [
         _bound("raw form defect equals 2p^2+1", 1e-8, "max |defect - (2p^2+1)|",
-               (abs(exactness_defect(raw, y, p, h) - (2.0 * p * p + 1.0)) for y, p in grid)),
+               (abs(exactness_defect(raw, y, p) - (2.0 * p * p + 1.0)) for y, p in grid)),
         _bound("scaled form is exact", 1e-8, "max |defect|",
-               (abs(exactness_defect(scaled, y, p, h)) for y, p in grid)),
+               (abs(exactness_defect(scaled, y, p)) for y, p in grid)),
         CheckResult(
             f"scaled form = mu(p) * raw form (rel tol {tol_mu:g})",
             gap_M <= tol_mu and gap_N <= tol_mu,
@@ -148,21 +144,11 @@ def _right_angle_defect(m: float, v) -> float:
     return abs(vx + m * vy) / norm if norm else math.inf
 
 
-def _difference_tangent(curve: TrajectoryCurve, t: float, h: float = 1e-3):
-    """The tangent at t by a 4th-order central difference of ``curve_point``.
-
-    At the foot t = -m, ``curve_velocity`` is (t g, g), so v . (1, m) =
-    (t + m) g is exactly 0 there whatever the curve: it cannot measure
-    the angle that the points make."""
-    a, b, c, d = (curve_point(curve, t + k * h) for k in (2.0, 1.0, -1.0, -2.0))
-    return ((-a.x + 8.0 * b.x - 8.0 * c.x + d.x) / (12.0 * h),
-            (-a.y + 8.0 * b.y - 8.0 * c.y + d.y) / (12.0 * h))
-
-
 def suite_orthogonality():
-    """Foot incidence, the tangent at the foot t = -m (by central
-    differences of the points), and crossing uniqueness (on the curve's
-    velocity)."""
+    """Foot incidence; the tangent at the foot t = -m, read as H v from the
+    imaginary parts of the point at the complex step t + iH (the angle does
+    not depend on H), since the velocity (t g, g) has v . (1, m) = (t + m) g
+    = 0 at the foot whatever the points; and crossing uniqueness (on v)."""
     pairs = _random_foot_pairs()
     unique_failures = 0
     for m, C in pairs:
@@ -178,8 +164,8 @@ def suite_orthogonality():
                f" over {len(pairs)} pairs"),
         _bound("curve tangent at the foot is normal to the line", 1e-9,
                "max |v . (1, m)| / (|v| sqrt(1 + m^2))",
-               (_right_angle_defect(m, _difference_tangent(TrajectoryCurve(C), -m))
-                for m, C in pairs)),
+               (_right_angle_defect(m, (z.x.imag, z.y.imag)) for m, C in pairs
+                for z in [curve_point(TrajectoryCurve(C), complex(-m, _H))])),
         CheckResult(
             "exactly one right-angle crossing per (m, C) on [-10, 10], at t = -m",
             unique_failures == 0,

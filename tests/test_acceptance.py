@@ -10,9 +10,9 @@ to see them).  Tolerances live in the suites; nothing is loosened here.
   2. potential/parametrization consistency (1e-9 / 1e-12)
   3. on-curve identity of the implicit slope equation (1e-9 relative)
   4. orthogonality at scale: 1000 random (m, C) feet (incidence, and
-     the curve's tangent, by 4th-order central differences of its points,
-     normal to the line, to 1e-9) and exactly one crossing at a right
-     angle each (on the velocity), at t = -m
+     the curve's tangent, by a complex step of its points, normal to the
+     line, to 1e-9) and exactly one crossing at a right angle each (on
+     the velocity), at t = -m
   5. the non-orthogonal second crossing of (m=1, C=0) at t=3, (9, 6),
      slope product 1/3 (1e-8)
   6. parabola degeneration: the verdict is parabola iff C = 0, with the
@@ -135,12 +135,23 @@ def test_nan_defect_fails(monkeypatch, y_nan, p_nan):
     # The first and the last grid point: max() drops a nan unless it
     # comes first, and 0.0 came first in the old accumulators.
     defect = verification.exactness_defect
-    monkeypatch.setattr(verification, "exactness_defect", lambda form, y, p, h: (
-        math.nan if (y, p) == (y_nan, p_nan) else defect(form, y, p, h)))
+    monkeypatch.setattr(verification, "exactness_defect", lambda form, y, p: (
+        math.nan if (y, p) == (y_nan, p_nan) else defect(form, y, p)))
     results = verification.suite_exactness()
     for name in ("raw form defect equals 2p^2+1 (tol 1e-8)", "scaled form is exact (tol 1e-8)"):
         check = _check(results, name)
         assert not check.passed and check.detail.endswith(" = nan")
+
+
+def test_scaled_form_with_a_sign_error_fails(monkeypatch):
+    # The scaled check reads about 1 ulp on the true form; with M negated
+    # the defect is -2p / sqrt(1 + p^2), far over the bound.
+    scaled = verification.scaled_form()
+    monkeypatch.setattr(verification, "scaled_form", lambda: scaled._replace(
+        M=lambda y, p: -scaled.M(y, p)))
+    check = _check(verification.suite_exactness(), "scaled form is exact (tol 1e-8)")
+    assert not check.passed
+    assert float(check.detail.rsplit(" = ", 1)[1]) > 1.0
 
 
 def test_nan_trace_deviation_fails(monkeypatch):

@@ -14,7 +14,8 @@ Covers:
   - config-file merging, unknown-key rejection and flag precedence;
     trace has no --tol, as its samples are closed-form points
   - classify prints cusp parameters short enough to read at any C, and
-    they parse back to 1e-9 relative
+    they parse back to 1e-9 relative; intersect prints its crossings
+    short at any m, to 9 significant digits, and no slope product -0
   - --help showing every default and required parameter, and a report's
     inputs listing every parameter
   - exact numeric round-trip of flags through the JSON report, negative
@@ -43,6 +44,7 @@ from orthotraj.cli_plot import (
     run,
 )
 from orthotraj.core_model import TrajectoryCurve, cusp_parameters
+from orthotraj.geometry_analysis import intersections
 from orthotraj.errors import ConfigError
 
 
@@ -246,6 +248,29 @@ class TestRunExitCodes:
         assert len(printed) == len(cusps)
         for got, want in zip(printed, cusps):
             assert abs(got - want) <= 1e-9 * abs(want)
+
+    @pytest.mark.parametrize("argv", [
+        ["-m", "1.5", "-C", "-3.90625"],
+        ["-m", "0", "-C", "-3"],
+        ["-m", "1e200", "-C", "0", "--t-min", "-1e300", "--t-max", "1e300"],
+        ["-m", "-3e-7", "-C", "1e300"],
+    ])
+    def test_intersect_lines_are_short_and_parse_back(self, argv, capsys):
+        # Printed with : .9f, the crossings of m = 1e200 read as 200-digit
+        # numbers.  Nine significant digits round by at most 5e-9 relative.
+        assert run(["intersect", *argv]) == 0
+        m, C = float(argv[1]), float(argv[3])
+        t_min, t_max = (float(argv[5]), float(argv[7])) if len(argv) > 4 else (-10.0, 10.0)
+        records = intersections(m, TrajectoryCurve(C), t_min, t_max)
+        lines = capsys.readouterr().out.splitlines()[1:]
+        assert len(lines) == len(records)
+        for line, rec in zip(lines, records):
+            assert len(line) <= 120
+            t, xy = line.split("  point = (")[0].split("t = ")[1], line.split("(")[1].split(")")[0]
+            printed = [float(t), *map(float, xy.split(", "))]
+            for got, want in zip(printed, (rec.t, *rec.point)):
+                assert got == want or abs(got - want) <= 5e-9 * abs(want)
+            assert "slope product = -0 " not in line
 
     def test_plot_exclusive_source(self, tmp_path, capsys):
         out = str(tmp_path / "fig.svg")

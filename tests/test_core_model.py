@@ -5,6 +5,8 @@ Covers:
     bit, against Horner's rule on the coefficients (0, -2, 0, -1)
   - curve parametrization and the parabola identity at C = 0, and
     points of members with |C| up to the float maximum against mpmath
+  - a complex step t + iH of curve_point reads the velocity; no other
+    function of the module takes a complex argument
   - every point lies on its member's sextic: |F_C(x, y)| <= 8 eps
     sum |terms| in floats and in mpmath at 50 digits, for C and t across
     magnitudes where no term overflows or goes subnormal
@@ -173,10 +175,32 @@ class TestCurvePoint:
             assert abs(F) <= 8 * EPS * scale, (C, t)
 
     def test_rejects_non_finite(self):
-        with pytest.raises(DomainError):
-            curve_point(TrajectoryCurve(0.0), math.nan)
+        for t in (math.nan, complex(math.nan, 1e-150), complex(1.0, math.inf)):
+            with pytest.raises(DomainError):
+                curve_point(TrajectoryCurve(0.0), t)
         with pytest.raises(DomainError):
             TrajectoryCurve(math.inf)
+
+    def test_complex_step_reads_the_velocity(self):
+        # Im curve_point(t + iH) = H (dx/dt, dy/dt) with no difference taken,
+        # and the real part is the point at t.
+        H = 2.0**-500
+        rng = random.Random(12)
+        for _ in range(400):
+            curve = TrajectoryCurve(rng.uniform(-5.0, 5.0))
+            t = rng.uniform(-4.0, 4.0)
+            z = curve_point(curve, complex(t, H))
+            v = curve_velocity(curve, t)
+            scale = 1.0 + math.hypot(*v)
+            assert abs(z.x.imag / H - v[0]) <= 1e-14 * scale
+            assert abs(z.y.imag / H - v[1]) <= 1e-14 * scale
+            assert (z.x.real, z.y.real) == pytest.approx(curve_point(curve, t), rel=1e-15, abs=1e-15)
+
+    def test_only_curve_point_takes_a_complex_t(self):
+        with pytest.raises(TypeError):
+            curve_velocity(TrajectoryCurve(0.0), 1j)
+        with pytest.raises(TypeError):
+            ode_o_residual(1.0, 1j, 1.0)
 
 
 class TestCurveVelocity:

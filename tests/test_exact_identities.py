@@ -145,7 +145,7 @@ class _Dual:
     """a + b e with e^2 = 0, over ``Fraction``: f(x + e) = f(x) + f'(x) e,
     so the e part of a form evaluated at a dual argument is its exact
     derivative.  A float operand becomes ``Fraction(x)``, exact for a
-    double, and ``__float__`` serves the form's ``math.isfinite`` check."""
+    double, and ``__float__`` serves the form's finiteness check."""
 
     __slots__ = ("a", "b")
 

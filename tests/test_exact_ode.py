@@ -3,7 +3,7 @@
 Covers:
   - raw form values and its constant non-exactness defect 2p^2 + 1
   - the integrating factor and the pointwise raw -> scaled relation
-  - exactness of the scaled form
+  - exactness of the scaled form, by complex-step derivatives
   - gradient consistency dF/dy = M~, dF/dp = N~ (finite differences)
   - the potential's level values on the curve family, including the
     sign flip of the level on the t < 0 half of each curve
@@ -78,34 +78,23 @@ class TestExactnessDefect:
         assert exactness_defect(scaled_form(), 1.0, 1.0) == pytest.approx(0.0, abs=1e-8)
 
     def test_raw_defect_grid(self):
-        # Step 5e-5 balances truncation vs rounding; see the exactness
-        # verification suite for the tradeoff.
         form = raw_form()
         for y in YS:
             for p in PS:
-                d = exactness_defect(form, float(y), float(p), 5e-5)
-                assert d == pytest.approx(2.0 * p * p + 1.0, abs=1e-8)
+                d = exactness_defect(form, float(y), float(p))
+                assert d == pytest.approx(2.0 * p * p + 1.0, abs=1e-12)
 
     def test_scaled_defect_grid(self):
         form = scaled_form()
         for y in YS:
             for p in PS:
-                assert abs(exactness_defect(form, float(y), float(p), 5e-5)) <= 1e-8
+                assert abs(exactness_defect(form, float(y), float(p))) <= 1e-12
 
-    def test_default_step_accuracy(self):
-        # The default 1e-6 stencil keeps roughly eight significant
-        # digits; absolute error grows with |M| ~ 10^3 at the corners.
-        form = raw_form()
-        for y in (-10.0, 0.0, 10.0):
-            for p in (-10.0, -0.5, 0.5, 10.0):
-                d = exactness_defect(form, y, p)
-                assert d == pytest.approx(2.0 * p * p + 1.0, abs=1e-6)
-
-    def test_stencil_guards(self):
-        with pytest.raises(DomainError):
-            exactness_defect(raw_form(), 0.0, 1e-7, 1e-6)
-        with pytest.raises(DomainError):
-            exactness_defect(raw_form(), 0.0, 1.0, 0.0)
+    def test_domain_guards(self):
+        # p = 0 and a non-finite y or p still raise; there is no step to guard.
+        for y, p in ((0.0, 0.0), (0.0, -0.0), (math.nan, 1.0), (0.0, math.inf)):
+            with pytest.raises(DomainError):
+                exactness_defect(raw_form(), y, p)
 
 
 class TestIntegratingFactor:

@@ -19,7 +19,9 @@ Covers:
   - C within 10^-17..10^-1 (relative) of an extremum of k: the record
     count equals the exact count from Fraction squares, and every
     record lies on the line
-  - finite records on a member with C = 1e308
+  - finite records on a member with C = 1e308, and the crossing of a
+    line of slope 1e200, where 2 + m^2 overflows
+  - a slope product of +0.0, never -0.0, off the foot of m = 0
   - the exact conic fit: y^2 - 4x exactly, residual 0, at C = +-0.0 and
     through integer parabola points, a circle through its integer points,
     residual > 0 for C log-uniform in +-[1e-300, 1e300] and for parabola
@@ -154,6 +156,21 @@ class TestIntersections:
             warnings.simplefilter("error")
             recs = intersections(1.0, TrajectoryCurve(0.0), -1e200, 1e200)
         assert [r.t for r in recs] == pytest.approx([-1.0, 3.0], abs=1e-10)
+
+    def test_huge_slope_finds_its_crossing_not_a_window_end(self):
+        # 2 + m^2 overflows for |m| > 1.3e154: h was inf - inf = nan at the
+        # window end, read as a root, and the crossing t = m + 2/m was lost.
+        recs = intersections(1e200, TrajectoryCurve(0.0), -1e300, 1e300)
+        assert [r.t for r in recs] == [-1e200, pytest.approx(1e200, rel=1e-15)]
+        assert [r.orthogonal for r in recs] == [True, False]
+
+    def test_slope_product_is_never_negative_zero(self):
+        # m = 0 crosses C = -3 off the foot at t = +-sqrt(5)/2, where 0 / t
+        # is -0.0 for t < 0.
+        recs = intersections(0.0, TrajectoryCurve(-3.0), -10.0, 10.0)
+        assert [r.t for r in recs] == pytest.approx([-math.sqrt(1.25), 0.0, math.sqrt(1.25)])
+        for rec in recs[::2]:
+            assert rec.slope_product == 0.0 and math.copysign(1.0, rec.slope_product) == 1.0
 
     def test_huge_constant_gives_finite_records(self):
         recs = intersections(-3.0, TrajectoryCurve(1e308), -10.0, 10.0)
