@@ -394,14 +394,12 @@ def _cmd_trace(params):
         return 1, {"error": str(exc)}
     first = result.samples[0][0]
     last = result.samples[-1][0]
-    print(f"traced {len(result.samples)} samples from ({x0:g}, {y0:g})")
+    print(f"traced {len(result.samples)} samples from ({x0:.9g}, {y0:.9g})")
     print(f"  span: ({first.x:.9g}, {first.y:.9g}) .. ({last.x:.9g}, {last.y:.9g})")
     print(f"  end reasons: backward={result.end_reasons[0]}, forward={result.end_reasons[1]}")
-    print(f"  terminated_by: {result.terminated_by}")
     print(f"  potential drift: {result.potential_drift:.3e}")
     results = {
         "n_samples": len(result.samples),
-        "terminated_by": result.terminated_by,
         "end_reasons": list(result.end_reasons),
         "potential_drift": result.potential_drift,
         "samples": [
@@ -416,8 +414,8 @@ def _cmd_intersect(params):
 
     m, C, t_min, t_max = params["m"], params["C"], params["t_min"], params["t_max"]
     records = intersections(m, TrajectoryCurve(C), t_min, t_max)
-    print(f"{len(records)} intersection(s) of line m={m:g} with curve C={C:g} "
-          f"for t in [{t_min:g}, {t_max:g}]")
+    print(f"{len(records)} intersection(s) of line m={m:.9g} with curve C={C:.9g} "
+          f"for t in [{t_min:.9g}, {t_max:.9g}]")
     for rec in records:
         tag = "orthogonal" if rec.orthogonal else "non-orthogonal"
         sp = "inf" if math.isinf(rec.slope_product) else f"{rec.slope_product:.9g}"
@@ -446,7 +444,7 @@ def _cmd_classify(params):
     verdict = classify_conic(curve)
     fit = conic_fit(curve)  # evidence only, exact for every finite C
     cusps = cusp_parameters(curve)
-    print(f"curve C={C:g}: {verdict}")
+    print(f"curve C={C:.9g}: {verdict}")
     print(f"  conic residual at a sixth point: {fit.residual:.3e}")
     print(f"  conic through five points (x^2, xy, y^2, x, y, 1): "
           + ", ".join(f"{v:.6g}" for v in fit.coeffs))

@@ -134,7 +134,10 @@ def curve_point(curve: TrajectoryCurve, t: float) -> Point:
         s = math.sqrt(1.0 + t * t)
     except TypeError:
         _require_finite_step(t, "t")
-        s = (1.0 + t * t) ** 0.5
+        try:
+            s = (1.0 + t * t) ** 0.5
+        except OverflowError:  # 1 + t^2 overflows: |t| > 1.3e154
+            raise DomainError(f"t must keep 1 + t^2 finite for a complex step, got {t!r}") from None
     C = curve.C
     return Point(t * t - C / s, 2.0 * t + C * (t / s))
 

@@ -104,7 +104,7 @@ def scaled_form() -> DifferentialForm:
 
     def N(y: float, p: float) -> float:
         _check(p, y, _require_finite_step)
-        return (p * y + 2.0 / (p * p)) / _sqrt(1.0 + p * p)
+        return (p * y + 2.0 / p / p) / _sqrt(1.0 + p * p)
 
     return DifferentialForm(
         M=M, N=N, description="sqrt(1+p^2) dy + (p y + 2/p^2)/sqrt(1+p^2) dp"
@@ -114,11 +114,17 @@ def scaled_form() -> DifferentialForm:
 def exactness_defect(form: DifferentialForm, y: float, p: float) -> float:
     """dM/dp - dN/dy at (y, p), each derivative by a complex step.
 
-    Zero (to rounding) iff the form is exact there.  p = 0 and a
-    non-finite y or p raise ``DomainError``.
+    Zero (to rounding) iff the form is exact there.  p = 0, a non-finite
+    y or p, and a complex step that overflows raise ``DomainError``.
     """
     _check(p, y)
-    return (form.M(y, complex(p, _H)).imag - form.N(complex(y, _H), p).imag) / _H
+    try:
+        d = (form.M(y, complex(p, _H)).imag - form.N(complex(y, _H), p).imag) / _H
+    except OverflowError:  # a complex root past |p| = 1.3e154
+        d = math.nan
+    if math.isnan(d):  # or inf * 0 in a complex quotient, as at |p| < 1.5e-154
+        raise DomainError(f"the complex step overflows at (y, p) = ({y!r}, {p!r})")
+    return d
 
 
 def potential(y: float, p: float) -> float:
@@ -140,4 +146,4 @@ def solve_for_xy(p: float, C: float) -> Point:
     _check(p)
     C = _require_finite(C, "C")
     s = math.sqrt(1.0 + p * p)
-    return Point(1.0 / (p * p) - C * p / s, 2.0 / p + C / s)
+    return Point(1.0 / p / p - C * p / s, 2.0 / p + C / s)

@@ -98,7 +98,7 @@ class TraceResult(NamedTuple):
     curve, p = dy/dx = 1/q; the start point sits between the two traced
     directions.
     ``end_reasons`` gives the termination reason of the (backward,
-    forward) ends and ``terminated_by`` the more severe of the two; both
+    forward) ends, the trace's one record of how each leg ended; both
     read ``arc-limit``, as each leg spends its arc budget.
     ``potential_drift`` is max |F - C| over all samples of the normal
     offset F = (q (y - q) - x) / sqrt(1 + q^2), q = 1/p, which equals C
@@ -106,7 +106,6 @@ class TraceResult(NamedTuple):
     """
 
     samples: list
-    terminated_by: str = "arc-limit"
     potential_drift: float = 0.0
     end_reasons: tuple = ("arc-limit", "arc-limit")
 
@@ -118,7 +117,8 @@ def _arc(C: float, a: float, b: float) -> float:
     that does not cancel: b s_b - a s_a = (b - a)(b + a)(1 + a^2 + b^2) /
     (b s_b + a s_a), asinh b - asinh a = asinh((b - a)(b + a) /
     (b s_a + a s_b)) and atan b - atan a = atan((b - a) / (1 + a b));
-    otherwise the arc is split at 0.
+    otherwise the arc is split at 0.  The first part's sums are halved,
+    exactly, so that they stay finite wherever q^2 does.
     """
     if a == b:
         return 0.0
@@ -126,7 +126,7 @@ def _arc(C: float, a: float, b: float) -> float:
         return _arc(C, a, 0.0) + _arc(C, 0.0, b)
     sa, sb = math.sqrt(1.0 + a * a), math.sqrt(1.0 + b * b)
     dm = (b - a) * (b + a)
-    return (dm / (b * sb + a * sa) * (1.0 + a * a + b * b)
+    return (dm / (0.5 * b * sb + 0.5 * a * sa) * (0.5 + 0.5 * a * a + 0.5 * b * b)
             + math.asinh(dm / (b * sa + a * sb)) + C * math.atan((b - a) / (1.0 + a * b)))
 
 
@@ -229,12 +229,15 @@ def trace_orthogonal(cfg: TraceConfig) -> TraceResult:
         p0 = min(rs.roots, key=abs)
     # ``slopes_at`` can return p = 0 or a spurious root next to the x-axis
     # (at (0, -1e-6) it adds p = 1.1e-6, with a relative residual of about
-    # 1), so the start root must solve the monic q-cubic; nan fails too.
+    # 1), so q0 must solve the q-cubic, checked over q as C is formed over
+    # s: neither overflows where it is finite.  nan and inf fail.
     q0 = 1.0 / p0 if p0 else math.nan
-    a0 = x0 - 2.0
-    if not abs(q0 * q0 * q0 - a0 * q0 - y0) <= 1e-9 * (abs(q0) ** 3 + abs(a0 * q0) + abs(y0)):
+    a0, b0 = x0 - 2.0, y0 / q0
+    r0 = q0 * q0 - a0 - b0
+    if not (math.isfinite(r0) and abs(r0) <= 1e-9 * (q0 * q0 + abs(a0) + abs(b0))):
         raise NoBranchError(f"slope {p0!r} at ({x0!r}, {y0!r}) does not solve the slope cubic")
-    C = (q0 * (y0 - q0) - x0) / math.sqrt(1.0 + q0 * q0)
+    s0 = math.sqrt(1.0 + q0 * q0)
+    C = q0 / s0 * (y0 - q0) - x0 / s0
     # Forward is +x: the sign of dx/dq = q D / (1 + q^2), D = 3 q^2 + 2 - x,
     # at the start, or of q0 at a cusp start, where D = 0.
     orient = math.copysign(1.0, q0 * (3.0 * q0 * q0 + 2.0 - x0) or q0)

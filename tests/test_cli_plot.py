@@ -15,7 +15,11 @@ Covers:
     trace has no --tol, as its samples are closed-form points
   - classify prints cusp parameters short enough to read at any C, and
     they parse back to 1e-9 relative; intersect prints its crossings
-    short at any m, to 9 significant digits, and no slope product -0
+    short at any m, to 9 significant digits, and no slope product -0;
+    the classify, trace and intersect headers print their inputs to 9
+    significant digits, so the classify header parses back to C
+  - trace from (1e300, 0.5) exits 0 with nothing on stderr, and the
+    trace report and stdout carry end_reasons as their one end record
   - --help showing every default and required parameter, and a report's
     inputs listing every parameter
   - exact numeric round-trip of flags through the JSON report, negative
@@ -193,6 +197,16 @@ class TestRunExitCodes:
         assert run(["trace", "--x0", "2", "--y0", "1e10"]) == 0
         assert "end reasons: backward=arc-limit, forward=arc-limit" in capsys.readouterr().out
 
+    def test_trace_far_start_exits_quietly(self, capsys):
+        # q0^3 = -1e450 overflows here, so the start check is formed over
+        # q; one ulp of q0 = -1e150 holds more arc than the budget, so the
+        # trace is its start sample.
+        assert run(["trace", "--x0", "1e300", "--y0", "0.5"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.startswith("traced 1 samples from (1e+300, 0.5)\n")
+        assert "  end reasons: backward=arc-limit, forward=arc-limit\n" in out
+
     def test_trace_has_no_tol_flag(self, capsys):
         # The samples are closed-form points, so there is no error to bound.
         assert run(["trace", "--x0", "1", "--y0", "2", "--tol", "1e-8"]) == 2
@@ -236,6 +250,26 @@ class TestRunExitCodes:
         assert results["classification"] == "non-conic"
         assert 0.0 < results["conic_residual"] < 1.0
         assert all(map(math.isfinite, results["conic_coeffs"]))
+
+    @pytest.mark.parametrize("C", ["-4.0000001", "0.33038275473218714", "-1e-300", "1.7e308"])
+    def test_classify_header_parses_back_to_C(self, C, capsys):
+        # Printed with :g, C = -4.0000001 read as C=-4, a different member.
+        # Nine significant digits round by at most 5e-9 relative.
+        assert run(["classify", "-C", C]) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        printed = float(header.split("curve C=")[1].split(":")[0])
+        assert printed == float(C) or abs(printed - float(C)) <= 5e-9 * abs(float(C))
+
+    @pytest.mark.parametrize("argv,want", [
+        (["trace", "--x0", "1.23456789", "--y0", "2.00000001"], "from (1.23456789, 2.00000001)"),
+        (["intersect", "-m", "0.33038275473218714", "-C", "-2.8260680956508386"],
+         "line m=0.330382755 with curve C=-2.8260681 for t in [-10, 10]"),
+        (["intersect", "-m", "1", "-C", "0", "--t-min", "-1.23456789", "--t-max", "9.87654321"],
+         "t in [-1.23456789, 9.87654321]"),
+    ], ids=["trace", "intersect", "intersect-window"])
+    def test_headers_print_nine_significant_digits(self, argv, want, capsys):
+        assert run(argv) == 0
+        assert want in capsys.readouterr().out.splitlines()[0]
 
     @pytest.mark.parametrize("C", ["-1.7e308", "-4", "-2.0000000001"])
     def test_classify_cusp_line_is_short_and_parses_back(self, C, capsys):
@@ -512,6 +546,10 @@ class TestConfigMerging:
         assert report["results"]["n_samples"] == len(report["results"]["samples"])
         drift = report["results"]["potential_drift"]
         assert isinstance(drift, float) and drift <= 1e-6
+        # end_reasons is the one record of how the trace ended, on stdout too.
+        assert list(report["results"]) == ["n_samples", "end_reasons", "potential_drift", "samples"]
+        assert report["results"]["end_reasons"] == ["arc-limit", "arc-limit"]
+        assert "terminated_by" not in capsys.readouterr().out
 
     def test_trace_report_lists_unset_parameters(self, tmp_path, capsys):
         report_path = tmp_path / "r.json"

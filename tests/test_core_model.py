@@ -5,8 +5,9 @@ Covers:
     bit, against Horner's rule on the coefficients (0, -2, 0, -1)
   - curve parametrization and the parabola identity at C = 0, and
     points of members with |C| up to the float maximum against mpmath
-  - a complex step t + iH of curve_point reads the velocity; no other
-    function of the module takes a complex argument
+  - a complex step t + iH of curve_point reads the velocity, and one
+    that overflows raises ``DomainError``; no other function of the
+    module takes a complex argument
   - every point lies on its member's sextic: |F_C(x, y)| <= 8 eps
     sum |terms| in floats and in mpmath at 50 digits, for C and t across
     magnitudes where no term overflows or goes subnormal
@@ -195,6 +196,13 @@ class TestCurvePoint:
             assert abs(z.x.imag / H - v[0]) <= 1e-14 * scale
             assert abs(z.y.imag / H - v[1]) <= 1e-14 * scale
             assert (z.x.real, z.y.real) == pytest.approx(curve_point(curve, t), rel=1e-15, abs=1e-15)
+
+    def test_complex_step_past_the_float_range_is_a_domain_error(self):
+        # 1 + t^2 overflows past |t| = 1.3e154, where the complex root raises
+        # OverflowError; the float path returns its overflowed point.
+        with pytest.raises(DomainError, match="complex step"):
+            curve_point(TrajectoryCurve(1.0), complex(1e160, 2.0**-500))
+        assert curve_point(TrajectoryCurve(1.0), 1e160).x == math.inf
 
     def test_only_curve_point_takes_a_complex_t(self):
         with pytest.raises(TypeError):

@@ -10,6 +10,9 @@ Covers:
   - parametric solution vs curve_point, and hand-checked points
   - singular-domain errors at p = 0, and errors for a non-finite y, p
     or C, which returned nan or inf
+  - at the ends of the float range: x = 1/p^2 and N's 2/p^2 overflow to
+    inf rather than divide by an underflowed p * p, and a complex step
+    that overflows raises ``DomainError``
 """
 
 import math
@@ -57,6 +60,10 @@ class TestScaledForm:
     def test_N_value(self):
         assert scaled_form().N(2.0, 1.0) == pytest.approx(2.0 * math.sqrt(2.0))
 
+    def test_N_overflows_to_inf_at_tiny_p(self):
+        # p * p underflows to 0 at p = 1e-170, so 2/p^2 is formed as 2/p/p.
+        assert scaled_form().N(1.0, 1e-170) == math.inf
+
     def test_singular_at_p0(self):
         form = scaled_form()
         # The whole form's domain excludes p = 0, even though the M
@@ -95,6 +102,20 @@ class TestExactnessDefect:
         for y, p in ((0.0, 0.0), (0.0, -0.0), (math.nan, 1.0), (0.0, math.inf)):
             with pytest.raises(DomainError):
                 exactness_defect(raw_form(), y, p)
+
+    def test_step_past_the_float_range_is_a_domain_error(self):
+        # Past |p| = 1.3e154 the complex root of 1 + p^2 raises OverflowError.
+        with pytest.raises(DomainError, match=r"\(y, p\) = \(1\.0, 1e\+160\)"):
+            exactness_defect(scaled_form(), 1.0, 1e160)
+        # Under |p| = 1.5e-154, 2/p^2 is inf, and Python before 3.14 divides
+        # the complex (inf + xj) by the float root as complex division,
+        # which reads nan; 3.14 divides by parts and reads the exact 0.
+        try:
+            d = exactness_defect(scaled_form(), 1.0, 1e-160)
+        except DomainError as exc:
+            assert "1e-160" in str(exc)
+        else:
+            assert d == 0.0
 
 
 class TestIntegratingFactor:
@@ -195,6 +216,12 @@ class TestSolveForXY:
     def test_singular(self):
         with pytest.raises(DomainError):
             solve_for_xy(0.0, 1.0)
+
+    @pytest.mark.parametrize("p", [1e-160, 1e-170])
+    def test_tiny_p_overflows_x_to_inf(self, p):
+        # p * p underflows to 0 at p = 1e-170, so 1/p^2 is formed as 1/p/p.
+        pt = solve_for_xy(p, 1.0)
+        assert pt.x == math.inf and pt.y == pytest.approx(2.0 / p)
 
     def test_level_set_roundtrip(self):
         # potential(solve_for_xy(p, C)) recovers C on both p signs.

@@ -26,6 +26,10 @@ Covers:
     C = -1e16, end both legs on the budget to 1e-12 relative (mpmath
     arc); C = 0 at t0 = 1e8 cannot start, as ``slopes_at`` loses the
     root p = 1e-8 there (ROADMAP item 1)
+  - starts over the whole float range, |x| and |y| in [1e-308, 1e308]:
+    each traces with finite samples, both ends ``arc-limit`` and a start
+    slope that solves the q-cubic (mpmath), or raises an
+    ``OrthoTrajError``; the check and C of the start overflowed before
   - the cusps solve C = -2 (1 + t^2)^(3/2) to 4 ulp of mpmath as
     C -> -2 and to 1e-13 relative, always finite, for |C| up to 1.7e308;
     each cusp is the parabola's centre of curvature (2 + 3t^2, -2t^3);
@@ -53,6 +57,7 @@ hints each start with an exact root, and skips a start whose root
 """
 
 import math
+import random
 import sys
 
 import mpmath
@@ -65,8 +70,10 @@ from orthotraj import (
     DegenerateFootError,
     DegeneratePointError,
     NoBranchError,
+    OrthoTrajError,
     Point,
     TraceConfig,
+    TraceResult,
     TrajectoryCurve,
     curve_point,
     curve_slope,
@@ -352,6 +359,55 @@ def test_far_starts_end_on_the_budget(start, hint, max_arc):
         for _, p in (res.samples[0], res.samples[-1]):
             arc = abs(A(1.0 / p) - A(1.0 / p0))
             assert abs(arc - max_arc) <= 1e-12 * max_arc
+
+
+def assert_traces_or_fails_typed(x0, y0):
+    """The start (x0, y0) traces with finite samples and slopes, both ends
+    ``arc-limit`` and a start slope on the q-cubic (mpmath), or it raises
+    an ``OrthoTrajError``; nothing else."""
+    try:
+        res = trace_orthogonal(TraceConfig(start=Point(x0, y0), max_arc=1.0, step=0.1))
+    except OrthoTrajError:
+        return
+    assert isinstance(res, TraceResult)
+    assert res.end_reasons == ("arc-limit", "arc-limit")
+    for pt, p in res.samples:
+        assert math.isfinite(pt.x) and math.isfinite(pt.y) and math.isfinite(p) and p != 0.0
+    # The start's q solves the cubic to the start check's 1e-9 and the
+    # rounding of q = 1/p; 50 digits form the terms without overflow.
+    p0 = next(p for pt, p in res.samples if pt == (x0, y0))
+    with mpmath.workdps(50):
+        q, a, y = 1 / mpmath.mpf(p0), mpmath.mpf(x0) - 2, mpmath.mpf(y0)
+        terms = abs(q) ** 3 + abs(a * q) + abs(y)
+        assert abs(q**3 - a * q - y) <= (1e-9 + 8 * EPS) * terms
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(log_uniform(-308.0, 308.0), log_uniform(-308.0, 308.0))
+# |q0|^3 overflows at these two starts.
+@example(4.377404400913463e271, 2.7254343287220944e117)
+@example(1e300, 0.5)
+# q0 (y0 - q0) overflows here, where C is finite.
+@example(-1.477374347942262e241, -6.371648431314344e307)
+# ``slopes_at`` returns the spurious p = -1.42e82 here, whose residual
+# y0 / q0 overflows: it must not start a trace on C = -7.5e158.
+@example(5.560042561723987e79, 1.07047538668883e241)
+# q0 = -1e154: unhalved, the sums of the arc to the cusps of
+# C = -1.86e230 overflow to nan, and the walk asks for 1e300 samples.
+@example(1e308, 1.8613458069414505e230)
+def test_whole_range_starts_trace_or_fail_typed(x0, y0):
+    assert_traces_or_fails_typed(x0, y0)
+
+
+def test_whole_range_draw_traces_or_fails_typed():
+    # 3,000 starts with the exponents of |x| and |y| uniform in
+    # [-308, 308] and random signs.  Until ROADMAP item 1 mends the root
+    # loss, most raise ``NoBranchError``.
+    rng = random.Random(5)
+    for _ in range(3000):
+        ex, ey = rng.uniform(-308, 308), rng.uniform(-308, 308)
+        sx, sy = rng.choice((-1, 1)), rng.choice((-1, 1))
+        assert_traces_or_fails_typed(sx * 10**ex, sy * 10**ey)
 
 
 @SETTINGS

@@ -27,6 +27,11 @@ Covers:
   - classic fixtures: both tracers share the sample spacing and end
     properties, and the monopole circles conserve x^2 + y^2 and
     (x+1)^2 + y^2 and close
+  - a far start, (1e300, 0.5), whose one ulp of q holds more arc than
+    the budget, is its own trace; the arc stays finite next to
+    |q| = 1e154, where its unhalved sums overflow
+  - ``TraceResult`` has the fields samples, potential_drift and
+    end_reasons, the one record of how each leg ended
   - error cases: no slope branch, a start slope from ``slopes_at`` that
     does not solve the cubic (p = 0 or spurious), singular or unknown
     classic start, a missing or non-finite start for either tracer, bad
@@ -44,6 +49,7 @@ from orthotraj import (
     NoBranchError,
     Point,
     TraceConfig,
+    TraceResult,
     TrajectoryCurve,
     cusp_parameters,
     curve_point,
@@ -252,6 +258,26 @@ class TestTraceOrthogonal:
         start = curve_point(TrajectoryCurve(3.0), 1.0)
         cfg = TraceConfig(start=start, initial_slope_hint=1.0, max_arc=20.0)
         assert trace_orthogonal(cfg).potential_drift > 10.0 * 1e-8
+
+    def test_far_start_is_its_own_trace(self):
+        # At (1e300, 0.5), q0 = -1e150, one ulp of q is 3.6e284 of arc: the
+        # budget ends each leg on the start, to rounding.
+        start = Point(1e300, 0.5)
+        res = trace_orthogonal(TraceConfig(start=start, max_arc=1.0, step=0.1))
+        ((pt, p0),) = res.samples
+        assert pt == start and p0 == pytest.approx(-1e-150, rel=1e-15)
+        assert res.end_reasons == ("arc-limit", "arc-limit")
+
+    def test_arc_stays_finite_up_to_the_top_of_q(self):
+        # 1 + a^2 + b^2 and b s_b + a s_a overflow past |q| = 9.5e153,
+        # where q^2 does not; the halved sums keep the arc finite.
+        a = -1e154
+        arc = tracer._arc(-1.8613458069414505e230, a, math.nextafter(a, 0.0))
+        assert 0.0 < arc < math.inf
+
+    def test_result_fields(self):
+        # end_reasons is the one record of how each leg ended.
+        assert TraceResult._fields == ("samples", "potential_drift", "end_reasons")
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
