@@ -63,6 +63,11 @@ class CurveSpec(NamedTuple):
     dashed: bool = False
 
 
+# The most nodes a curve may ask for: 2,500 times the presets' 400, so
+# that a spec cannot ask ``render_figure`` for unbounded work.
+_MAX_SAMPLES = 10**6
+
+
 class PlotSpec(NamedTuple):
     """Everything needed to render one figure."""
 
@@ -93,9 +98,10 @@ def _number(value, what: str) -> float:
     return float(value)
 
 
-def _count(value, what: str, least: int) -> int:
-    if not _number(value, what).is_integer() or value < least:
-        raise ConfigError(f"{what} must be an integer >= {least}, got {value!r}")
+def _count(value, what: str, least: int, most: float = math.inf) -> int:
+    if not (_number(value, what).is_integer() and least <= value <= most):
+        bound = f">= {least}" if most == math.inf else f"in [{least}, {most}]"
+        raise ConfigError(f"{what} must be an integer {bound}, got {value!r}")
     return int(value)
 
 
@@ -123,7 +129,7 @@ def _validate_spec(spec: PlotSpec) -> PlotSpec:
         lines=tuple(_number(m, "lines") for m in spec.lines),
         x_window=_span(spec.x_window, "x_window"),
         y_window=_span(spec.y_window, "y_window"),
-        samples_per_curve=_count(spec.samples_per_curve, "samples_per_curve", 2),
+        samples_per_curve=_count(spec.samples_per_curve, "samples_per_curve", 2, _MAX_SAMPLES),
         width_px=_count(spec.width_px, "width_px", 1),
         height_px=_count(spec.height_px, "height_px", 1),
     )
@@ -490,7 +496,7 @@ _COMMANDS = {
     "trace": (_cmd_trace, "trace the trajectory through a point", (
         (("--x0",), "x0", float, _REQUIRED, "start x"),
         (("--y0",), "y0", float, _REQUIRED, "start y"),
-        (("--p0",), "p0", float, None, "initial slope hint"),
+        (("--p0",), "p0", float, None, "initial slope hint: the start takes the root nearest it"),
     )),
     "intersect": (_cmd_intersect, "line-curve intersection report", (
         (("-m",), "m", float, _REQUIRED, "line slope"),

@@ -46,9 +46,11 @@ class IntersectionRecord(NamedTuple):
 
 def _side_of_extremum(m: float, C: float, v: float, d: float) -> int:
     """The sign of C - k at a critical point of k, where k = -(v + m^2)^(3/2)
-    / d: (v, d) = (4, 4) at t = m/2 and (1, |m|) at t = 1/m.  Floats decide
-    it outside 1e-14 |k|, well past the few ulps by which k rounds; inside,
-    C < 0 and the sign is that of (v + m^2)^3 - d^2 C^2, compared exactly."""
+    / d: (v, d) = (4, 4) at t = m/2 and (1, |m|) at t = 1/m; with (1, 1/2),
+    k is the foot's cusp constant and the sign is 0 iff h(-m) = 0.  Floats
+    decide it outside 1e-14 |k|, well past the few ulps by which k rounds;
+    inside, C < 0 and the sign is that of (v + m^2)^3 - d^2 C^2, compared
+    exactly."""
     w = v + m * m
     k = -w * math.sqrt(w) / d  # an overflow to -inf goes the exact way
     gap = C - k
@@ -75,8 +77,8 @@ def intersections(m: float, curve: TrajectoryCurve, t_min: float, t_max: float):
     The sign is the float one at a window end and the exact one at a
     critical point, and a 0 is a root.  The root is refined by bracketed
     false position, or is the critical end whose float h disagrees with
-    its exact sign.  A root within 1e-12 of the foot (the foot cusp,
-    C = -2 (1 + m^2)^(3/2)) merges into it.
+    its exact sign.  At the foot cusp C = -2 (1 + m^2)^(3/2), where h(-m) = 0
+    by the exact sign, the foot is its piece's root; no root repeats it.
     """
     m = float(m)
     if not math.isfinite(m):
@@ -94,8 +96,9 @@ def intersections(m: float, curve: TrajectoryCurve, t_min: float, t_max: float):
     inner = [(c, _side_of_extremum(m, C, v, d)) for c, v, d in sorted(extrema) if t_min < c < t_max]
     cuts = [ends[0], *inner, ends[1]]
     roots = [t for t, s in cuts if s == 0]
+    foot = -m + 0.0  # + 0.0 turns the foot of m = 0 into t = +0.0
     for (lo, s_lo), (hi, s_hi) in zip(cuts, cuts[1:]):
-        if s_lo * s_hi < 0:
+        if s_lo * s_hi < 0 and not (lo <= foot <= hi and _side_of_extremum(m, C, 1.0, 0.5) == 0):
             if h(lo) * s_lo <= 0.0:
                 roots.append(lo)
             elif h(hi) * s_hi <= 0.0:
@@ -103,9 +106,8 @@ def intersections(m: float, curve: TrajectoryCurve, t_min: float, t_max: float):
             else:
                 roots.append(bracketed_root(h, lo, hi, tol=1e-12))
 
-    foot = -m + 0.0  # + 0.0 turns the foot of m = 0 into t = +0.0
     if t_min <= foot <= t_max:
-        roots = [r for r in roots if abs(r - foot) > 1e-12] + [foot]
+        roots = [r for r in roots if r != foot] + [foot]
     roots.sort()
 
     records = []

@@ -211,22 +211,17 @@ def _start(cfg: TraceConfig) -> tuple:
 def trace_orthogonal(cfg: TraceConfig) -> TraceResult:
     """Trace the orthogonal trajectory through ``cfg.start``.
 
-    The starting slope is the cubic root nearest ``initial_slope_hint``
-    (which must lie within 0.1 of a root), or the root of smallest
-    magnitude when no hint is given.  The trace then extends in both
-    directions until each spends its arc budget.
+    The starting slope is the cubic root nearest ``initial_slope_hint``,
+    however far; no hint is the hint 0, whose nearest root is the one of
+    smallest magnitude.  The trace then extends in both directions until
+    each spends its arc budget.
     """
     x0, y0 = _start(cfg)
     rs = slopes_at(x0, y0)
     if len(rs) == 0:
         raise NoBranchError(f"no real slope at start ({x0!r}, {y0!r})")
-    if cfg.initial_slope_hint is not None:
-        hint = float(cfg.initial_slope_hint)
-        p0 = min(rs.roots, key=lambda r: abs(r - hint))
-        if abs(p0 - hint) > 0.1:
-            raise NoBranchError(f"no slope root within 0.1 of hint {hint!r} at ({x0!r}, {y0!r})")
-    else:
-        p0 = min(rs.roots, key=abs)
+    hint = float(cfg.initial_slope_hint or 0.0)
+    p0 = min(rs.roots, key=lambda r: abs(r - hint))
     # ``slopes_at`` can return p = 0 or a spurious root next to the x-axis
     # (at (0, -1e-6) it adds p = 1.1e-6, with a relative residual of about
     # 1), so q0 must solve the q-cubic, checked over q as C is formed over
@@ -263,17 +258,17 @@ def trace_classic(kind: str, cfg: TraceConfig) -> TraceResult:
     (conserving (x+1)^2 + y^2).  Each leg walks the circle's angle in n
     equal steps, at most 2 ``step`` of arc each, to its arc budget; the
     forward leg follows the field, clockwise.  The start must avoid the
-    field's singular point, the centre.
+    centre, the only singular point, so far that its angles are finite.
     """
     if kind not in _CLASSIC:
         raise DomainError(f"unknown classic kind {kind!r}")
     cx = _CLASSIC[kind]
     x0, y0 = _start(cfg)
     r = math.hypot(x0 - cx, y0)
-    if r < 1e-12:
-        raise DomainError(f"start {cfg.start!r} is singular for {kind!r}")
     f0 = (x0 - cx) * (x0 - cx) + y0 * y0
     a0, n = math.atan2(y0, x0 - cx), math.ceil(cfg.max_arc / (2.0 * cfg.step))
+    if r == 0.0 or cfg.max_arc / r * n == math.inf:
+        raise DomainError(f"start {cfg.start!r} is singular for {kind!r}, or its angles overflow")
     legs, drift = [], 0.0
     for sigma in (1.0, -1.0):  # backward, counter-clockwise, then forward
         out = []

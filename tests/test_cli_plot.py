@@ -117,6 +117,10 @@ class TestRenderFigure:
         # The values the JSON path rejects are rejected in Python too.
         with pytest.raises(ConfigError, match="samples_per_curve"):
             render_figure(PlotSpec(samples_per_curve=2.5, curves=(CurveSpec(0.0),)))
+        # A curve of 10^12 nodes is refused before any node is built.
+        for n in (10**12, 10**6 + 1):
+            with pytest.raises(ConfigError, match=r"samples_per_curve must be an integer in \[2, 1000000\]"):
+                render_figure(PlotSpec(samples_per_curve=n, curves=(CurveSpec(0.0),)))
         with pytest.raises(ConfigError, match="width_px"):
             render_figure(PlotSpec(width_px=math.inf))
         with pytest.raises(ConfigError, match="x_window"):
@@ -206,6 +210,11 @@ class TestRunExitCodes:
         assert err == ""
         assert out.startswith("traced 1 samples from (1e+300, 0.5)\n")
         assert "  end reasons: backward=arc-limit, forward=arc-limit\n" in out
+
+    def test_trace_far_hint_picks_the_nearest_root(self, capsys):
+        # The one root at (1, 2) is p = 1, 2 from the hint: it starts there.
+        assert run(["trace", "--x0", "1", "--y0", "2", "--p0", "3"]) == 0
+        assert "end reasons: backward=arc-limit, forward=arc-limit" in capsys.readouterr().out
 
     def test_trace_has_no_tol_flag(self, capsys):
         # The samples are closed-form points, so there is no error to bound.
@@ -368,10 +377,11 @@ class TestPlotCommand:
             ('{"curves": [0]}', "curves entries must be objects"),
             ('{"curves": [{"C": 0, "colour": "red"}]}', "unknown curve keys: ['colour']"),
             ('{"curves": [{"dashed": true}]}', "missing required key 'C'"),
+            ('{"samples_per_curve": %d, "curves": [{"C": 0}]}' % 10**12, "samples_per_curve"),
         ],
         ids=["unknown-key", "width-str", "width-frac", "C-str", "t_range-int", "t_range-3",
              "x_window-str", "lines-int", "lines-huge-int", "dashed-str", "C-overflow",
-             "curve-not-object", "curve-unknown-key", "curve-without-C"],
+             "curve-not-object", "curve-unknown-key", "curve-without-C", "samples-huge"],
     )
     def test_spec_document_unknown_key(self, tmp_path, capsys, doc, field):
         spec_path = tmp_path / "spec.json"

@@ -52,8 +52,9 @@ Covers:
 Box-point starts take their slope from ``slopes_at``, which near the
 x-axis loses roots and returns spurious ones (ROADMAP item 1): at
 (0, -1e-6) it adds p = 1.1e-6, which is no root.  So the mpmath test
-hints each start with an exact root, and skips a start whose root
-``slopes_at`` lost; the on-axis strategy waits for item 1.
+hints each start with an exact root; where ``slopes_at`` lost it, the
+start takes the returned root nearest the hint, and skips only a start
+that raises; the on-axis strategy waits for item 1.
 """
 
 import math
@@ -427,10 +428,11 @@ def test_continuation_picks_the_nearest_full_solve_root(pt, k):
 # A start inside a pair of roots 2e-5 apart, next to the cusp of its member.
 @example((5.95647517597705, -3.029080263665009), 2)
 def test_continuation_picks_the_nearest_exact_root(pt, k):
-    # The start slope is the ``slopes_at`` root within 0.1 of 1/r, r the
-    # k-th exact root; where ``slopes_at`` lost it (ROADMAP item 1) the
-    # start raises and there is no trace to check.  Arc steps up to 0.5
-    # keep the mpmath oracle to a few calls per trace.
+    # The start slope is the ``slopes_at`` root nearest 1/r, r the k-th
+    # exact root; where ``slopes_at`` lost it (ROADMAP item 1) that is
+    # another root, traced and checked the same way, or a spurious one,
+    # where the start raises and there is no trace to check.  Arc steps up
+    # to 0.5 keep the mpmath oracle to a few calls per trace.
     x, y = pt
     roots = exact_roots(x, y)
     cfg = TraceConfig(

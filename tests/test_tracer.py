@@ -32,9 +32,12 @@ Covers:
     |q| = 1e154, where its unhalved sums overflow
   - ``TraceResult`` has the fields samples, potential_drift and
     end_reasons, the one record of how each leg ended
+  - every hint picks the root nearest it, however far, and no hint is
+    the hint 0; a classic start 1e-13 from its centre traces
   - error cases: no slope branch, a start slope from ``slopes_at`` that
-    does not solve the cubic (p = 0 or spurious), singular or unknown
-    classic start, a missing or non-finite start for either tracer, bad
+    does not solve the cubic (p = 0 or spurious), a classic start at its
+    centre, or so near it that the angle overflows, an unknown classic
+    kind, a missing or non-finite start for either tracer, bad
     config (non-positive or non-finite step, max_arc or tol, a
     nan slope hint), and a ``domain`` keyword, as TraceConfig has no box
 """
@@ -54,6 +57,7 @@ from orthotraj import (
     cusp_parameters,
     curve_point,
     ode_o_residual,
+    slopes_at,
     trace_orthogonal,
 )
 from orthotraj import tracer
@@ -149,9 +153,20 @@ class TestTraceOrthogonal:
         with pytest.raises(NoBranchError, match="does not solve the slope cubic"):
             trace_orthogonal(TraceConfig(start=Point(0.0, y0)))
 
-    def test_hint_must_be_near_a_root(self):
-        with pytest.raises(NoBranchError):
-            trace_orthogonal(TraceConfig(start=Point(1.0, 2.0), initial_slope_hint=3.0))
+    def test_far_hint_picks_the_nearest_root(self):
+        # Every hint picks a root, however far: at (1, 2) the one root is
+        # p = 1; at (5, 2), 2p^3 + 3p^2 - 1 = (p + 1)^2 (2p - 1).
+        for start, hint, p0 in (((1.0, 2.0), 3.0, 1.0), ((5.0, 2.0), 7.0, 0.5), ((5.0, 2.0), -7.0, -1.0)):
+            res = trace_orthogonal(TraceConfig(start=Point(*start), initial_slope_hint=hint, max_arc=1.0))
+            assert (Point(*start), p0) in res.samples
+            assert res.end_reasons == ("arc-limit", "arc-limit")
+
+    def test_no_hint_is_the_hint_zero(self):
+        # At (8, 1) the cubic has three roots; the default start takes the
+        # one of smallest |p|, the root nearest the hint 0.
+        assert len(slopes_at(8.0, 1.0)) == 3
+        cfg = TraceConfig(start=Point(8.0, 1.0), max_arc=5.0)
+        assert trace_orthogonal(cfg) == trace_orthogonal(cfg._replace(initial_slope_hint=0.0))
 
     def test_closed_form_agreement(self):
         for C in (-1.0, 0.0, 1.0, 3.0):
@@ -296,7 +311,8 @@ class TestTraceOrthogonal:
                 TraceConfig(start=Point(1.0, 2.0), **{name: value})
 
     def test_nan_hint_is_rejected(self):
-        # A nan hint would pass the 0.1 hint check and trace roots[0].
+        # A nan hint is nearer no root than another, so min would trace
+        # roots[0].
         with pytest.raises(DomainError):
             TraceConfig(start=Point(8.0, 1.0), initial_slope_hint=math.nan)
 
@@ -398,6 +414,17 @@ class TestTraceClassic:
             trace_classic("monopole", TraceConfig(start=Point(0.0, 0.0)))
         with pytest.raises(DomainError):
             trace_classic("shifted-monopole", TraceConfig(start=Point(-1.0, 0.0)))
+
+    def test_start_next_to_the_centre_traces(self):
+        # The field (y, -(x - cx)) is singular at its centre alone.
+        res = trace_classic("monopole", TraceConfig(start=Point(1e-13, 0.0)))
+        assert len(res.samples) > 1 and math.isfinite(res.potential_drift)
+        assert all(math.isfinite(pt.x) and math.isfinite(pt.y) for pt, _ in res.samples)
+
+    def test_angle_past_the_float_range_is_a_domain_error(self):
+        # At radius 1e-310 the arc budget 50 is 5e311 radians.
+        with pytest.raises(DomainError, match="its angles overflow"):
+            trace_classic("monopole", TraceConfig(start=Point(1e-310, 0.0)))
 
     def test_start_checked_like_trace_orthogonal(self):
         with pytest.raises(DomainError, match="TraceConfig.start is required"):
