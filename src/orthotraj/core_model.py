@@ -47,6 +47,10 @@ __all__ = [
     "cusp_parameters",
 ]
 
+# tuple.__new__ skips a NamedTuple's Python-level __new__, half the cost:
+# the per-point paths build their records with it after their own checks.
+_new = tuple.__new__
+
 
 class Point(NamedTuple):
     x: float
@@ -84,7 +88,7 @@ class TrajectoryCurve(NamedTuple("TrajectoryCurve", [("C", float)])):
     def __new__(cls, C: float):
         if not math.isfinite(C):
             raise DomainError("curve constant C must be finite")
-        return super().__new__(cls, C)
+        return _new(cls, (C,))
 
 
 class CurveSample(NamedTuple):
@@ -117,7 +121,7 @@ def _require_finite_step(value, name: str) -> None:
 def line_at(family: LineFamily, m: float) -> Line:
     """The member of ``family`` with slope m."""
     m = _require_finite(m, "m")
-    return Line(slope=m, intercept=family.f(m))
+    return _new(Line, (m, family.f(m)))
 
 
 def _g(C: float, t: float) -> float:
@@ -139,7 +143,7 @@ def curve_point(curve: TrajectoryCurve, t: float) -> Point:
         except OverflowError:  # 1 + t^2 overflows: |t| > 1.3e154
             raise DomainError(f"t must keep 1 + t^2 finite for a complex step, got {t!r}") from None
     C = curve.C
-    return Point(t * t - C / s, 2.0 * t + C * (t / s))
+    return _new(Point, (t * t - C / s, 2.0 * t + C * (t / s)))
 
 
 def curve_velocity(curve: TrajectoryCurve, t: float):
@@ -151,10 +155,10 @@ def curve_velocity(curve: TrajectoryCurve, t: float):
 
 def sample(curve: TrajectoryCurve, t: float) -> CurveSample:
     """Point, velocity and regularity flag at parameter t."""
-    pt = curve_point(curve, t)
-    vel = curve_velocity(curve, t)
-    regular = vel != (0.0, 0.0) and t not in cusp_parameters(curve)
-    return CurveSample(t=t, point=pt, velocity=vel, regular=regular)
+    u = _require_finite(t, "t")  # a real: curve_point also takes a complex step
+    g = _g(curve.C, u)
+    regular = g != 0.0 and t not in cusp_parameters(curve)
+    return _new(CurveSample, (t, curve_point(curve, u), (u * g, g), regular))
 
 
 def linspace(start: float, stop: float, n: int) -> list:

@@ -32,7 +32,7 @@ nan or inf.  The two forms also take a complex step in y or p.
 import math
 from typing import Callable, NamedTuple
 
-from .core_model import Point, _require_finite, _require_finite_step
+from .core_model import Point, _new, _require_finite, _require_finite_step
 from .errors import DomainError
 
 __all__ = [
@@ -146,4 +146,4 @@ def solve_for_xy(p: float, C: float) -> Point:
     _check(p)
     C = _require_finite(C, "C")
     s = math.sqrt(1.0 + p * p)
-    return Point(1.0 / p / p - C * p / s, 2.0 / p + C / s)
+    return _new(Point, (1.0 / p / p - C * p / s, 2.0 / p + C / s))

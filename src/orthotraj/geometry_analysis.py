@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .core_model import Point, TrajectoryCurve, sample
+from .core_model import Point, TrajectoryCurve, _new, sample
 from .errors import DegenerateInputError, DomainError
 from .roots import bracketed_root
 
@@ -99,9 +99,9 @@ def intersections(m: float, curve: TrajectoryCurve, t_min: float, t_max: float):
     foot = -m + 0.0  # + 0.0 turns the foot of m = 0 into t = +0.0
     for (lo, s_lo), (hi, s_hi) in zip(cuts, cuts[1:]):
         if s_lo * s_hi < 0 and not (lo <= foot <= hi and _side_of_extremum(m, C, 1.0, 0.5) == 0):
-            if h(lo) * s_lo <= 0.0:
+            if lo != t_min and h(lo) * s_lo <= 0.0:
                 roots.append(lo)
-            elif h(hi) * s_hi <= 0.0:
+            elif hi != t_max and h(hi) * s_hi <= 0.0:
                 roots.append(hi)
             else:
                 roots.append(bracketed_root(h, lo, hi, tol=1e-12))
@@ -114,7 +114,7 @@ def intersections(m: float, curve: TrajectoryCurve, t_min: float, t_max: float):
     for t in roots:
         at = sample(curve, t)
         product = (m / t + 0.0 if t else math.inf) if at.regular else math.nan
-        records.append(IntersectionRecord(t, at.point, product, t == -m and at.regular))
+        records.append(_new(IntersectionRecord, (t, at.point, product, t == -m and at.regular)))
     return records
 
 

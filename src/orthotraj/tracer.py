@@ -44,7 +44,7 @@ A trace ends where each leg spends its arc budget: ``arc-limit``.
 import math
 from typing import NamedTuple, Optional
 
-from .core_model import Point, TrajectoryCurve, cusp_parameters, linspace
+from .core_model import Point, TrajectoryCurve, _new, cusp_parameters, linspace
 from .errors import DomainError, NoBranchError
 from .roots import bracketed_root, slopes_at
 
@@ -159,7 +159,7 @@ def _leg(C: float, q0: float, sigma: float, cuts: list, step: float, budget: flo
     spacing = 2.0 * step
     out, drift = [], 0.0
     # Locals: the sample loop reads them once per sample.
-    sqrt, new, append = math.sqrt, tuple.__new__, out.append
+    sqrt, new, append = math.sqrt, _new, out.append
     u, vu = q0, _speed(C, q0)
     for b in ends:
         while u != b:
@@ -189,7 +189,6 @@ def _leg(C: float, q0: float, sigma: float, cuts: list, step: float, budget: flo
                 s = sqrt(1.0 + q * q)
                 x = q * q - C / s
                 y = 2.0 * q + C * (q / s)
-                # tuple.__new__ skips Point's Python-level __new__, half the cost.
                 append((new(Point, (x, y)), 1.0 / q))
                 f = abs((q * (y - q) - x) / s - C)
                 if f > drift:
@@ -240,7 +239,7 @@ def trace_orthogonal(cfg: TraceConfig) -> TraceResult:
     (back, d_back), (fwd, d_fwd) = [
         _leg(C, q0, sigma, cuts, cfg.step, cfg.max_arc) for sigma in (-orient, orient)
     ]
-    start = (tuple.__new__(Point, (x0, y0)), p0)
+    start = (_new(Point, (x0, y0)), p0)
     return TraceResult(samples=back[::-1] + [start] + fwd, potential_drift=max(d_back, d_fwd))
 
 
@@ -276,7 +275,7 @@ def trace_classic(kind: str, cfg: TraceConfig) -> TraceResult:
             a = a0 + sigma * (cfg.max_arc / r) * i / n
             x, y = (cx + r * math.cos(a), r * math.sin(a)) if i else (x0, y0)
             # The slope vy / vx of the field (vx, vy) = (y, -(x - cx)).
-            out.append((Point(x, y), (cx - x) / y if y else math.copysign(math.inf, cx - x)))
+            out.append((_new(Point, (x, y)), (cx - x) / y if y else math.copysign(math.inf, cx - x)))
             drift = max(drift, abs((x - cx) * (x - cx) + y * y - f0))
         legs.append(out)
     return TraceResult(samples=legs[0][:0:-1] + legs[1], potential_drift=drift)

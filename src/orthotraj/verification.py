@@ -46,7 +46,8 @@ class CheckResult(NamedTuple):
 def _worst(residuals) -> float:
     """The largest residual, 0 for none, and nan if any is nan: max()
     alone would skip a nan that is not first."""
-    return max(residuals, key=lambda r: (math.isnan(r), r), default=0.0)
+    rs = list(residuals)
+    return math.nan if any(map(math.isnan, rs)) else max(rs, default=0.0)
 
 
 def _bound(claim, tol, measured, residuals, note="", rel=False) -> CheckResult:

@@ -12,6 +12,8 @@ Covers:
     sum |terms| in floats and in mpmath at 50 digits, for C and t across
     magnitudes where no term overflows or goes subnormal
   - velocity formulas validated against central finite differences
+  - ``sample``'s record, bit for bit and type for type, against the one
+    the public constructors build, on cusps and for |t| up to 1e154
   - slope = 1/t universality (also via a finite-difference quotient)
   - both ODE residual forms, on lines and on curves
   - orthogonal feet: incidence, slope product, vertical-tangent case,
@@ -33,10 +35,12 @@ from hypothesis import strategies as st
 
 from orthotraj import (
     PARABOLA_NORMALS,
+    CurveSample,
     DegenerateFootError,
     DegeneratePointError,
     DomainError,
     LineFamily,
+    Point,
     TrajectoryCurve,
     curve_point,
     curve_slope,
@@ -47,7 +51,7 @@ from orthotraj import (
     ode_o_residual,
     orthogonal_foot,
 )
-from orthotraj.core_model import linspace
+from orthotraj.core_model import linspace, sample
 from orthotraj.verification import _sextic
 
 C_GRID = (-4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0)
@@ -209,6 +213,10 @@ class TestCurvePoint:
             curve_velocity(TrajectoryCurve(0.0), 1j)
         with pytest.raises(TypeError):
             ode_o_residual(1.0, 1j, 1.0)
+        with pytest.raises(TypeError):
+            sample(TrajectoryCurve(0.0), 1j)
+        with pytest.raises(TypeError):
+            orthogonal_foot(PARABOLA_NORMALS, 1j, TrajectoryCurve(0.0))
 
 
 class TestCurveVelocity:
@@ -236,6 +244,34 @@ class TestCurveVelocity:
             for t in np.linspace(-3, 3, 41):
                 vx, vy = curve_velocity(TrajectoryCurve(C), float(t))
                 assert vx == pytest.approx(t * vy, rel=1e-12, abs=1e-12)
+
+
+# +-10^k, k in [-300, 154]: past 1.3e154, 1 + t^2 overflows.
+WIDE_T = st.tuples(st.sampled_from((-1.0, 1.0)), st.floats(-300.0, 154.0)).map(
+    lambda sign_k: sign_k[0] * 10.0 ** sign_k[1])
+
+
+class TestSample:
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(st.one_of(st.floats(-10.0, 10.0), SIGNED_MAGNITUDE), WIDE_T, st.integers(0, 2))
+    @example(-2.0, 0.0, 2)
+    @example(-2.0, -0.0, 2)
+    @example(-4.0, 1e154, 2)
+    def test_matches_the_public_constructors(self, C, t, cusp):
+        # sample builds its record with tuple.__new__; it must equal, bit
+        # for bit (repr round-trips every float, -0.0 too), the record the
+        # public constructors build from curve_point and curve_velocity.
+        # cusp 0 or 1 moves t onto that cusp of C <= -2, if there is one.
+        curve = TrajectoryCurve(C)
+        cusps = cusp_parameters(curve)
+        t = cusps[cusp] if cusp < len(cusps) else t
+        vel = curve_velocity(curve, t)
+        ref = CurveSample(t, Point(*curve_point(curve, t)), vel,
+                          vel != (0.0, 0.0) and t not in cusps)
+        got = sample(curve, t)
+        assert repr(got) == repr(ref), (C, t)
+        assert (type(got), type(got.point), type(curve)) == (CurveSample, Point, TrajectoryCurve)
+        assert got.regular is ref.regular
 
 
 class TestCurveSlope:

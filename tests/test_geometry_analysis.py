@@ -55,6 +55,7 @@ from hypothesis import strategies as st
 from orthotraj import (
     DegenerateInputError,
     DomainError,
+    IntersectionRecord,
     TrajectoryCurve,
     classify_conic,
     conic_fit,
@@ -134,6 +135,7 @@ class TestIntersections:
         assert extra.point.y == pytest.approx(6.0, abs=1e-9)
         assert extra.slope_product == pytest.approx(1.0 / 3.0, abs=1e-10)
         assert not extra.orthogonal
+        assert all(type(r) is IntersectionRecord and r == IntersectionRecord(*r) for r in recs)
 
     def test_horizontal_line_at_vertex(self):
         recs = intersections(0.0, TrajectoryCurve(0.0), -5.0, 5.0)
