@@ -142,6 +142,8 @@ def curve_point(curve: TrajectoryCurve, t: float) -> Point:
             s = (1.0 + t * t) ** 0.5
         except OverflowError:  # 1 + t^2 overflows: |t| > 1.3e154
             raise DomainError(f"t must keep 1 + t^2 finite for a complex step, got {t!r}") from None
+        if not s:  # t = +-i, the roots of 1 + t^2
+            raise DomainError(f"t must keep 1 + t^2 nonzero for a complex step, got {t!r}")
     C = curve.C
     return _new(Point, (t * t - C / s, 2.0 * t + C * (t / s)))
 

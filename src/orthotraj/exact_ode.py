@@ -67,9 +67,15 @@ def _check(p: float, y: float = 0.0, require=_require_finite) -> None:
     require(y, "y")
 
 
-def _sqrt(z):
-    """math.sqrt, or the principal root of a complex step."""
-    return z**0.5 if isinstance(z, complex) else math.sqrt(z)
+def _s(p):
+    """sqrt(1 + p^2) by math.sqrt, or its principal root at a complex step
+    p, which must not be a root of 1 + p^2."""
+    if not isinstance(p, complex):
+        return math.sqrt(1.0 + p * p)
+    s = (1.0 + p * p) ** 0.5
+    if not s:  # p = +-i
+        raise DomainError(f"p must keep 1 + p^2 nonzero for a complex step, got {p!r}")
+    return s
 
 
 def raw_form() -> DifferentialForm:
@@ -100,11 +106,11 @@ def scaled_form() -> DifferentialForm:
 
     def M(y: float, p: float) -> float:
         _check(p, y, _require_finite_step)
-        return _sqrt(1.0 + p * p)
+        return _s(p)
 
     def N(y: float, p: float) -> float:
         _check(p, y, _require_finite_step)
-        return (p * y + 2.0 / p / p) / _sqrt(1.0 + p * p)
+        return (p * y + 2.0 / p / p) / _s(p)
 
     return DifferentialForm(
         M=M, N=N, description="sqrt(1+p^2) dy + (p y + 2/p^2)/sqrt(1+p^2) dp"

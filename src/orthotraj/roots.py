@@ -15,6 +15,7 @@ double root near 0 at (3, 1e-6) (ROADMAP item 1).
 """
 
 import math
+from typing import NamedTuple
 
 from .errors import DomainError, NoBracketError
 
@@ -28,38 +29,11 @@ _MULTIPLE_EPS = 1e-10
 _CLUSTER_EPS = 1e-8
 
 
-class RootSet:
-    """Real roots in ascending order with matching multiplicities; equal,
-    hashable and immutable by value, and sized and iterated by its roots."""
+class RootSet(NamedTuple):
+    """Real roots in ascending order with matching multiplicities."""
 
-    __slots__ = ("roots", "multiplicities")
-
-    def __init__(self, roots: tuple, multiplicities: tuple):
-        object.__setattr__(self, "roots", roots)
-        object.__setattr__(self, "multiplicities", multiplicities)
-
-    def __setattr__(self, name, *_):
-        raise AttributeError(f"RootSet is immutable: cannot set or delete {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):  # copy and pickle rebuild through __init__; also the value key
-        return RootSet, (self.roots, self.multiplicities)
-
-    def __eq__(self, other):
-        return type(other) is RootSet and self.__reduce__() == other.__reduce__()
-
-    def __hash__(self):
-        return hash(self.__reduce__())
-
-    def __repr__(self):
-        return f"RootSet(roots={self.roots!r}, multiplicities={self.multiplicities!r})"
-
-    def __len__(self):
-        return len(self.roots)
-
-    def __iter__(self):
-        return iter(self.roots)
+    roots: tuple
+    multiplicities: tuple
 
 
 def _cbrt(v: float) -> float:

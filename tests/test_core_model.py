@@ -6,8 +6,9 @@ Covers:
   - curve parametrization and the parabola identity at C = 0, and
     points of members with |C| up to the float maximum against mpmath
   - a complex step t + iH of curve_point reads the velocity, and one
-    that overflows raises ``DomainError``; no other function of the
-    module takes a complex argument
+    that overflows, or that is a root of 1 + t^2, raises
+    ``DomainError``; no other function of the module takes a complex
+    argument
   - every point lies on its member's sextic: |F_C(x, y)| <= 8 eps
     sum |terms| in floats and in mpmath at 50 digits, for C and t across
     magnitudes where no term overflows or goes subnormal
@@ -207,6 +208,14 @@ class TestCurvePoint:
         with pytest.raises(DomainError, match="complex step"):
             curve_point(TrajectoryCurve(1.0), complex(1e160, 2.0**-500))
         assert curve_point(TrajectoryCurve(1.0), 1e160).x == math.inf
+
+    @pytest.mark.parametrize("t", [1j, -1j], ids=["+i", "-i"])
+    @pytest.mark.parametrize("C", [0.0, 1.0, -4.0])
+    def test_complex_step_at_a_root_of_1_plus_t2_is_a_domain_error(self, C, t):
+        # s = sqrt(1 + t^2) is 0 at t = +-i, and C / s would divide by it.
+        with pytest.raises(DomainError, match="nonzero for a complex step") as exc:
+            curve_point(TrajectoryCurve(C), t)
+        assert str(exc.value).endswith(repr(t))
 
     def test_only_curve_point_takes_a_complex_t(self):
         with pytest.raises(TypeError):

@@ -12,7 +12,7 @@ Covers:
     or C, which returned nan or inf
   - at the ends of the float range: x = 1/p^2 and N's 2/p^2 overflow to
     inf rather than divide by an underflowed p * p, and a complex step
-    that overflows raises ``DomainError``
+    that overflows, or that is a root of 1 + p^2, raises ``DomainError``
 """
 
 import math
@@ -116,6 +116,13 @@ class TestExactnessDefect:
             assert "1e-160" in str(exc)
         else:
             assert d == 0.0
+
+    @pytest.mark.parametrize("p", [1j, -1j], ids=["+i", "-i"])
+    def test_step_at_a_root_of_1_plus_p2_is_a_domain_error(self, p):
+        # sqrt(1 + p^2) is 0 at p = +-i, and N divides by it.
+        with pytest.raises(DomainError, match="nonzero for a complex step") as exc:
+            scaled_form().N(1.0, p)
+        assert str(exc.value).endswith(repr(p))
 
 
 class TestIntegratingFactor:

@@ -11,11 +11,11 @@ and ``verify --help`` no tracer.  No module under ``src/orthotraj``
 imports numpy, and no step loads it: not import, a trace, ``verify
 --help``, ``intersections``, ``classify`` or the conic fit; with numpy
 unimportable, ``trace``, ``plot``, ``intersect``, ``classify`` and every
-verify suite still run.  No command loads ``dataclasses``: every record is a NamedTuple, except
-``RootSet``, a ``__slots__`` class.  The records are immutable, the
-checked ones (``TrajectoryCurve``, ``TraceConfig``) check on every
-construction, and ``RootSet`` is sized and iterated by its roots, and
-its repr rebuilds it.
+verify suite still run.  No command loads ``dataclasses``: every record
+is a NamedTuple.  The records are immutable, the checked ones
+(``TrajectoryCurve``, ``TraceConfig``) check on every construction, and
+``RootSet``, like every record, is sized and iterated by its fields and
+equals the tuple of them, and its repr rebuilds it.
 """
 
 import ast
@@ -305,12 +305,13 @@ def test_records_survive_pickle(record):
     assert copy == record
 
 
-def test_rootset_is_sized_and_iterated_by_its_roots():
+def test_rootset_is_sized_and_iterated_by_its_fields():
     rs = slopes_at(3.0, 1.0)  # p^3 + p^2 - 1 has one real root
-    assert len(rs) == len(rs.roots) == 1
-    assert list(rs) == list(rs.roots)
+    assert len(rs) == 2 and len(rs.roots) == 1
+    roots, multiplicities = rs
+    assert (roots, multiplicities) == (rs.roots, rs.multiplicities)
     three = slopes_at(3.0, -0.1)
-    assert len(three) == 3 and tuple(three) == three.roots
+    assert len(three.roots) == 3 and tuple(three) == (three.roots, three.multiplicities)
 
 
 def test_rootset_repr_rebuilds_it():
@@ -324,5 +325,5 @@ def test_rootset_equal_and_hashed_by_value():
     assert a is not b and a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
     assert a != slopes_at(3.0, 2.0)
-    assert a != (a.roots, a.multiplicities)
+    assert a == (a.roots, a.multiplicities)
     assert RootSet((), ()) == RootSet(roots=(), multiplicities=())

@@ -103,7 +103,7 @@ class TestSlopesAt:
             x = float(rng.uniform(-10, 10))
             y = float(rng.uniform(-10, 10))
             scale = max(abs(y), abs(x - 2.0), 1.0)
-            for r in slopes_at(x, y):
+            for r in slopes_at(x, y).roots:
                 residual = (y * r + (x - 2.0)) * r * r - 1.0
                 assert abs(residual) <= 1e-9 * scale * max(1.0, abs(r)) ** 3
 
@@ -148,7 +148,7 @@ class TestSlopesAt:
             scan_roots.extend(float(p) for p in ps[vals == 0.0])
             scan_roots.sort()
 
-            solver_roots = [r for r in slopes_at(x, y) if abs(r) <= 1000.0]
+            solver_roots = [r for r in slopes_at(x, y).roots if abs(r) <= 1000.0]
             assert len(scan_roots) == len(solver_roots), (x, y)
             for a, b in zip(scan_roots, solver_roots):
                 assert a == pytest.approx(b, abs=1e-6)

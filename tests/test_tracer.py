@@ -22,24 +22,23 @@ Covers:
     and of D = 3q^2 + 2 - x
   - the drift equals max |F - C| recomputed from the samples to the
     rounding of q = 1/p, the start sample appears once, and every sample
-    point is a Point (main trace, and a classic fixture, whose drift is
-    recomputed exactly); a sample off its member shows in the drift
-  - classic fixtures: both tracers share the sample spacing and end
-    properties, and the monopole circles conserve x^2 + y^2 and
-    (x+1)^2 + y^2 and close
+    point is a Point, on the parabola and on a cusped member; a sample
+    off its member shows in the drift
+  - the walk's shared checks (sample spacing, each end's arc budget, no
+    sliver of a step at an end) hold on the parabola and on a member
+    with two cusps, started between them
   - a far start, (1e300, 0.5), whose one ulp of q holds more arc than
     the budget, is its own trace; the arc stays finite next to
     |q| = 1e154, where its unhalved sums overflow
   - ``TraceResult`` has the fields samples, potential_drift and
     end_reasons, the one record of how each leg ended
   - every hint picks the root nearest it, however far, and no hint is
-    the hint 0; a classic start 1e-13 from its centre traces
+    the hint 0
   - error cases: no slope branch, a start slope from ``slopes_at`` that
-    does not solve the cubic (p = 0 or spurious), a classic start at its
-    centre, or so near it that the angle overflows, an unknown classic
-    kind, a missing or non-finite start for either tracer, bad
-    config (non-positive or non-finite step, max_arc or tol, a
-    nan slope hint), and a ``domain`` keyword, as TraceConfig has no box
+    does not solve the cubic (p = 0 or spurious), a missing or
+    non-finite start, bad config (non-positive or non-finite step,
+    max_arc or tol, a nan slope hint), and a ``domain`` keyword, as
+    TraceConfig has no box
 """
 import math
 import sys
@@ -61,7 +60,6 @@ from orthotraj import (
     trace_orthogonal,
 )
 from orthotraj import tracer
-from orthotraj.tracer import trace_classic
 
 
 def closed_form_gap(curve, result):
@@ -78,36 +76,32 @@ def closed_form_gap(curve, result):
     return worst
 
 
-# Each case is (trace(cfg), start, hint).
-TRACERS = [
-    pytest.param(trace_orthogonal, Point(1.0, 2.0), 1.0, id="orthogonal"),
-    pytest.param(
-        lambda cfg: trace_classic("monopole", cfg),
-        Point(3.0, 4.0),
-        None,
-        id="classic",
-    ),
+# Each case is (start, hint), and its hint is the start's slope p0: the
+# parabola, and C = -4 between its two cusps.
+STARTS = [
+    pytest.param(Point(1.0, 2.0), 1.0, id="orthogonal"),
+    pytest.param(curve_point(TrajectoryCurve(-4.0), 0.5), 2.0, id="cusped"),
 ]
 
 
-@pytest.mark.parametrize("trace,start,hint", TRACERS)
+@pytest.mark.parametrize("start,hint", STARTS)
 class TestSharedStepper:
-    """What both tracers' walks share: their sample spacing and where
-    they end."""
+    """What every leg of the walk shares, on a smooth member and across
+    cusps: its sample spacing and where it ends."""
 
-    def test_sample_spacing(self, trace, start, hint):
+    def test_sample_spacing(self, start, hint):
         cfg = TraceConfig(start=start, initial_slope_hint=hint, max_arc=20.0)
-        res = trace(cfg)
+        res = trace_orthogonal(cfg)
         assert len(res.samples) > 100
         for (a, _), (b, _) in zip(res.samples, res.samples[1:]):
             chord = math.hypot(b.x - a.x, b.y - a.y)
             assert chord <= 2.0 * cfg.step * (1.0 + 1e-9)
 
-    def test_each_end_spends_its_arc_budget(self, trace, start, hint):
+    def test_each_end_spends_its_arc_budget(self, start, hint):
         # At this spacing and curvature the chords of a half fall short of
         # its arc by about 2e-6 relative; the end lands on max_arc.
         cfg = TraceConfig(start=start, initial_slope_hint=hint, max_arc=5.0)
-        res = trace(cfg)
+        res = trace_orthogonal(cfg)
         assert res.end_reasons == ("arc-limit", "arc-limit")
         pts = [pt for pt, _ in res.samples]
         i = pts.index(start)
@@ -116,11 +110,11 @@ class TestSharedStepper:
             assert cfg.max_arc * (1.0 - 1e-5) <= chords <= cfg.max_arc * (1.0 + 1e-12)
 
     @pytest.mark.parametrize("max_arc", [0.5, 5.0, 20.0])
-    def test_no_tiny_gap_at_an_end(self, trace, start, hint, max_arc):
+    def test_no_tiny_gap_at_an_end(self, start, hint, max_arc):
         # A block that would leave a sliver of a block before a leg's end
         # runs on to the end, so no end takes an extra sliver of a step.
         cfg = TraceConfig(start=start, initial_slope_hint=hint, max_arc=max_arc)
-        pts = [pt for pt, _ in trace(cfg).samples]
+        pts = [pt for pt, _ in trace_orthogonal(cfg).samples]
         gaps = [math.hypot(b.x - a.x, b.y - a.y) for a, b in zip(pts, pts[1:])]
         assert min(gaps[:3] + gaps[-3:]) >= 1e-3
 
@@ -164,7 +158,7 @@ class TestTraceOrthogonal:
     def test_no_hint_is_the_hint_zero(self):
         # At (8, 1) the cubic has three roots; the default start takes the
         # one of smallest |p|, the root nearest the hint 0.
-        assert len(slopes_at(8.0, 1.0)) == 3
+        assert len(slopes_at(8.0, 1.0).roots) == 3
         cfg = TraceConfig(start=Point(8.0, 1.0), max_arc=5.0)
         assert trace_orthogonal(cfg) == trace_orthogonal(cfg._replace(initial_slope_hint=0.0))
 
@@ -299,8 +293,10 @@ class TestTraceOrthogonal:
             TraceConfig(start=Point(0.0, 3.0), step=0.0)
         with pytest.raises(DomainError):
             TraceConfig(start=Point(0.0, 3.0), tol=-1.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="TraceConfig.start is required"):
             trace_orthogonal(TraceConfig())
+        with pytest.raises(DomainError, match="start must be finite"):
+            trace_orthogonal(TraceConfig(start=Point(math.nan, 1.0)))
 
     @pytest.mark.parametrize("name", ["step", "max_arc", "tol"])
     def test_non_finite_config_is_rejected(self, name):
@@ -348,93 +344,19 @@ def offset_rounding(pt, p):
     return 8.0 * sys.float_info.epsilon * (q * (abs(pt.y) + q) + abs(pt.x))
 
 
-@pytest.mark.parametrize(
-    "trace,start,hint,p0,potential,rounding",
-    [
-        pytest.param(
-            trace_orthogonal, Point(1.0, 2.0), 1.0, 1.0, offset, offset_rounding, id="orthogonal"
-        ),
-        pytest.param(
-            lambda cfg: trace_classic("monopole", cfg),
-            Point(3.0, 4.0),
-            None,
-            -0.75,
-            lambda pt, _p: pt.x * pt.x + pt.y * pt.y,
-            lambda _pt, _p: 0.0,
-            id="monopole",
-        ),
-    ],
-)
+@pytest.mark.parametrize("start,p0", STARTS)
 @pytest.mark.parametrize("kw", [{}, {"step": 1.0}], ids=["arc", "coarse"])
-def test_samples_and_drift_in_one_pass(trace, start, hint, p0, potential, rounding, kw):
+def test_samples_and_drift_in_one_pass(start, p0, kw):
     # The drift is max |F - F0| over the samples, made inside the walk;
     # recomputed from the merged samples, with the start's p as the
-    # slope, it agrees to the rounding of F: exactly for the monopole,
-    # whose F is made from the sample point alone.
-    res = trace(TraceConfig(start=start, initial_slope_hint=hint, max_arc=20.0, **kw))
+    # slope, it agrees to the rounding of F.
+    res = trace_orthogonal(TraceConfig(start=start, initial_slope_hint=p0, max_arc=20.0, **kw))
     assert res.end_reasons == ("arc-limit", "arc-limit")
     assert all(type(pt) is Point for pt, _ in res.samples)
     assert res.samples.count((start, p0)) == 1
     assert [pt for pt, _ in res.samples].count(start) == 1
-    f0 = potential(start, p0)
-    recomputed = max(abs(potential(pt, p) - f0) for pt, p in res.samples)
-    slack = max(rounding(pt, p) for pt, p in res.samples)
+    f0 = offset(start, p0)
+    recomputed = max(abs(offset(pt, p) - f0) for pt, p in res.samples)
+    slack = max(offset_rounding(pt, p) for pt, p in res.samples)
     assert abs(res.potential_drift - recomputed) <= slack
 
-
-class TestTraceClassic:
-    @pytest.mark.parametrize(
-        "kind,start,level",
-        [
-            ("monopole", Point(3.0, 4.0), 25.0),
-            ("shifted-monopole", Point(0.0, 1.0), 2.0),
-        ],
-        ids=["monopole-start1-25.0", "shifted-monopole-start2-2.0"],
-    )
-    def test_conserved_quantity(self, kind, start, level):
-        cfg = TraceConfig(start=start, max_arc=30.0)
-        res = trace_classic(kind, cfg)
-        assert res.potential_drift <= 1e-6
-        conserved = {
-            "monopole": lambda x, y: x * x + y * y,
-            "shifted-monopole": lambda x, y: (x + 1.0) ** 2 + y * y,
-        }[kind]
-        for pt, _ in res.samples:
-            assert conserved(pt.x, pt.y) == pytest.approx(level, abs=1e-6)
-
-    def test_monopole_closes_circle(self):
-        # Arc budget exceeds the circumference, so samples cover all
-        # quadrants of x^2 + y^2 = 25.
-        res = trace_classic("monopole", TraceConfig(start=Point(3.0, 4.0), max_arc=20.0))
-        quadrants = {(pt.x > 0, pt.y > 0) for pt, _ in res.samples}
-        assert len(quadrants) == 4
-
-    def test_singular_start(self):
-        with pytest.raises(DomainError):
-            trace_classic("monopole", TraceConfig(start=Point(0.0, 0.0)))
-        with pytest.raises(DomainError):
-            trace_classic("shifted-monopole", TraceConfig(start=Point(-1.0, 0.0)))
-
-    def test_start_next_to_the_centre_traces(self):
-        # The field (y, -(x - cx)) is singular at its centre alone.
-        res = trace_classic("monopole", TraceConfig(start=Point(1e-13, 0.0)))
-        assert len(res.samples) > 1 and math.isfinite(res.potential_drift)
-        assert all(math.isfinite(pt.x) and math.isfinite(pt.y) for pt, _ in res.samples)
-
-    def test_angle_past_the_float_range_is_a_domain_error(self):
-        # At radius 1e-310 the arc budget 50 is 5e311 radians.
-        with pytest.raises(DomainError, match="its angles overflow"):
-            trace_classic("monopole", TraceConfig(start=Point(1e-310, 0.0)))
-
-    def test_start_checked_like_trace_orthogonal(self):
-        with pytest.raises(DomainError, match="TraceConfig.start is required"):
-            trace_classic("monopole", TraceConfig())
-        with pytest.raises(DomainError, match="start must be finite"):
-            trace_classic("monopole", TraceConfig(start=Point(math.nan, 1.0)))
-
-    def test_unknown_kind(self):
-        # The hyperbola pair's trajectories xy = const have no closed-form
-        # arc, so it is no fixture.
-        for kind in ("dipole", "hyperbola-pair"):
-            with pytest.raises(DomainError):
-                trace_classic(kind, TraceConfig(start=Point(1.0, 1.0)))
