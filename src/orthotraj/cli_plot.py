@@ -350,8 +350,14 @@ def _params(args, flags) -> dict:
 
 
 def _json_safe(value):
-    if isinstance(value, float) and not math.isfinite(value):
-        return repr(value)  # 'inf', '-inf', 'nan'
+    """``value`` with every non-finite float in it, at any depth, written
+    as its repr: 'inf', '-inf' or 'nan'."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else repr(value)
+    if isinstance(value, dict):
+        return {k: _json_safe(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(v) for v in value]
     return value
 
 
@@ -409,7 +415,7 @@ def _cmd_trace(params):
         "end_reasons": list(result.end_reasons),
         "potential_drift": result.potential_drift,
         "samples": [
-            {"x": pt.x, "y": pt.y, "p": _json_safe(p)} for pt, p in result.samples
+            {"x": pt.x, "y": pt.y, "p": p} for pt, p in result.samples
         ],
     }
     return 0, results
@@ -424,17 +430,16 @@ def _cmd_intersect(params):
           f"for t in [{t_min:.9g}, {t_max:.9g}]")
     for rec in records:
         tag = "orthogonal" if rec.orthogonal else "non-orthogonal"
-        sp = "inf" if math.isinf(rec.slope_product) else f"{rec.slope_product:.9g}"
         print(
             f"  t = {rec.t: .9g}  point = ({rec.point.x: .9g}, {rec.point.y: .9g})  "
-            f"slope product = {sp}  [{tag}]"
+            f"slope product = {rec.slope_product:.9g}  [{tag}]"
         )
     results = [
         {
             "t": rec.t,
             "x": rec.point.x,
             "y": rec.point.y,
-            "slope_product": _json_safe(rec.slope_product),
+            "slope_product": rec.slope_product,
             "orthogonal": rec.orthogonal,
         }
         for rec in records
@@ -575,7 +580,7 @@ def run(argv) -> int:
             report = {
                 "command": args.command,
                 "inputs": params,
-                "results": results,
+                "results": _json_safe(results),
                 "pass": code == 0,
             }
             _write_text(args.json_out, json.dumps(report, indent=2, allow_nan=False) + "\n")

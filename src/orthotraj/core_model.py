@@ -129,21 +129,35 @@ def _g(C: float, t: float) -> float:
     return 2.0 + C * (1.0 + t * t) ** -1.5
 
 
+def _s(t):
+    """s = sqrt(1 + t^2), the root every closed form of the family reads.
+
+    For a real t, sqrt(1 + t*t) while t*t is finite, and |t| past it,
+    where t^-2 is below an ulp: finite for every finite t.  At a complex
+    step t + iH, the principal root, and ``DomainError`` where 1 + t^2
+    overflows or is 0 (t = +-i).
+    """
+    if not isinstance(t, complex):
+        tt = t * t
+        return math.sqrt(1.0 + tt) if tt < math.inf else abs(t)
+    try:
+        s = (1.0 + t * t) ** 0.5
+    except OverflowError:  # 1 + t^2 overflows: |t| > 1.3e154
+        s = 0j
+    if not s or s != s:  # 0 at t = +-i; nan where t^2 is inf - inf
+        raise DomainError(f"1 + t^2 must be finite and nonzero for a complex step t, got {t!r}")
+    return s
+
+
 def curve_point(curve: TrajectoryCurve, t: float) -> Point:
     """Evaluate (x(t), y(t)) on the curve with constant ``curve.C``, as
     P(t) + C n(t) with n_y = t / s formed first: C t alone can overflow.
     At a complex step t + iH its imaginary parts are H (dx/dt, dy/dt)."""
     try:
         t = _require_finite(t, "t")
-        s = math.sqrt(1.0 + t * t)
     except TypeError:
         _require_finite_step(t, "t")
-        try:
-            s = (1.0 + t * t) ** 0.5
-        except OverflowError:  # 1 + t^2 overflows: |t| > 1.3e154
-            raise DomainError(f"t must keep 1 + t^2 finite for a complex step, got {t!r}") from None
-        if not s:  # t = +-i, the roots of 1 + t^2
-            raise DomainError(f"t must keep 1 + t^2 nonzero for a complex step, got {t!r}")
+    s = _s(t)
     C = curve.C
     return _new(Point, (t * t - C / s, 2.0 * t + C * (t / s)))
 

@@ -27,12 +27,13 @@ Everything is a pure scalar function; the whole (y, p) domain excludes
 p = 0, where mu and F blow up (the curves cross the x-axis vertically),
 and a non-finite y or p, which raise ``DomainError`` rather than return
 nan or inf.  The two forms also take a complex step in y or p.
+sqrt(1 + p^2) is ``core_model._s``, finite for every finite real p.
 """
 
 import math
 from typing import Callable, NamedTuple
 
-from .core_model import Point, _new, _require_finite, _require_finite_step
+from .core_model import Point, _new, _require_finite, _require_finite_step, _s
 from .errors import DomainError
 
 __all__ = [
@@ -67,17 +68,6 @@ def _check(p: float, y: float = 0.0, require=_require_finite) -> None:
     require(y, "y")
 
 
-def _s(p):
-    """sqrt(1 + p^2) by math.sqrt, or its principal root at a complex step
-    p, which must not be a root of 1 + p^2."""
-    if not isinstance(p, complex):
-        return math.sqrt(1.0 + p * p)
-    s = (1.0 + p * p) ** 0.5
-    if not s:  # p = +-i
-        raise DomainError(f"p must keep 1 + p^2 nonzero for a complex step, got {p!r}")
-    return s
-
-
 def raw_form() -> DifferentialForm:
     """The non-exact form (p^3 + p) dy + (y p^2 + 2/p) dp = 0."""
 
@@ -95,7 +85,7 @@ def raw_form() -> DifferentialForm:
 def integrating_factor(p: float) -> float:
     """mu(p) = 1 / (p sqrt(1 + p^2)); singular at p = 0."""
     _check(p)
-    return 1.0 / (p * math.sqrt(1.0 + p * p))
+    return 1.0 / (p * _s(p))
 
 
 def scaled_form() -> DifferentialForm:
@@ -124,11 +114,8 @@ def exactness_defect(form: DifferentialForm, y: float, p: float) -> float:
     y or p, and a complex step that overflows raise ``DomainError``.
     """
     _check(p, y)
-    try:
-        d = (form.M(y, complex(p, _H)).imag - form.N(complex(y, _H), p).imag) / _H
-    except OverflowError:  # a complex root past |p| = 1.3e154
-        d = math.nan
-    if math.isnan(d):  # or inf * 0 in a complex quotient, as at |p| < 1.5e-154
+    d = (form.M(y, complex(p, _H)).imag - form.N(complex(y, _H), p).imag) / _H
+    if math.isnan(d):  # inf * 0 in a complex quotient, as at |p| < 1.5e-154
         raise DomainError(f"the complex step overflows at (y, p) = ({y!r}, {p!r})")
     return d
 
@@ -140,16 +127,17 @@ def potential(y: float, p: float) -> float:
     family constant C (for the p > 0 branch).
     """
     _check(p, y)
-    return (y - 2.0 / p) * math.sqrt(1.0 + p * p)
+    return (y - 2.0 / p) * _s(p)
 
 
 def solve_for_xy(p: float, C: float) -> Point:
     """The point of the level-C solution carrying slope p.
 
-    x = 1/p^2 - C p / sqrt(1 + p^2),  y = 2/p + C / sqrt(1 + p^2).
-    Equals ``curve_point(TrajectoryCurve(C), 1/p)`` for p > 0.
+    x = 1/p^2 - C p / sqrt(1 + p^2),  y = 2/p + C / sqrt(1 + p^2), with
+    p / s formed first, as ``curve_point`` forms t / s: C p alone can
+    overflow.  Equals ``curve_point(TrajectoryCurve(C), 1/p)`` for p > 0.
     """
     _check(p)
     C = _require_finite(C, "C")
-    s = math.sqrt(1.0 + p * p)
-    return _new(Point, (1.0 / p / p - C * p / s, 2.0 / p + C / s))
+    s = _s(p)
+    return _new(Point, (1.0 / p / p - C * (p / s), 2.0 / p + C / s))

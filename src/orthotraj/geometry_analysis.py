@@ -89,6 +89,7 @@ def intersections(m: float, curve: TrajectoryCurve, t_min: float, t_max: float):
 
     def h(t: float) -> float:
         # m (m - t), not m^2 - m t: that is inf - inf = nan for |m| > 1.3e154.
+        # The root is inline: a core_model._s call made bench geometry 7% slower.
         return 2.0 + m * (m - t) + C / math.sqrt(1.0 + t * t)
 
     extrema = [(0.5 * m, 4.0, 4.0)] + ([(1.0 / m, 1.0, abs(m))] if m else [])

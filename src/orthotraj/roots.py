@@ -25,8 +25,6 @@ __all__ = ["RootSet", "slopes_at", "bracketed_root"]
 _DEGREE_EPS = 1e-12
 # Relative discriminant proximity treated as a multiple root.
 _MULTIPLE_EPS = 1e-10
-# Roots closer than this, relative to |r|, are merged into one.
-_CLUSTER_EPS = 1e-8
 
 
 class RootSet(NamedTuple):
@@ -96,8 +94,7 @@ def slopes_at(x: float, y: float) -> RootSet:
     """Admissible orthogonal-trajectory slopes through (x, y).
 
     These are the real roots of y p^3 + (x - 2) p^2 - 1 = 0, closed form
-    plus Newton polish.  Roots closer than the cluster tolerance are
-    merged and their multiplicities summed.
+    plus Newton polish.
     """
     if not (math.isfinite(x) and math.isfinite(y)):
         raise DomainError(f"point must be finite, got ({x!r}, {y!r})")
@@ -114,18 +111,9 @@ def slopes_at(x: float, y: float) -> RootSet:
 
     polished = [(_polish(y, a, r) if mult == 1 else r, mult) for r, mult in pairs]
     polished.sort(key=lambda rm: rm[0])
-
-    merged = []
-    for r, mult in polished:
-        if merged and abs(r - merged[-1][0]) <= _CLUSTER_EPS * abs(r):
-            prev_r, prev_m = merged[-1]
-            merged[-1] = (prev_r, prev_m + mult)
-        else:
-            merged.append((r, mult))
-
     return RootSet(
-        roots=tuple(r + 0.0 for r, _ in merged),  # normalizes -0.0
-        multiplicities=tuple(m for _, m in merged),
+        roots=tuple(r + 0.0 for r, _ in polished),  # normalizes -0.0
+        multiplicities=tuple(m for _, m in polished),
     )
 
 

@@ -20,6 +20,8 @@ Covers:
     significant digits, so the classify header parses back to C
   - trace from (1e300, 0.5) exits 0 with nothing on stderr, and the
     trace report and stdout carry end_reasons as their one end record
+  - a report writes every non-finite number, a coordinate too, as the
+    string "inf", "-inf" or "nan"
   - --help showing every default and required parameter, and a report's
     inputs listing every parameter
   - exact numeric round-trip of flags through the JSON report, negative
@@ -578,6 +580,17 @@ class TestConfigMerging:
         assert run(["intersect", "-m", "0", "-C", "0", "--json-out", str(report_path)]) == 0
         (record,) = json.loads(report_path.read_text())["results"]
         assert record == {"t": 0.0, "x": 0.0, "y": 0.0, "slope_product": "inf", "orthogonal": True}
+
+    def test_intersect_report_writes_an_infinite_coordinate(self, tmp_path, capsys):
+        # The outer crossings of m = 0 with C = -1e250 lie past the overflow
+        # of x = t^2: a report writes every non-finite number as its repr.
+        report_path = tmp_path / "r.json"
+        argv = ["intersect", "-m", "0", "-C", "-1e250", "--t-min", "-1e300", "--t-max", "1e300"]
+        assert run([*argv, "--json-out", str(report_path)]) == 0
+        assert capsys.readouterr().err == ""
+        assert '"x": "inf"' in report_path.read_text()
+        records = json.loads(report_path.read_text())["results"]
+        assert [r["x"] for r in records] == ["inf", 1e250, "inf"]
 
     def test_verify_report(self, tmp_path, capsys):
         report_path = tmp_path / "verify.json"

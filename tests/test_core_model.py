@@ -8,7 +8,7 @@ Covers:
   - a complex step t + iH of curve_point reads the velocity, and one
     that overflows, or that is a root of 1 + t^2, raises
     ``DomainError``; no other function of the module takes a complex
-    argument
+    argument; a real t past the overflow of t * t gives the true y
   - every point lies on its member's sextic: |F_C(x, y)| <= 8 eps
     sum |terms| in floats and in mpmath at 50 digits, for C and t across
     magnitudes where no term overflows or goes subnormal
@@ -203,11 +203,17 @@ class TestCurvePoint:
             assert (z.x.real, z.y.real) == pytest.approx(curve_point(curve, t), rel=1e-15, abs=1e-15)
 
     def test_complex_step_past_the_float_range_is_a_domain_error(self):
-        # 1 + t^2 overflows past |t| = 1.3e154, where the complex root raises
-        # OverflowError; the float path returns its overflowed point.
+        # 1 + t^2 overflows past |t| = 1.3e154, where the complex root has
+        # no float value; the float path's x = inf is right, as x ~ 1e320.
         with pytest.raises(DomainError, match="complex step"):
             curve_point(TrajectoryCurve(1.0), complex(1e160, 2.0**-500))
         assert curve_point(TrajectoryCurve(1.0), 1e160).x == math.inf
+
+    def test_point_past_the_overflow_of_t_squared(self):
+        # t * t overflows at t = 1e200, so s = |t| and t / s = 1: the root
+        # read inf and y read 2e200.  The true x is 1e400, past the range.
+        x, y = curve_point(TrajectoryCurve(-1e250), 1e200)
+        assert x == math.inf and y == pytest.approx(-1e250, rel=4e-16)
 
     @pytest.mark.parametrize("t", [1j, -1j], ids=["+i", "-i"])
     @pytest.mark.parametrize("C", [0.0, 1.0, -4.0])

@@ -11,8 +11,9 @@ Covers:
   - singular-domain errors at p = 0, and errors for a non-finite y, p
     or C, which returned nan or inf
   - at the ends of the float range: x = 1/p^2 and N's 2/p^2 overflow to
-    inf rather than divide by an underflowed p * p, and a complex step
-    that overflows, or that is a root of 1 + p^2, raises ``DomainError``
+    inf rather than divide by an underflowed p * p, F and the solution
+    hold past the overflow of p * p, and a complex step that overflows,
+    or that is a root of 1 + p^2, raises ``DomainError``
 """
 
 import math
@@ -104,8 +105,9 @@ class TestExactnessDefect:
                 exactness_defect(raw_form(), y, p)
 
     def test_step_past_the_float_range_is_a_domain_error(self):
-        # Past |p| = 1.3e154 the complex root of 1 + p^2 raises OverflowError.
-        with pytest.raises(DomainError, match=r"\(y, p\) = \(1\.0, 1e\+160\)"):
+        # Past |p| = 1.3e154, 1 + p^2 overflows at the step p + iH, and the
+        # message names that step.
+        with pytest.raises(DomainError, match=r"complex step t, got \(1e\+160\+"):
             exactness_defect(scaled_form(), 1.0, 1e160)
         # Under |p| = 1.5e-154, 2/p^2 is inf, and Python before 3.14 divides
         # the complex (inf + xj) by the float root as complex division,
@@ -180,6 +182,11 @@ class TestPotential:
         with pytest.raises(DomainError):
             potential(1.0, 0.0)
 
+    def test_past_the_overflow_of_p_squared(self):
+        # p * p overflows at p = 1e170, so sqrt(1 + p^2) is |p| there: it
+        # read inf, and so did F, whose true value is 1.
+        assert potential(3e-170, 1e170) == pytest.approx(1.0, rel=4e-16)
+
 
 NON_FINITE = [math.nan, math.inf, -math.inf]
 
@@ -229,6 +236,12 @@ class TestSolveForXY:
         # p * p underflows to 0 at p = 1e-170, so 1/p^2 is formed as 1/p/p.
         pt = solve_for_xy(p, 1.0)
         assert pt.x == math.inf and pt.y == pytest.approx(2.0 / p)
+
+    def test_past_the_overflow_of_p_squared(self):
+        # At p = 1e170, sqrt(1 + p^2) is |p| and C (p / s) is C: the root read
+        # inf, and x = 0.0, y = 2e-170 came back for (-1, 3e-170).
+        x, y = solve_for_xy(1e170, 1.0)
+        assert x == -1.0 and y == pytest.approx(3e-170, rel=4e-16)
 
     def test_level_set_roundtrip(self):
         # potential(solve_for_xy(p, C)) recovers C on both p signs.
