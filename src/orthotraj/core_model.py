@@ -28,24 +28,10 @@ Everything here is a pure scalar function of its inputs.
 import math
 from typing import NamedTuple
 
-from .errors import DegenerateFootError, DegeneratePointError, DomainError
+from . import _EXPORTS
+from .errors import DegenerateFootError, DegeneratePointError, DomainError, _finite
 
-__all__ = [
-    "Point",
-    "Line",
-    "LineFamily",
-    "TrajectoryCurve",
-    "CurveSample",
-    "PARABOLA_NORMALS",
-    "line_at",
-    "curve_point",
-    "curve_velocity",
-    "curve_slope",
-    "ode_c_residual",
-    "ode_o_residual",
-    "orthogonal_foot",
-    "cusp_parameters",
-]
+__all__ = list(_EXPORTS["core_model"])
 
 # tuple.__new__ skips a NamedTuple's Python-level __new__, half the cost:
 # the per-point paths build their records with it after their own checks.
@@ -80,15 +66,14 @@ PARABOLA_NORMALS = LineFamily()
 
 
 class TrajectoryCurve(NamedTuple("TrajectoryCurve", [("C", float)])):
-    """One member of the orthogonal family, identified by its constant C."""
+    """One member of the orthogonal family, identified by its constant C,
+    stored as a float."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
     def __new__(cls, C: float):
-        if not math.isfinite(C):
-            raise DomainError("curve constant C must be finite")
-        return _new(cls, (C,))
+        return _new(cls, (_finite(C, "C"),))
 
 
 class CurveSample(NamedTuple):
@@ -104,23 +89,19 @@ class CurveSample(NamedTuple):
     regular: bool
 
 
-def _require_finite(value: float, name: str) -> float:
-    value = float(value)
-    if not math.isfinite(value):
+def _finite_step(value, name: str):
+    """``_finite``, or ``value`` itself where it is a finite complex step
+    t + iH."""
+    if not isinstance(value, complex):
+        return _finite(value, name)
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise DomainError(f"{name} must be finite, got {value!r}")
     return value
 
 
-def _require_finite_step(value, name: str) -> None:
-    """``_require_finite`` that also passes a finite complex step t + iH."""
-    z = complex(value)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise DomainError(f"{name} must be finite, got {value!r}")
-
-
 def line_at(family: LineFamily, m: float) -> Line:
     """The member of ``family`` with slope m."""
-    m = _require_finite(m, "m")
+    m = _finite(m, "m")
     return _new(Line, (m, family.f(m)))
 
 
@@ -154,9 +135,9 @@ def curve_point(curve: TrajectoryCurve, t: float) -> Point:
     P(t) + C n(t) with n_y = t / s formed first: C t alone can overflow.
     At a complex step t + iH its imaginary parts are H (dx/dt, dy/dt)."""
     try:
-        t = _require_finite(t, "t")
+        t = _finite(t, "t")
     except TypeError:
-        _require_finite_step(t, "t")
+        t = _finite_step(t, "t")
     s = _s(t)
     C = curve.C
     return _new(Point, (t * t - C / s, 2.0 * t + C * (t / s)))
@@ -164,14 +145,14 @@ def curve_point(curve: TrajectoryCurve, t: float) -> Point:
 
 def curve_velocity(curve: TrajectoryCurve, t: float):
     """The parametric derivative (dx/dt, dy/dt) = (t*g(t), g(t))."""
-    t = _require_finite(t, "t")
+    t = _finite(t, "t")
     g = _g(curve.C, t)
     return (t * g, g)
 
 
 def sample(curve: TrajectoryCurve, t: float) -> CurveSample:
     """Point, velocity and regularity flag at parameter t."""
-    u = _require_finite(t, "t")  # a real: curve_point also takes a complex step
+    u = _finite(t, "t")  # a real: curve_point also takes a complex step
     g = _g(curve.C, u)
     regular = g != 0.0 and t not in cusp_parameters(curve)
     return _new(CurveSample, (t, curve_point(curve, u), (u * g, g), regular))
@@ -202,9 +183,9 @@ def ode_c_residual(x: float, y: float, p: float) -> float:
 
     Zero iff (x, y) lies on the family member with slope p.
     """
-    x = _require_finite(x, "x")
-    y = _require_finite(y, "y")
-    p = _require_finite(p, "p")
+    x = _finite(x, "x")
+    y = _finite(y, "y")
+    p = _finite(p, "p")
     return y - (p * x - 2.0 * p - p * p * p)
 
 
@@ -215,9 +196,9 @@ def ode_o_residual(x: float, y: float, p: float) -> float:
     obtained from the line-family equation by the right-angle substitution
     p -> -1/p.
     """
-    x = _require_finite(x, "x")
-    y = _require_finite(y, "y")
-    p = _require_finite(p, "p")
+    x = _finite(x, "x")
+    y = _finite(y, "y")
+    p = _finite(p, "p")
     return y * p * p * p - p * p * (2.0 - x) - 1.0
 
 
@@ -233,7 +214,7 @@ def orthogonal_foot(
     x-axis.  If t = -m is a cusp, where C = -2 (1 + m^2)^(3/2), the
     sample there is not regular and the foot is flagged degenerate.
     """
-    m = _require_finite(m, "m")
+    m = _finite(m, "m")
     foot = sample(curve, -m)
     if not foot.regular:
         raise DegenerateFootError(f"foot of line m={m!r} on curve C={curve.C!r} is a cusp")

@@ -1,15 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one check of a
+caller's number (``_finite``)."""
 
-__all__ = [
-    "OrthoTrajError",
-    "DomainError",
-    "DegeneratePointError",
-    "DegenerateFootError",
-    "NoBracketError",
-    "NoBranchError",
-    "DegenerateInputError",
-    "ConfigError",
-]
+import math
+
+from . import _EXPORTS
+
+__all__ = list(_EXPORTS["errors"])
 
 
 class OrthoTrajError(Exception):
@@ -43,3 +39,16 @@ class DegenerateInputError(OrthoTrajError, ValueError):
 
 class ConfigError(OrthoTrajError, ValueError):
     """Invalid CLI / plot configuration; the message names the field."""
+
+
+def _finite(value, name: str) -> float:
+    """``float(value)``, or ``DomainError`` where it is not finite, an int
+    past the float range included.  A value ``float`` rejects, such as a
+    complex step or None, raises its ``TypeError``."""
+    try:
+        x = float(value)
+    except OverflowError:  # the int itself is not formatted: repr fails past 4,300 digits
+        raise DomainError(f"{name} must be finite, got a number past the float range") from None
+    if not math.isfinite(x):
+        raise DomainError(f"{name} must be finite, got {x!r}")
+    return x

@@ -33,18 +33,11 @@ sqrt(1 + p^2) is ``core_model._s``, finite for every finite real p.
 import math
 from typing import Callable, NamedTuple
 
-from .core_model import Point, _new, _require_finite, _require_finite_step, _s
-from .errors import DomainError
+from . import _EXPORTS
+from .core_model import Point, _finite_step, _new, _s
+from .errors import DomainError, _finite
 
-__all__ = [
-    "DifferentialForm",
-    "raw_form",
-    "scaled_form",
-    "integrating_factor",
-    "exactness_defect",
-    "potential",
-    "solve_for_xy",
-]
+__all__ = list(_EXPORTS["exact_ode"])
 
 
 class DifferentialForm(NamedTuple):
@@ -60,23 +53,23 @@ class DifferentialForm(NamedTuple):
 _H = 2.0**-500
 
 
-def _check(p: float, y: float = 0.0, require=_require_finite) -> None:
-    """DomainError unless p is nonzero and p and y pass ``require``."""
+def _check(p: float, y: float = 0.0, require=_finite) -> tuple:
+    """(p, y) as ``require`` returns them; DomainError where p is 0."""
     if p == 0.0:
         raise DomainError(f"p must be nonzero, got {p!r}")
-    require(p, "p")
-    require(y, "y")
+    return require(p, "p"), require(y, "y")
 
 
 def raw_form() -> DifferentialForm:
     """The non-exact form (p^3 + p) dy + (y p^2 + 2/p) dp = 0."""
 
+    # M and N keep the caller's numbers, so a Fraction stays exact.
     def M(y: float, p: float) -> float:
-        _check(p, y, _require_finite_step)
+        _check(p, y, _finite_step)
         return p * p * p + p
 
     def N(y: float, p: float) -> float:
-        _check(p, y, _require_finite_step)
+        _check(p, y, _finite_step)
         return y * p * p + 2.0 / p
 
     return DifferentialForm(M=M, N=N, description="(p^3+p) dy + (y p^2 + 2/p) dp")
@@ -84,8 +77,8 @@ def raw_form() -> DifferentialForm:
 
 def integrating_factor(p: float) -> float:
     """mu(p) = 1 / (p sqrt(1 + p^2)); singular at p = 0."""
-    _check(p)
-    return 1.0 / (p * _s(p))
+    p = _check(p)[0]
+    return 1.0 / p / _s(p)
 
 
 def scaled_form() -> DifferentialForm:
@@ -95,11 +88,11 @@ def scaled_form() -> DifferentialForm:
     """
 
     def M(y: float, p: float) -> float:
-        _check(p, y, _require_finite_step)
+        p = _check(p, y, _finite_step)[0]
         return _s(p)
 
     def N(y: float, p: float) -> float:
-        _check(p, y, _require_finite_step)
+        p, y = _check(p, y, _finite_step)
         return (p * y + 2.0 / p / p) / _s(p)
 
     return DifferentialForm(
@@ -113,7 +106,7 @@ def exactness_defect(form: DifferentialForm, y: float, p: float) -> float:
     Zero (to rounding) iff the form is exact there.  p = 0, a non-finite
     y or p, and a complex step that overflows raise ``DomainError``.
     """
-    _check(p, y)
+    p, y = _check(p, y)
     d = (form.M(y, complex(p, _H)).imag - form.N(complex(y, _H), p).imag) / _H
     if math.isnan(d):  # inf * 0 in a complex quotient, as at |p| < 1.5e-154
         raise DomainError(f"the complex step overflows at (y, p) = ({y!r}, {p!r})")
@@ -126,7 +119,7 @@ def potential(y: float, p: float) -> float:
     Constant along solutions of the exact form; its level value is the
     family constant C (for the p > 0 branch).
     """
-    _check(p, y)
+    p, y = _check(p, y)
     return (y - 2.0 / p) * _s(p)
 
 
@@ -137,7 +130,6 @@ def solve_for_xy(p: float, C: float) -> Point:
     p / s formed first, as ``curve_point`` forms t / s: C p alone can
     overflow.  Equals ``curve_point(TrajectoryCurve(C), 1/p)`` for p > 0.
     """
-    _check(p)
-    C = _require_finite(C, "C")
+    p, C = _check(p)[0], _finite(C, "C")
     s = _s(p)
     return _new(Point, (1.0 / p / p - C * (p / s), 2.0 / p + C / s))

@@ -14,19 +14,12 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
+from . import _EXPORTS
 from .core_model import Point, TrajectoryCurve, _new, sample
-from .errors import DegenerateInputError, DomainError
+from .errors import DegenerateInputError, DomainError, _finite
 from .roots import bracketed_root
 
-__all__ = [
-    "IntersectionRecord",
-    "ConicFit",
-    "intersections",
-    "fit_conic",
-    "conic_fit",
-    "classify_conic",
-    "is_parabola",
-]
+__all__ = list(_EXPORTS["geometry_analysis"])
 
 
 class IntersectionRecord(NamedTuple):
@@ -80,17 +73,17 @@ def intersections(m: float, curve: TrajectoryCurve, t_min: float, t_max: float):
     its exact sign.  At the foot cusp C = -2 (1 + m^2)^(3/2), where h(-m) = 0
     by the exact sign, the foot is its piece's root; no root repeats it.
     """
-    m = float(m)
-    if not math.isfinite(m):
-        raise DomainError(f"m must be finite, got {m!r}")
+    m, t_min, t_max = _finite(m, "m"), _finite(t_min, "t_min"), _finite(t_max, "t_max")
     if not (t_min < t_max and math.isfinite(t_max - t_min)):
         raise DomainError(f"need a finite window t_min < t_max, got [{t_min!r}, {t_max!r}]")
     C = curve.C
 
     def h(t: float) -> float:
         # m (m - t), not m^2 - m t: that is inf - inf = nan for |m| > 1.3e154.
-        # The root is inline: a core_model._s call made bench geometry 7% slower.
-        return 2.0 + m * (m - t) + C / math.sqrt(1.0 + t * t)
+        # The root is core_model._s inline, |t| where t t overflows: a _s
+        # call made bench geometry 7% slower.
+        tt = t * t
+        return 2.0 + m * (m - t) + C / (math.sqrt(1.0 + tt) if tt < math.inf else abs(t))
 
     extrema = [(0.5 * m, 4.0, 4.0)] + ([(1.0 / m, 1.0, abs(m))] if m else [])
     ends = [(t, (f > 0.0) - (f < 0.0)) for t in (t_min, t_max) for f in [h(t)]]

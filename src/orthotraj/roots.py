@@ -17,9 +17,10 @@ double root near 0 at (3, 1e-6) (ROADMAP item 1).
 import math
 from typing import NamedTuple
 
-from .errors import DomainError, NoBracketError
+from . import _EXPORTS
+from .errors import DomainError, NoBracketError, _finite
 
-__all__ = ["RootSet", "slopes_at", "bracketed_root"]
+__all__ = list(_EXPORTS["roots"])
 
 # Relative threshold below which y counts as zero (cubic -> quadratic).
 _DEGREE_EPS = 1e-12
@@ -96,8 +97,7 @@ def slopes_at(x: float, y: float) -> RootSet:
     These are the real roots of y p^3 + (x - 2) p^2 - 1 = 0, closed form
     plus Newton polish.
     """
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise DomainError(f"point must be finite, got ({x!r}, {y!r})")
+    x, y = _finite(x, "x"), _finite(y, "y")
     a = x - 2.0
     eps = _DEGREE_EPS * max(abs(y), abs(a), 1.0)
     if abs(y) > eps:
@@ -125,8 +125,9 @@ def bracketed_root(f, lo: float, hi: float, tol: float = 1e-12) -> float:
     width drops below ``tol``, or to two adjacent floats, and returns the
     endpoint with the smaller |f|.
     """
-    if not -math.inf < lo < hi < math.inf:
-        raise DomainError(f"need finite lo < hi, got [{lo!r}, {hi!r}]")
+    lo, hi = _finite(lo, "lo"), _finite(hi, "hi")
+    if not lo < hi:
+        raise DomainError(f"need lo < hi, got [{lo!r}, {hi!r}]")
     fa = f(lo)
     fb = f(hi)
     if fa == 0.0:

@@ -39,17 +39,20 @@ A trace ends where each leg spends its arc budget: ``arc-limit``.
 import math
 from typing import NamedTuple, Optional
 
+from . import _EXPORTS
 from .core_model import Point, TrajectoryCurve, _new, cusp_parameters, linspace
-from .errors import DomainError, NoBranchError
+from .errors import DomainError, NoBranchError, _finite
 from .roots import bracketed_root, slopes_at
 
-__all__ = ["TraceConfig", "TraceResult", "trace_orthogonal"]
+__all__ = list(_EXPORTS["tracer"])
 
 # How far ``_leg`` lets a block run where the speed changes slowly: its
 # spacing, set by the block's largest speed, then stays near the spacing
 # the speed at each of its samples would allow.
 _BLOCK_SAMPLES = 64
 _BLOCK_GROWTH = 0.2
+# The largest max_arc / step: a trace holds about that many samples.
+_MAX_ARC_STEPS = 10**6
 
 
 class _TraceFields(NamedTuple):
@@ -67,23 +70,25 @@ class TraceConfig(_TraceFields):
     2 ``step`` of arc apart; ``max_arc`` is the arc budget per direction.
     ``tol`` is validated but has no effect, since the samples are closed-
     form points; it stays while callers still pass it, as the benchmark's
-    ``trace`` workload does.  All three are finite and positive.  The arc
-    budget alone bounds a trace: it has no box.
+    ``trace`` workload does.  All three are finite and positive, stored
+    as floats, and max_arc / step is at most 1e6.  The arc budget alone
+    bounds a trace: it has no box.
     """
 
     __slots__ = ()
     _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
     def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        for name in ("step", "max_arc", "tol"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
+        start, hint, step, max_arc, tol = super().__new__(cls, *args, **kwargs)
+        if hint is not None:
+            hint = _finite(hint, "initial_slope_hint")
+        step, max_arc, tol = _finite(step, "step"), _finite(max_arc, "max_arc"), _finite(tol, "tol")
+        for name, value in (("step", step), ("max_arc", max_arc), ("tol", tol)):
+            if value <= 0.0:
                 raise DomainError(f"{name} must be positive and finite, got {value!r}")
-        hint = self.initial_slope_hint
-        if hint is not None and not math.isfinite(hint):
-            raise DomainError(f"initial_slope_hint must be finite, got {hint!r}")
-        return self
+        if max_arc / step > _MAX_ARC_STEPS:
+            raise DomainError(f"max_arc / step must be at most 1e6, got {max_arc!r} / {step!r}")
+        return _new(cls, (start, hint, step, max_arc, tol))
 
 
 class TraceResult(NamedTuple):
@@ -202,13 +207,11 @@ def trace_orthogonal(cfg: TraceConfig) -> TraceResult:
     """
     if cfg.start is None:
         raise DomainError("TraceConfig.start is required")
-    x0, y0 = float(cfg.start[0]), float(cfg.start[1])
-    if not (math.isfinite(x0) and math.isfinite(y0)):
-        raise DomainError(f"start must be finite, got ({x0!r}, {y0!r})")
+    x0, y0 = _finite(cfg.start[0], "start"), _finite(cfg.start[1], "start")
     rs = slopes_at(x0, y0)
     if not rs.roots:
         raise NoBranchError(f"no real slope at start ({x0!r}, {y0!r})")
-    hint = float(cfg.initial_slope_hint or 0.0)
+    hint = cfg.initial_slope_hint or 0.0
     p0 = min(rs.roots, key=lambda r: abs(r - hint))
     # ``slopes_at`` can return p = 0 or a spurious root next to the x-axis
     # (at (0, -1e-6) it adds p = 1.1e-6, with a relative residual of about

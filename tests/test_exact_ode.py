@@ -8,6 +8,8 @@ Covers:
   - the potential's level values on the curve family, including the
     sign flip of the level on the t < 0 half of each curve
   - parametric solution vs curve_point, and hand-checked points
+  - mu at |p| past 1.3e154, where p sqrt(1 + p^2) overflows and mu is
+    a subnormal
   - singular-domain errors at p = 0, and errors for a non-finite y, p
     or C, which returned nan or inf
   - at the ends of the float range: x = 1/p^2 and N's 2/p^2 overflow to
@@ -135,6 +137,11 @@ class TestIntegratingFactor:
     def test_singular(self):
         with pytest.raises(DomainError):
             integrating_factor(0.0)
+
+    @pytest.mark.parametrize("p, mu", [(1e155, 1e-310), (-1e155, -1e-310), (1e160, 1e-320)])
+    def test_past_the_overflow_of_p_times_s(self, p, mu):
+        # mu = 1/p^2 there, a subnormal; 1 / (p s) read 0.0 once p s overflowed.
+        assert integrating_factor(p) == pytest.approx(mu, rel=0.0, abs=1e-323)
 
     def test_scaled_is_mu_times_raw(self):
         raw = raw_form()

@@ -26,6 +26,8 @@ Covers:
   - C within 10^-17..10^-1 (relative) of an extremum of k: the record
     count equals the exact count from Fraction squares, and every
     record lies on the line
+  - the crossings t = +-5e249 of m = 0 with C = -1e250, where t^2
+    overflows
   - finite records on a member with C = 1e308, and the crossing of a
     line of slope 1e200, where 2 + m^2 overflows
   - a slope product of +0.0, never -0.0, off the foot of m = 0
@@ -167,6 +169,12 @@ class TestIntersections:
             warnings.simplefilter("error")
             recs = intersections(1.0, TrajectoryCurve(0.0), -1e200, 1e200)
         assert [r.t for r in recs] == pytest.approx([-1.0, 3.0], abs=1e-10)
+
+    def test_crossings_past_the_overflow_of_t_squared(self):
+        # h reads sqrt(1 + t^2) as |t| where t t overflows: the root it took
+        # as 1/sqrt(inf) = 0 put both crossings at the overflow threshold.
+        recs = intersections(0.0, TrajectoryCurve(-1e250), -1e300, 1e300)
+        assert [r.t for r in recs] == [-5e249, 0.0, 5e249]
 
     def test_huge_slope_finds_its_crossing_not_a_window_end(self):
         # 2 + m^2 overflows for |m| > 1.3e154: h was inf - inf = nan at the

@@ -37,8 +37,8 @@ Covers:
   - error cases: no slope branch, a start slope from ``slopes_at`` that
     does not solve the cubic (p = 0 or spurious), a missing or
     non-finite start, bad config (non-positive or non-finite step,
-    max_arc or tol, a nan slope hint), and a ``domain`` keyword, as
-    TraceConfig has no box
+    max_arc or tol, a nan slope hint, max_arc / step past 1e6), and a
+    ``domain`` keyword, as TraceConfig has no box
 """
 import math
 import sys
@@ -305,6 +305,16 @@ class TestTraceOrthogonal:
         for value in (math.inf, math.nan):
             with pytest.raises(DomainError, match=name):
                 TraceConfig(start=Point(1.0, 2.0), **{name: value})
+
+    @pytest.mark.parametrize("kw", [{"max_arc": 1e300}, {"step": 1e-300}, {"max_arc": 2e4}])
+    def test_more_than_1e6_steps_of_arc_is_rejected(self, kw):
+        # A trace holds about max_arc / step samples: these would lay
+        # samples until memory ran out.  Only the config is built.
+        with pytest.raises(DomainError, match=r"max_arc / step"):
+            TraceConfig(start=Point(1.0, 2.0), **kw)
+
+    def test_1e6_steps_of_arc_is_accepted(self):
+        assert TraceConfig(start=Point(1.0, 2.0), max_arc=1e4).max_arc == 1e4
 
     def test_nan_hint_is_rejected(self):
         # A nan hint is nearer no root than another, so min would trace
